@@ -1,9 +1,8 @@
 """Exact linear algebra helpers: big-integer SNF, ranks, dense rational ops.
 
 Matrices are lists of lists (dense) or lists of {col: value} dicts
-(sparse).  Everything is exact: Python ints for integral work, Fractions
-for rational work, and set-based GF(2) rows for the large certified-rank
-computations in the cobar verifier.
+(sparse).  Everything is exact: Python ints for integral work and
+Fractions for rational work.
 """
 
 from fractions import Fraction
@@ -111,30 +110,6 @@ def rank_sparse_rational(rows):
                 else:
                     vec[k] = nv
         # empty vec: dependent row
-    return rank
-
-
-# ---------------------------------------------------------------------- GF(2)
-
-def rank_gf2(rows):
-    """Rank over GF(2); rows are iterables of column indices (odd support).
-
-    Rows are kept as Python sets and reduced by symmetric difference; the
-    pivot of a stored row is its minimum index.  Sparse-friendly: cost is
-    driven by fill-in, which stays modest on the locally supported
-    differentials this is used for.
-    """
-    pivots = {}
-    rank = 0
-    for row in rows:
-        vec = set(row)
-        while vec:
-            j = min(vec)
-            if j not in pivots:
-                pivots[j] = vec
-                rank += 1
-                break
-            vec ^= pivots[j]
     return rank
 
 
@@ -263,8 +238,3 @@ def smith_normal_form(matrix):
                 raise IntegrityError("SNF transform verification failed")
     return invariants, L, R
 
-
-def rank_int(matrix):
-    """Rank of an integer matrix via sparse rational elimination."""
-    rows = [{j: v for j, v in enumerate(row) if v} for row in matrix]
-    return rank_sparse_rational(rows)

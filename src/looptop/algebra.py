@@ -179,9 +179,6 @@ class IntersectionRelation:
     def size(self):
         return len(self.matrix)
 
-    def is_integral(self):
-        return all(x.denominator == 1 for row in self.matrix for x in row)
-
     def rank(self):
         return rank_rational([list(row) for row in self.matrix])
 
@@ -273,55 +270,12 @@ def default_manifold_matrix(n, r):
 
 
 def relation_from_space(space):
-    """Alphabet and intersection relation of a validated space model."""
-    from . import spaces  # deferred to avoid an import cycle
+    """Alphabet and intersection relation of a validated space model.
 
-    if isinstance(space, spaces.Manifold):
-        if space.r < 2:
-            raise UnsupportedSpaceError("Betti number 1 is handled by the Betti-1 pipeline")
-        alphabet = Alphabet.uniform(space.r, space.n - 1)
-        matrix = space.matrix if space.matrix is not None else default_manifold_matrix(space.n, space.r)
-        symmetry = "skew" if space.n % 2 else "symmetric"
-        rel = IntersectionRelation(tuple(tuple(Fraction(x) for x in row) for row in matrix), symmetry)
-        if abs(_int_det(rel.matrix)) != 1:
-            raise ValidationError("a closed-manifold intersection form must be unimodular")
-        return alphabet, rel
-    if isinstance(space, spaces.ConnectedSum):
-        degrees, names = [], []
-        for k, (p, q) in enumerate(space.factors, start=1):
-            degrees += [p - 1, q - 1]
-            names += [_sub("α", k), _sub("β", k)]
-        alphabet = Alphabet(tuple(degrees), tuple(names))
-        size = 2 * len(space.factors)
-        m = [[Fraction(0)] * size for _ in range(size)]
-        for k, sign in enumerate(space.signs):
-            m[2 * k][2 * k + 1] = Fraction(sign)
-            m[2 * k + 1][2 * k] = Fraction(-sign)
-        return alphabet, IntersectionRelation(tuple(tuple(row) for row in m), "skew")
-    if isinstance(space, spaces.TwoCellComplex):
-        rel = IntersectionRelation(
-            tuple(tuple(Fraction(x) for x in row) for row in space.matrix),
-            "skew" if space.n % 2 else "symmetric",
-        )
-        if rel.rank() < 2:
-            raise UnsupportedSpaceError("two-cell decomposition needs rank(Q over Q) >= 2")
-        return Alphabet.uniform(space.r, space.n - 1), rel
-    raise UnsupportedSpaceError(f"no quadratic relation for {type(space).__name__}")
-
-
-def _int_det(rows):
-    from ._linalg import det_int
-
-    n = len(rows)
-    ints = []
-    for row in rows:
-        out = []
-        for x in row:
-            if Fraction(x).denominator != 1:
-                raise ValidationError("intersection matrix must be integral")
-            out.append(int(Fraction(x)))
-        ints.append(out)
-    return det_int(ints) if n else 1
+    The family answers through `space.relation()`; Betti-one models and
+    forms of rational rank below 2 raise UnsupportedSpaceError.
+    """
+    return space.relation()
 
 
 def _pair(matrix, u, v):

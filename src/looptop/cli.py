@@ -12,7 +12,7 @@ import sys
 
 from . import spaces
 from .errors import IntegrityError, LooptopError, ValidationError
-from .series import manifold_denominator, connected_sum_denominator, pbw_match_ungraded
+from .series import pbw_match_ungraded
 from .cobar import verify_loop_homology
 
 DEFAULT_MAX_DIM = 10
@@ -47,24 +47,13 @@ def parse_space(text):
             raise ValidationError(f"expected manifold:n:r, got {text!r}")
         return spaces.Manifold(n, r)
     if head == "csum":
-        parts = rest.split(":")
-        factors = []
-        for item in parts[0].split(","):
-            p, _, q = item.partition("x")
-            try:
-                factors.append((int(p), int(q)))
-            except ValueError:
-                raise ValidationError(f"expected pxq factors, got {item!r}")
-        signs = None
-        for extra in parts[1:]:
-            if extra.startswith("signs="):
-                signs = tuple(1 if s.strip() == "+" else -1 if s.strip() == "-" else None
-                              for s in extra[len("signs="):].split(","))
-                if None in signs:
-                    raise ValidationError("signs must be a comma list of + and -")
-            else:
+        factors_text, *extras = rest.split(":")
+        signs_text = None
+        for extra in extras:
+            if not extra.startswith("signs="):
                 raise ValidationError(f"unknown csum option {extra!r}")
-        return spaces.ConnectedSum(tuple(factors), signs)
+            signs_text = extra[len("signs="):]
+        return parse_connected_sum(factors_text, signs_text)
     if head == "cw":
         n_text, _, matrix_text = rest.partition(":")
         try:
@@ -79,6 +68,24 @@ def parse_space(text):
             raise ValidationError(f"expected betti1:n:m, got {text!r}")
         return spaces.BettiOne(n, m)
     raise ValidationError(f"unknown space family {head!r}")
+
+
+def parse_connected_sum(factors_text, signs_text=None):
+    """Factors "p1xq1,p2xq2" and optional signs "+,-", as in csum:...:signs=..."""
+    factors = []
+    for item in factors_text.split(","):
+        p, _, q = item.partition("x")
+        try:
+            factors.append((int(p), int(q)))
+        except ValueError:
+            raise ValidationError(f"expected pxq factors, got {item!r}")
+    signs = None
+    if signs_text is not None:
+        signs = tuple(1 if s.strip() == "+" else -1 if s.strip() == "-" else None
+                      for s in signs_text.split(","))
+        if None in signs:
+            raise ValidationError("signs must be a comma list of + and -")
+    return spaces.ConnectedSum(tuple(factors), signs)
 
 
 def canonical_json(payload):
@@ -170,15 +177,10 @@ def _verify_counts(space, args, out):
     from .series import lie_ranks_from_denominator
 
     D = args.max_degree
-    if isinstance(space, (spaces.Manifold, spaces.TwoCellComplex)):
-        den = manifold_denominator(space.n, space.r, D)
-    elif isinstance(space, spaces.ConnectedSum):
-        den = connected_sum_denominator(space.factors, D)
-    else:
-        raise ValidationError("count verification applies to quadratic space models")
+    alphabet, rel = relation_from_space(space)  # refuses models with no quadratic relation
+    den = space.denominator(D)
     inversion = lie_ranks_from_denominator(den, D)
     matched = pbw_match_ungraded(den.inverse(), D)
-    alphabet, rel = relation_from_space(space)
     nr = normalize_relation(alphabet, rel)
     lyndon_counts = standard_lyndon_counts(nr.alphabet, nr.forbidden_pair, D)
     ok = True
@@ -211,14 +213,8 @@ def _cmd_hilbert(args, out):
     from .rewriting import irreducible_counts
 
     D = args.max_degree
-    if isinstance(space, (spaces.Manifold, spaces.TwoCellComplex)):
-        den = manifold_denominator(space.n, space.r, D)
-    elif isinstance(space, spaces.ConnectedSum):
-        den = connected_sum_denominator(space.factors, D)
-    else:
-        raise ValidationError("hilbert series applies to quadratic space models")
-    H = den.inverse()
-    alphabet, rel = relation_from_space(space)
+    alphabet, rel = relation_from_space(space)  # refuses models with no quadratic relation
+    H = space.denominator(D).inverse()
     nr = normalize_relation(alphabet, rel)
     counts = irreducible_counts(nr.alphabet, nr.forbidden_pair, D)
     ok = True
@@ -281,7 +277,7 @@ def _cmd_moore(args, out):
                               "verdict": report.verdict,
                               "justification": report.justification}), file=out)
     else:
-        print(f"space             {spaces.space_label(space)}", file=out)
+        print(f"space             {space.label}", file=out)
         print(f"verdict           {report.verdict}", file=out)
         print(f"justification     {report.justification}", file=out)
     return 0
@@ -352,20 +348,14 @@ def run(argv, out=None, err=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if getattr(args, "max_degree", 0) < 0:
+            raise ValidationError(f"--max-degree must be >= 0, got {args.max_degree}")
         if args.command == "manifold":
             matrix = parse_matrix(args.matrix) if args.matrix else None
             space = spaces.Manifold(args.n, args.betti, matrix)
             return _cmd_report(space, args, out)
         if args.command == "connected-sum":
-            factors = []
-            for item in args.factors.split(","):
-                p_text, _, q_text = item.partition("x")
-                factors.append((int(p_text), int(q_text)))
-            signs = None
-            if args.signs:
-                signs = tuple(1 if s.strip() == "+" else -1 for s in args.signs.split(","))
-            space = spaces.ConnectedSum(tuple(factors), signs)
-            return _cmd_report(space, args, out)
+            return _cmd_report(parse_connected_sum(args.factors, args.signs), args, out)
         if args.command == "cw":
             space = spaces.TwoCellComplex(args.n, parse_matrix(args.matrix))
             return _cmd_report(space, args, out)

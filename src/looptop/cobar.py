@@ -79,55 +79,6 @@ class FiniteCoalgebra:
                 )
 
 
-def coalgebra_of(space):
-    """Homology coalgebra of a supported space model."""
-    from . import spaces
-    from .algebra import relation_from_space
-
-    if isinstance(space, spaces.BettiOne) or (isinstance(space, spaces.Manifold) and space.r == 1):
-        n = space.n
-        gens = ((f"e{n}", n), (f"e{2 * n}", 2 * n))
-        return FiniteCoalgebra(gens, {1: ((0, 0, 1),)})
-    if isinstance(space, spaces.Manifold):
-        _, rel = relation_from_space(space)
-        n, r = space.n, space.r
-        gens = tuple((f"a{i + 1}", n) for i in range(r)) + (("top", 2 * n),)
-        top = r
-        terms = []
-        for i in range(r):
-            for j in range(r):
-                g = rel.matrix[i][j]
-                if g:
-                    terms.append((i, j, int(g)))
-        return FiniteCoalgebra(gens, {top: tuple(terms)})
-    if isinstance(space, spaces.ConnectedSum):
-        n = space.total_dimension
-        gens = []
-        for k, (p, q) in enumerate(space.factors, start=1):
-            gens.append((f"a{k}", p))
-            gens.append((f"b{k}", q))
-        gens.append(("top", n))
-        top = len(gens) - 1
-        terms = []
-        wrap = (-1) ** n
-        for k, ((p, q), sign) in enumerate(zip(space.factors, space.signs)):
-            terms.append((2 * k, 2 * k + 1, sign))
-            terms.append((2 * k + 1, 2 * k, sign * wrap))
-        return FiniteCoalgebra(tuple(gens), {top: tuple(terms)})
-    if isinstance(space, spaces.TwoCellComplex):
-        n, r = space.n, space.r
-        gens = tuple((f"a{i + 1}", n) for i in range(r)) + (("top", 2 * n),)
-        top = r
-        terms = []
-        for i in range(r):
-            for j in range(r):
-                g = space.matrix[i][j]
-                if g:
-                    terms.append((i, j, int(g)))
-        return FiniteCoalgebra(gens, {top: tuple(terms)})
-    raise ValidationError(f"no coalgebra model for {type(space).__name__}")
-
-
 @dataclass
 class ChainComplex:
     """Cobar chain complex, stored per slice s = degree + weight.
@@ -146,9 +97,6 @@ class ChainComplex:
     index: dict = field(default_factory=dict)
     diffs: dict = field(default_factory=dict)
     _profiles: dict = field(default_factory=dict)
-
-    def degrees(self):
-        return sorted({d for (_, d) in self.spots})
 
     def slices(self):
         return sorted({s for (s, _) in self.spots})
@@ -318,23 +266,28 @@ def _assert_d_squared_zero(cx):
                 raise IntegrityError(f"d*d != 0 on word {word}: sign convention broken")
 
 
-def smith_normal_form(matrix):
-    """Exact SNF with verified unimodular transforms; see _linalg."""
-    return _dense_snf(matrix)
-
-
 def _sparse_rank_and_torsion(columns):
     """Exact rank and torsion invariants of an integer column family.
 
     Left-looking elimination with unit-leading pivots: integer column
     operations are unimodular, so after full reduction the cokernel of
     the original matrix is free on the non-pivot rows modulo the columns
-    that could not find a unit pivot; those survivors vanish on every
-    pivot leading row, so projecting them to the remaining rows and
-    running the dense SNF finishes the computation exactly.
+    that could not find a unit pivot.  Those survivors are cleared on
+    every pivot row by the unit pivots (more unimodular column
+    operations), so projecting them to the remaining rows and running the
+    dense SNF finishes the computation exactly.
     """
     pivots = {}
     aside = []
+
+    def eliminate(vec, j, p):
+        f = vec[j] * p[j]  # p[j] is +-1
+        for k, v in p.items():
+            nv = vec.get(k, 0) - f * v
+            if nv:
+                vec[k] = nv
+            else:
+                vec.pop(k, None)
 
     def reduce_col(vec):
         while vec:
@@ -342,13 +295,7 @@ def _sparse_rank_and_torsion(columns):
             p = pivots.get(j)
             if p is None:
                 return vec, j
-            f = vec[j] * p[j]  # p[j] is +-1
-            for k, v in p.items():
-                nv = vec.get(k, 0) - f * v
-                if nv:
-                    vec[k] = nv
-                else:
-                    vec.pop(k, None)
+            eliminate(vec, j, p)
         return vec, None
 
     for col in columns:
@@ -375,9 +322,14 @@ def _sparse_rank_and_torsion(columns):
         aside = still
     if not aside:
         return len(pivots), []
+    for vec in aside:
+        # a pivot only adds rows below its own leading row, so this ends
+        hits = [k for k in vec if k in pivots]
+        while hits:
+            j = min(hits)
+            eliminate(vec, j, pivots[j])
+            hits = [k for k in vec if k in pivots]
     rows = sorted({r for vec in aside for r in vec})
-    if any(r in pivots for r in rows):
-        raise IntegrityError("residual columns overlap pivot rows after reduction")
     pos = {r: i for i, r in enumerate(rows)}
     dense = [[0] * len(aside) for _ in rows]
     for j, vec in enumerate(aside):
@@ -447,54 +399,22 @@ class VerificationReport:
     ok: bool
     notes: tuple
 
-    def failures(self):
-        return [row for row in self.rows if not (row.rank_ok and row.torsion_ok)]
-
-
-def _expected_series(space, D):
-    from . import spaces
-    from .series import connected_sum_denominator, manifold_denominator
-
-    if isinstance(space, spaces.BettiOne) or (isinstance(space, spaces.Manifold) and space.r == 1):
-        n = space.n
-        ranks = [0] * (D + 1)
-        k = 0
-        while k * (3 * n - 2) <= D:
-            ranks[k * (3 * n - 2)] = 1
-            if k * (3 * n - 2) + n - 1 <= D:
-                ranks[k * (3 * n - 2) + n - 1] = 1
-            k += 1
-        return ranks
-    if isinstance(space, spaces.Manifold):
-        H = manifold_denominator(space.n, space.r, D).inverse()
-    elif isinstance(space, spaces.TwoCellComplex):
-        H = manifold_denominator(space.n, space.r, D).inverse()
-    elif isinstance(space, spaces.ConnectedSum):
-        H = connected_sum_denominator(space.factors, D).inverse()
-    else:
-        raise ValidationError(f"no expected homology for {type(space).__name__}")
-    return [int(H[d]) for d in range(D + 1)]
-
 
 def verify_loop_homology(space, cutoff, max_cells=None):
     """Compare cobar homology with the closed-form loop-homology prediction.
 
-    Ranks are checked at every degree <= cutoff.  Torsion must be empty
-    for unimodular inputs (manifolds, connected sums, Betti-1 models) and
-    supported only on the bad primes of the form for two-cell complexes.
+    Ranks are checked at every degree <= cutoff against the inverse of the
+    family's denominator.  Torsion must be supported on the family's
+    torsion primes: none for unimodular inputs (manifolds, connected sums,
+    Betti-1 models), the bad primes of the form for two-cell complexes.
     Discrepancies populate the report; nothing raises.
     """
-    from . import spaces as spaces_mod
-
-    label = spaces_mod.space_label(space)
-    expected = _expected_series(space, cutoff)
-    coalgebra = coalgebra_of(space)
-    cx = build_cobar(coalgebra, cutoff, max_cells=max_cells, slice_mode=True)
-
-    allowed_torsion = None
+    series = space.denominator(cutoff).inverse()
+    expected = [int(series[d]) for d in range(cutoff + 1)]
+    allowed_torsion = space.torsion_primes()
+    cx = build_cobar(space.coalgebra(), cutoff, max_cells=max_cells, slice_mode=True)
     notes = []
-    if isinstance(space, spaces_mod.TwoCellComplex):
-        allowed_torsion = spaces_mod.bad_primes(space.matrix)
+    if allowed_torsion:
         notes.append(f"torsion allowed only at primes {sorted(allowed_torsion)}")
 
     rows = []
@@ -502,10 +422,7 @@ def verify_loop_homology(space, cutoff, max_cells=None):
     for d in range(cutoff + 1):
         rank, torsion = homology(cx, d)
         rank_ok = rank == expected[d]
-        if allowed_torsion is None:
-            torsion_ok = not torsion
-        else:
-            torsion_ok = all(_prime_support(t) <= allowed_torsion for t in torsion)
+        torsion_ok = all(_strip_primes(t, allowed_torsion) == 1 for t in torsion)
         ok = ok and rank_ok and torsion_ok
         rows.append(
             VerificationRow(d, cx.dim(d), rank, expected[d], tuple(torsion), rank_ok, torsion_ok)
@@ -513,13 +430,15 @@ def verify_loop_homology(space, cutoff, max_cells=None):
 
     euler_ok = _euler_audit(cx)
     ok = ok and euler_ok
-    return VerificationReport(label, cutoff, tuple(rows), euler_ok, ok, tuple(notes))
+    return VerificationReport(space.label, cutoff, tuple(rows), euler_ok, ok, tuple(notes))
 
 
-def _prime_support(value):
-    from .spaces import factorize
-
-    return set(factorize(value))
+def _strip_primes(value, primes):
+    """`value` with every factor from `primes` divided out."""
+    for p in primes:
+        while value % p == 0:
+            value //= p
+    return value
 
 
 def _euler_audit(cx):

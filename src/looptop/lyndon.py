@@ -142,9 +142,10 @@ def standard_lyndon_counts(alphabet, forbidden, max_degree, enumeration_limit=20
     if est <= enumeration_limit:
         table = standard_lyndon_words(alphabet, forbidden, max_degree)
         return {d: len(ws) for d, ws in table.items()}
+    walks = _closed_walk_counts(alphabet, forbidden, max_degree)
     counts = {}
     for d in range(1, max_degree + 1):
-        c = _necklace_count(alphabet, forbidden, d)
+        c = _necklace_count(alphabet, walks, d)
         if c:
             counts[d] = c
     return counts
@@ -198,14 +199,9 @@ def _closed_walk_counts(alphabet, forbidden, max_degree):
     return out
 
 
-def _necklace_count(alphabet, forbidden, degree, _cache={}):
-    key = (alphabet, forbidden, degree)
-    root = (alphabet, forbidden)
-    walks = _cache.get(root)
-    if walks is None or walks[0] < degree:
-        walks = (degree, _closed_walk_counts(alphabet, forbidden, degree))
-        _cache[root] = walks
-    table = walks[1]
+def _necklace_count(alphabet, walks, degree):
+    """Aperiodic necklaces of the given degree, from a closed-walk table that
+    reaches at least that degree (see _closed_walk_counts)."""
     total = 0
     min_deg = min(alphabet.degrees)
     for w in range(1, degree // min_deg + 1):
@@ -215,7 +211,7 @@ def _necklace_count(alphabet, forbidden, degree, _cache={}):
                 continue
             mu = moebius_mu(e)
             if mu:
-                acc += mu * table.get((w // e, degree // e), 0)
+                acc += mu * walks.get((w // e, degree // e), 0)
         if acc % w:
             raise IntegrityError("necklace count is not divisible by the word length")
         total += acc // w

@@ -174,9 +174,6 @@ class PowerSeries:
             out[d] = acc / d
         return PowerSeries(tuple(out))
 
-    def is_integral(self):
-        return all(c.denominator == 1 for c in self.coefficients)
-
 
 @dataclass(frozen=True)
 class DimensionTable:

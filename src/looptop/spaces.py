@@ -4,16 +4,27 @@ Four families are supported: (n-1)-connected 2n-manifolds with middle
 Betti number r, connected sums of products of simply connected spheres,
 two-cell complexes (a wedge of r n-spheres with one 2n-cell), and the
 Betti-number-one manifolds parametrized by the attaching data m.
+
+Each family's class makes every per-family decision itself: `label`,
+`to_json()`, `denominator(order)` (the inverse of the loop-homology
+Hilbert series), `coalgebra()` (the integral homology coalgebra),
+`relation()` (alphabet and quadratic relation), `torsion_primes()`,
+`classify(window)`, `moore()` and `report(max_dim)`.  The first three
+families share the one-relator quadratic pipeline, whose denominator is
+1 - sum_i t^(|a_i|-1) + t^(|top|-2); Betti-one models have no quadratic
+relation and answer from closed forms.
 """
 
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import det_int, smith_normal_form
+from ._linalg import det_int, rank_rational, smith_normal_form
+from .cobar import FiniteCoalgebra
 from .errors import IntegrityError, UnsupportedSpaceError, ValidationError
 from .series import (
     GrowthRate,
+    PowerSeries,
     connected_sum_denominator,
     growth_rate,
     manifold_denominator,
@@ -56,9 +67,43 @@ def _check_parity(matrix, n, what="matrix"):
                 raise ValidationError(f"{what} must have zero diagonal when n is odd")
 
 
+class _FormSpace:
+    """Shared by manifolds and two-cell complexes: r n-spheres with one
+    2n-cell attached along the integral form `self.form`."""
+
+    def denominator(self, order):
+        return manifold_denominator(self.n, self.r, order)
+
+    def coalgebra(self):
+        gens = tuple((f"a{i + 1}", self.n) for i in range(self.r)) + (("top", 2 * self.n),)
+        terms = tuple((i, j, g) for i, row in enumerate(self.form) for j, g in enumerate(row) if g)
+        return FiniteCoalgebra(gens, {self.r: terms})
+
+    def relation(self):
+        # algebra is imported on first use, here and below, to keep it out
+        # of the start-up of commands that never build a relation
+        from .algebra import Alphabet, IntersectionRelation
+
+        symmetry = "skew" if self.n % 2 else "symmetric"
+        return Alphabet.uniform(self.r, self.n - 1), IntersectionRelation(self.form, symmetry)
+
+    def torsion_primes(self):
+        return frozenset()
+
+    def report(self, max_dim):
+        inverted = self.torsion_primes()
+        counts = sphere_summand_counts(self.n, self.r, max_dim)
+        growth = growth_rate(self.r) if self.r >= 3 else None
+        return _quadratic_report(self, max_dim, counts, inverted, growth)
+
+
 @dataclass(frozen=True)
-class Manifold:
-    """Closed (n-1)-connected 2n-manifold with middle Betti number r."""
+class Manifold(_FormSpace):
+    """Closed (n-1)-connected 2n-manifold with middle Betti number r.
+
+    With r = 1 the loop homology is that of the Betti-one model, which
+    answers the questions the quadratic pipeline cannot.
+    """
 
     n: int
     r: int
@@ -86,6 +131,52 @@ class Manifold:
             if abs(det_int([list(row) for row in m])) != 1:
                 raise ValidationError("a closed-manifold intersection form must be unimodular")
             object.__setattr__(self, "matrix", m)
+
+    @property
+    def form(self):
+        from .algebra import default_manifold_matrix
+
+        return self.matrix if self.matrix is not None else default_manifold_matrix(self.n, self.r)
+
+    @property
+    def label(self):
+        return f"M({self.n},{self.r})"
+
+    def to_json(self):
+        return {
+            "type": "manifold",
+            "n": self.n,
+            "betti": self.r,
+            "matrix": [list(row) for row in self.matrix] if self.matrix is not None else None,
+        }
+
+    def denominator(self, order):
+        if self.r == 1:
+            return BettiOne(self.n).denominator(order)
+        return super().denominator(order)
+
+    def relation(self):
+        if self.r == 1:
+            return BettiOne(self.n).relation()
+        return super().relation()
+
+    def classify(self, window=12):
+        return "elliptic" if self.r <= 2 else "hyperbolic"
+
+    def moore(self):
+        if self.r == 1:
+            return BettiOne(self.n).moore()
+        return _MOORE_PRODUCT if self.r == 2 else _MOORE_NO_EXPONENT
+
+    def report(self, max_dim):
+        if self.r > 1:
+            return super().report(max_dim)
+        if self.n == 2:
+            return betti_one_report(2, 0)
+        raise ValidationError(
+            "a Betti-number-one manifold with n in {4, 8} needs the attaching "
+            "parameter m; use the Betti-1 model"
+        )
 
 
 @dataclass(frozen=True)
@@ -122,9 +213,63 @@ class ConnectedSum:
     def total_dimension(self):
         return self.factors[0][0] + self.factors[0][1]
 
+    @property
+    def label(self):
+        return "#".join(f"(S{p}xS{q})" for p, q in self.factors)
+
+    def to_json(self):
+        return {
+            "type": "connected-sum",
+            "factors": [list(f) for f in self.factors],
+            "signs": list(self.signs),
+        }
+
+    def denominator(self, order):
+        return connected_sum_denominator(self.factors, order)
+
+    def coalgebra(self):
+        gens = []
+        for k, (p, q) in enumerate(self.factors, start=1):
+            gens.append((f"a{k}", p))
+            gens.append((f"b{k}", q))
+        gens.append(("top", self.total_dimension))
+        wrap = (-1) ** self.total_dimension
+        terms = []
+        for k, sign in enumerate(self.signs):
+            terms.append((2 * k, 2 * k + 1, sign))
+            terms.append((2 * k + 1, 2 * k, sign * wrap))
+        return FiniteCoalgebra(tuple(gens), {len(gens) - 1: tuple(terms)})
+
+    def relation(self):
+        from .algebra import Alphabet, IntersectionRelation, _sub
+
+        degrees, names = [], []
+        for k, (p, q) in enumerate(self.factors, start=1):
+            degrees += [p - 1, q - 1]
+            names += [_sub("α", k), _sub("β", k)]
+        size = 2 * self.r
+        m = [[0] * size for _ in range(size)]
+        for k, sign in enumerate(self.signs):
+            m[2 * k][2 * k + 1] = sign
+            m[2 * k + 1][2 * k] = -sign
+        return Alphabet(tuple(degrees), tuple(names)), IntersectionRelation(m, "skew")
+
+    def torsion_primes(self):
+        return frozenset()
+
+    def classify(self, window=12):
+        return "elliptic" if self.r == 1 else "hyperbolic"
+
+    def moore(self):
+        return _MOORE_PRODUCT if self.r == 1 else _MOORE_NO_EXPONENT
+
+    def report(self, max_dim):
+        counts = sphere_counts_from_denominator(self.denominator(max_dim), max_dim)
+        return _quadratic_report(self, max_dim, counts, self.torsion_primes(), None)
+
 
 @dataclass(frozen=True)
-class TwoCellComplex:
+class TwoCellComplex(_FormSpace):
     """Wedge of r n-spheres with a single 2n-cell; Q is the cup-product form."""
 
     n: int
@@ -143,10 +288,54 @@ class TwoCellComplex:
     def r(self):
         return len(self.matrix)
 
+    @property
+    def form(self):
+        return self.matrix
+
+    @property
+    def label(self):
+        rows = ";".join(",".join(str(v) for v in row) for row in self.matrix)
+        return f"X(n={self.n},Q=[{rows}])"
+
+    def to_json(self):
+        return {"type": "two-cell", "n": self.n, "matrix": [list(row) for row in self.matrix]}
+
+    def relation(self):
+        alphabet, rel = super().relation()
+        if rel.rank() < 2:
+            raise UnsupportedSpaceError("two-cell decomposition needs rank(Q over Q) >= 2")
+        return alphabet, rel
+
+    def torsion_primes(self):
+        """The bad primes of the form: it is reported after inverting them."""
+        return bad_primes(self.matrix)
+
+    def classify(self, window=12):
+        if self.r >= 3:
+            return "hyperbolic"
+        if rank_rational([list(row) for row in self.matrix]) < 2:
+            raise UnsupportedSpaceError(
+                "rational classification of a two-cell complex with r <= 2 and a "
+                "degenerate form is out of reach here"
+            )
+        window = max(window, 6 * (self.n - 1))
+        table = pbw_match_graded(self.denominator(window).inverse(), window)
+        upper_support = [d for d in range(window // 2 + 1, window + 1) if table[d]]
+        return "elliptic" if not upper_support else "hyperbolic"
+
+    def moore(self):
+        if self.r >= 3:
+            return _MOORE_UNBOUNDED
+        return _MOORE_WINDOW if self.classify() == "elliptic" else _MOORE_NO_EXPONENT
+
 
 @dataclass(frozen=True)
 class BettiOne:
-    """Betti-number-one manifold: CP^2 (n=2) or V_{m,1} in dimensions 8 and 16."""
+    """Betti-number-one manifold: CP^2 (n=2) or V_{m,1} in dimensions 8 and 16.
+
+    The homology coalgebra e_2n -> e_n (x) e_n gives no quadratic relation;
+    the loop homology is Lambda[x_(n-1)] (x) Z[y_(3n-2)].
+    """
 
     n: int
     m: int = 0
@@ -161,20 +350,37 @@ class BettiOne:
         else:
             object.__setattr__(self, "m", int(self.m) % 120)
 
+    @property
+    def label(self):
+        return "CP2" if self.n == 2 else f"V(n={self.n},m={self.m})"
 
-def space_label(space):
-    if isinstance(space, Manifold):
-        return f"M({space.n},{space.r})"
-    if isinstance(space, ConnectedSum):
-        return "#".join(f"(S{p}xS{q})" for p, q in space.factors)
-    if isinstance(space, TwoCellComplex):
-        rows = ";".join(",".join(str(v) for v in row) for row in space.matrix)
-        return f"X(n={space.n},Q=[{rows}])"
-    if isinstance(space, BettiOne):
-        if space.n == 2:
-            return "CP2"
-        return f"V(n={space.n},m={space.m})"
-    raise ValidationError(f"unknown space {type(space).__name__}")
+    def to_json(self):
+        return {"type": "betti-one", "n": self.n, "m": self.m}
+
+    def denominator(self, order):
+        """(1 - t^(3n-2)) / (1 + t^(n-1))."""
+        periodic = PowerSeries.of([1] + [0] * (3 * self.n - 3) + [-1], order)
+        exterior = PowerSeries.of([1] + [0] * (self.n - 2) + [1], order)
+        return periodic * exterior.inverse()
+
+    def coalgebra(self):
+        n = self.n
+        return FiniteCoalgebra(((f"e{n}", n), (f"e{2 * n}", 2 * n)), {1: ((0, 0, 1),)})
+
+    def relation(self):
+        raise UnsupportedSpaceError("Betti number 1 is handled by the Betti-1 pipeline")
+
+    def torsion_primes(self):
+        return frozenset()
+
+    def classify(self, window=12):
+        return "elliptic"
+
+    def moore(self):
+        return _MOORE_BETTI_ONE
+
+    def report(self, max_dim):
+        return betti_one_report(self.n, self.m)
 
 
 # ------------------------------------------------------------- factorization
@@ -282,6 +488,38 @@ class MooreReport:
     justification: str
 
 
+_MOORE_PRODUCT = MooreReport(
+    "elliptic-with-finite-exponents",
+    "rationally elliptic; the homotopy groups agree with those of a product "
+    "of two spheres, which has a finite p-exponent at every prime",
+)
+_MOORE_BETTI_ONE = MooreReport(
+    "elliptic-with-finite-exponents",
+    "rationally elliptic; away from the inverted primes the loop space "
+    "splits through spheres and loop spaces of spheres, whose p-torsion has "
+    "a finite exponent, and at the remaining primes the verdict follows the "
+    "elliptic side of the exponent conjecture",
+)
+_MOORE_WINDOW = MooreReport(
+    "elliptic-with-finite-exponents",
+    "window-limited: the graded ranks have finite support, and granting the "
+    "exponent conjecture for such elliptic complexes every prime has a finite "
+    "exponent; the rank-2 two-cell case is not settled by a theorem here",
+)
+_MOORE_UNBOUNDED = MooreReport(
+    "hyperbolic-unbounded-cofinite-primes",
+    "rationally hyperbolic; away from finitely many primes a wedge of two middle "
+    "spheres retracts off the localized complex, so the p-primary torsion of the "
+    "homotopy groups is unbounded for all but finitely many primes",
+)
+_MOORE_NO_EXPONENT = MooreReport(
+    "hyperbolic-no-exponent-all-primes",
+    "the sphere dimensions occurring in the decomposition are unbounded, and spheres "
+    "of growing dimension carry p-power torsion of arbitrarily large exponent for "
+    "every prime, so no prime admits a finite exponent",
+)
+
+
 @dataclass(frozen=True)
 class Summand:
     sphere_dim: int
@@ -346,79 +584,21 @@ def classify_rational(space, window=12):
     (their support is finite exactly in the elliptic case).  Betti-1
     models are elliptic.
     """
-    if isinstance(space, Manifold):
-        return "elliptic" if space.r <= 2 else "hyperbolic"
-    if isinstance(space, ConnectedSum):
-        return "elliptic" if space.r == 1 else "hyperbolic"
-    if isinstance(space, BettiOne):
-        return "elliptic"
-    if isinstance(space, TwoCellComplex):
-        if space.r >= 3:
-            return "hyperbolic"
-        from ._linalg import rank_rational
-
-        if rank_rational([list(row) for row in space.matrix]) < 2:
-            raise UnsupportedSpaceError(
-                "rational classification of a two-cell complex with r <= 2 and a "
-                "degenerate form is out of reach here"
-            )
-        window = max(window, 6 * (space.n - 1))
-        table = pbw_match_graded(manifold_denominator(space.n, space.r, window).inverse(), window)
-        upper_support = [d for d in range(window // 2 + 1, window + 1) if table[d]]
-        return "elliptic" if not upper_support else "hyperbolic"
-    raise ValidationError(f"unknown space {type(space).__name__}")
+    return space.classify(window)
 
 
 def moore_report(space):
     """Finite-p-exponent verdict matching the rational classification."""
-    cls = classify_rational(space)
-    if isinstance(space, TwoCellComplex) and space.r >= 3:
-        return MooreReport(
-            "hyperbolic-unbounded-cofinite-primes",
-            "rationally hyperbolic; away from finitely many primes a wedge of two middle "
-            "spheres retracts off the localized complex, so the p-primary torsion of the "
-            "homotopy groups is unbounded for all but finitely many primes",
-        )
-    if cls == "elliptic":
-        if isinstance(space, TwoCellComplex):
-            note = (
-                "window-limited: the graded ranks have finite support, and granting the "
-                "exponent conjecture for such elliptic complexes every prime has a finite "
-                "exponent; the rank-2 two-cell case is not settled by a theorem here"
-            )
-        elif isinstance(space, BettiOne) or (isinstance(space, Manifold) and space.r == 1):
-            note = (
-                "rationally elliptic; away from the inverted primes the loop space "
-                "splits through spheres and loop spaces of spheres, whose p-torsion has "
-                "a finite exponent, and at the remaining primes the verdict follows the "
-                "elliptic side of the exponent conjecture"
-            )
-        else:
-            note = (
-                "rationally elliptic; the homotopy groups agree with those of a product "
-                "of two spheres, which has a finite p-exponent at every prime"
-            )
-        return MooreReport("elliptic-with-finite-exponents", note)
-    return MooreReport(
-        "hyperbolic-no-exponent-all-primes",
-        "the sphere dimensions occurring in the decomposition are unbounded, and spheres "
-        "of growing dimension carry p-power torsion of arbitrarily large exponent for "
-        "every prime, so no prime admits a finite exponent",
-    )
+    return space.moore()
 
 
 _WITNESS_LIMIT = 2000
 
 
-def _quadratic_report(space, max_dim, denominator, inverted, label):
+def _quadratic_report(space, max_dim, counts, inverted, growth):
     """Shared manifold / connected-sum / two-cell decomposition pipeline."""
     from .algebra import normalize_relation, relation_from_space
     from .lyndon import _estimated_words, bracket_string, lie_basis, standard_lyndon_counts
-
-    if isinstance(space, (Manifold, TwoCellComplex)):
-        counts = sphere_summand_counts(space.n, space.r, max_dim)
-    else:
-        counts = sphere_counts_from_denominator(denominator, max_dim)
 
     alphabet, rel = relation_from_space(space)
     nr = normalize_relation(alphabet, rel)
@@ -433,25 +613,20 @@ def _quadratic_report(space, max_dim, denominator, inverted, label):
         lyndon_counts = standard_lyndon_counts(nr.alphabet, nr.forbidden_pair, max_dim - 1)
         if {d: c for d, c in lyndon_counts.items() if c} != degree_counts:
             raise IntegrityError(
-                f"Lyndon pipeline disagrees with the series pipelines for {label}"
+                f"Lyndon pipeline disagrees with the series pipelines for {space.label}"
             )
 
     summands = tuple(
         Summand(l, counts[l], witnesses.get(l, ())) for l in sorted(counts)
     )
-    cls = classify_rational(space)
-    growth = None
-    if cls == "hyperbolic" and isinstance(space, (Manifold, TwoCellComplex)) and space.r >= 3:
-        growth = growth_rate(space.r)
-    text = _loop_text(label, counts, max_dim, inverted)
     return DecompositionReport(
         space=space,
         max_dimension=max_dim,
         summands=summands,
         inverted_primes=tuple(sorted(inverted)),
-        classification=cls,
+        classification=classify_rational(space),
         growth=growth,
-        loop_decomposition_text=text,
+        loop_decomposition_text=_loop_text(space.label, counts, max_dim, inverted),
         moore=moore_report(space),
     )
 
@@ -473,39 +648,13 @@ def decomposition_report(space, max_dim):
     """Sphere-summand decomposition of the homotopy groups, through max_dim."""
     if max_dim < 2:
         raise ValidationError("max_dim must be >= 2")
-    if isinstance(space, Manifold):
-        if space.r == 1:
-            if space.n == 2:
-                return betti_one_report(2, 0)
-            raise ValidationError(
-                "a Betti-number-one manifold with n in {4, 8} needs the attaching "
-                "parameter m; use the Betti-1 model"
-            )
-        return _quadratic_report(
-            space, max_dim, manifold_denominator(space.n, space.r, max_dim), set(), space_label(space)
-        )
-    if isinstance(space, ConnectedSum):
-        return _quadratic_report(
-            space,
-            max_dim,
-            connected_sum_denominator(space.factors, max_dim),
-            set(),
-            space_label(space),
-        )
-    if isinstance(space, TwoCellComplex):
-        inverted = bad_primes(space.matrix)
-        return _quadratic_report(
-            space, max_dim, manifold_denominator(space.n, space.r, max_dim), inverted, space_label(space)
-        )
-    if isinstance(space, BettiOne):
-        return betti_one_report(space.n, space.m)
-    raise ValidationError(f"unknown space {type(space).__name__}")
+    return space.report(max_dim)
 
 
 def betti_one_report(n, m):
     """Decomposition report for the Betti-number-one family."""
     space = BettiOne(n, m)
-    label = space_label(space)
+    label = space.label
     if n == 2:
         text = (
             f"Omega {label} ~ S^1 x Omega S^5: pi_2 = Z and pi_k = pi_k(S^5) for k >= 3"
@@ -549,24 +698,7 @@ def betti_one_report(n, m):
 # ----------------------------------------------------------------- JSON view
 
 def space_to_json(space):
-    if isinstance(space, Manifold):
-        return {
-            "type": "manifold",
-            "n": space.n,
-            "betti": space.r,
-            "matrix": [list(row) for row in space.matrix] if space.matrix is not None else None,
-        }
-    if isinstance(space, ConnectedSum):
-        return {
-            "type": "connected-sum",
-            "factors": [list(f) for f in space.factors],
-            "signs": list(space.signs),
-        }
-    if isinstance(space, TwoCellComplex):
-        return {"type": "two-cell", "n": space.n, "matrix": [list(row) for row in space.matrix]}
-    if isinstance(space, BettiOne):
-        return {"type": "betti-one", "n": space.n, "m": space.m}
-    raise ValidationError(f"unknown space {type(space).__name__}")
+    return space.to_json()
 
 
 def report_to_json(report):

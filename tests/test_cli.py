@@ -32,6 +32,14 @@ class TestParsing:
         with pytest.raises(ValidationError):
             parse_space("manifold:2")
 
+    def test_connected_sum_flags_share_the_grammar_parser(self):
+        code, out, err = invoke(["connected-sum", "--factors", "2x3,2x3", "--signs", "+,x"])
+        grammar_code, _, grammar_err = invoke(
+            ["moore", "--space", "csum:2x3,2x3:signs=+,x"]
+        )
+        assert (code, grammar_code) == (2, 2) and not out
+        assert err == grammar_err == "error: signs must be a comma list of + and -\n"
+
 
 class TestExitCodes:
     def test_success(self):
@@ -77,6 +85,35 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "verify_loop_homology", lambda *a, **k: failing)
         code, out, _ = invoke(["verify", "cobar", "--space", "manifold:2:2"])
         assert code == 1 and "FAIL" in out
+
+
+@pytest.mark.parametrize("command", [["verify", "counts"], ["hilbert"]])
+@pytest.mark.parametrize("space", ["manifold:2:1", "manifold:4:1", "cw:2:1"])
+def test_betti_one_models_are_refused_by_the_quadratic_commands(command, space):
+    code, _, err = invoke(command + ["--space", space])
+    assert code == 2
+    assert err.startswith("error: ") and "integrity error" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hilbert", "--space", "manifold:2:3", "--max-degree", "-3"],
+        ["verify", "counts", "--space", "manifold:2:3", "--max-degree", "-2"],
+        ["verify", "cobar", "--space", "manifold:2:3", "--max-degree", "-1"],
+        ["lie-basis", "--space", "manifold:2:3", "--max-degree", "-1"],
+    ],
+)
+def test_negative_window_is_a_usage_error(argv):
+    code, out, err = invoke(argv)
+    assert code == 2 and not out
+    assert "--max-degree must be >= 0" in err and "Traceback" not in err
+
+
+def test_zero_window_is_still_accepted():
+    code, out, _ = invoke(["hilbert", "--space", "manifold:2:3", "--max-degree", "0"])
+    assert code == 0
+    assert out.splitlines()[1].split() == ["0", "1", "1", "ok"]
 
 
 class TestSpecExamples:

@@ -2,32 +2,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looptop._linalg import det_int, mat_mul
-from looptop.cobar import (
-    FiniteCoalgebra,
-    build_cobar,
-    coalgebra_of,
-    homology,
-    smith_normal_form,
-    verify_loop_homology,
-)
+from looptop._linalg import det_int, mat_mul, smith_normal_form
+from looptop.cobar import FiniteCoalgebra, build_cobar, homology, verify_loop_homology
 from looptop.errors import IntegrityError, ValidationError, WindowError
 from looptop.spaces import BettiOne, ConnectedSum, Manifold, TwoCellComplex
 
 
 class TestCoalgebraOf:
     def test_manifold_hyperbolic_diagonal(self):
-        c = coalgebra_of(Manifold(2, 2))
+        c = Manifold(2, 2).coalgebra()
         top = len(c.generators) - 1
         assert set(c.diagonal(top)) == {(0, 1, 1), (1, 0, 1)}
 
     def test_betti_one_square_diagonal(self):
-        c = coalgebra_of(BettiOne(4, 0))
+        c = BettiOne(4, 0).coalgebra()
         assert c.generators == (("e4", 4), ("e8", 8))
         assert c.diagonal(1) == ((0, 0, 1),)
 
     def test_two_cell_scaled_pairing(self):
-        c = coalgebra_of(TwoCellComplex(2, ((0, 7), (7, 0))))
+        c = TwoCellComplex(2, ((0, 7), (7, 0))).coalgebra()
         assert set(c.diagonal(2)) == {(0, 1, 7), (1, 0, 7)}
 
     def test_degree_additivity_enforced(self):
@@ -67,7 +60,7 @@ class TestSmithNormalForm:
 
 class TestBuildCobar:
     def test_m22_low_degrees(self):
-        cx = build_cobar(coalgebra_of(Manifold(2, 2)), 5)
+        cx = build_cobar(Manifold(2, 2).coalgebra(), 5)
         assert sorted(cx.basis(2)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
         b3 = cx.basis(3)
         assert (2,) in b3  # the desuspended top cell
@@ -78,7 +71,7 @@ class TestBuildCobar:
         assert image == {(0, 1): 1, (1, 0): 1}
 
     def test_betti_one_differential(self):
-        cx = build_cobar(coalgebra_of(BettiOne(4, 0)), 8)
+        cx = build_cobar(BettiOne(4, 0).coalgebra(), 8)
         b7, b6 = cx.basis(7), cx.basis(6)
         m = cx.differential_matrix(7)
         col = b7.index((1,))
@@ -87,13 +80,13 @@ class TestBuildCobar:
 
     def test_zero_diagonal_means_zero_differential(self):
         # wedge-like complex: zero cup form
-        cx = build_cobar(coalgebra_of(TwoCellComplex(2, ((0, 0), (0, 0)))), 5)
+        cx = build_cobar(TwoCellComplex(2, ((0, 0), (0, 0))).coalgebra(), 5)
         for key, cols in cx.diffs.items():
             assert all(not col for col in cols), key
 
     def test_cell_guard(self):
         with pytest.raises(ValidationError):
-            build_cobar(coalgebra_of(Manifold(2, 3)), 10, max_cells=100)
+            build_cobar(Manifold(2, 3).coalgebra(), 10, max_cells=100)
 
     def test_d_squared_zero_across_models(self):
         # the assertion runs inside build_cobar for every complex
@@ -108,30 +101,30 @@ class TestBuildCobar:
             (BettiOne(4, 1), 12),
             (BettiOne(8, 0), 12),
         ):
-            build_cobar(coalgebra_of(space), cutoff)
+            build_cobar(space.coalgebra(), cutoff)
 
 
 class TestHomology:
     def test_m22_is_polynomial_on_two_letters(self):
-        cx = build_cobar(coalgebra_of(Manifold(2, 2)), 7)
+        cx = build_cobar(Manifold(2, 2).coalgebra(), 7)
         for d in range(7):
             rank, torsion = homology(cx, d)
             assert (rank, torsion) == (d + 1, [])
 
     def test_window_edge_is_an_error(self):
-        cx = build_cobar(coalgebra_of(Manifold(2, 2)), 5)
+        cx = build_cobar(Manifold(2, 2).coalgebra(), 5)
         with pytest.raises(WindowError):
             homology(cx, 5)
-        cx2 = build_cobar(coalgebra_of(Manifold(2, 2)), 5, slice_mode=True)
+        cx2 = build_cobar(Manifold(2, 2).coalgebra(), 5, slice_mode=True)
         assert homology(cx2, 5)[0] == 6
 
     def test_scaled_hyperbolic_torsion(self):
-        cx = build_cobar(coalgebra_of(TwoCellComplex(2, ((0, 7), (7, 0)))), 4)
+        cx = build_cobar(TwoCellComplex(2, ((0, 7), (7, 0))).coalgebra(), 4)
         rank, torsion = homology(cx, 2)
         assert rank == 3 and torsion == [7]
 
     def test_betti_one_width_window(self):
-        cx = build_cobar(coalgebra_of(BettiOne(4, 0)), 14, slice_mode=True)
+        cx = build_cobar(BettiOne(4, 0).coalgebra(), 14, slice_mode=True)
         for d in range(14):
             rank, torsion = homology(cx, d)
             assert torsion == []
@@ -155,6 +148,17 @@ class TestVerifier:
         assert report.ok
         seen = [t for row in report.rows for t in row.torsion]
         assert seen and all(t % 7 == 0 for t in seen)
+
+    def test_residual_columns_are_cleared_on_pivot_rows(self):
+        # both forms have bad prime 3 only; the first used to leave residual
+        # entries on unit-pivot rows and stop with an integrity error at D >= 3
+        reports = [
+            verify_loop_homology(TwoCellComplex(2, matrix), 5)
+            for matrix in (((1, 2), (2, 1)), ((2, 1), (1, 2)))
+        ]
+        assert all(report.ok for report in reports)
+        torsion = [[row.torsion for row in report.rows] for report in reports]
+        assert torsion[0] == torsion[1] == [(), (), (), (3,), (3,) * 3, (3,) * 7]
 
     def test_betti_one_verification(self):
         report = verify_loop_homology(BettiOne(4, 5), 13)

@@ -154,6 +154,18 @@ class TestScalableCounts:
         neck = standard_lyndon_counts(ab, (0, 1), 8, enumeration_limit=0)
         assert enum == neck
 
+    def test_necklace_counts_build_one_walk_table(self, monkeypatch):
+        import looptop.lyndon as lyndon
+
+        built = []
+        original = lyndon._closed_walk_counts
+        monkeypatch.setattr(
+            lyndon, "_closed_walk_counts", lambda *args: built.append(args) or original(*args)
+        )
+        counts = standard_lyndon_counts(AB3, (0, 1), 10, enumeration_limit=0)
+        assert len(built) == 1
+        assert counts == standard_lyndon_counts(AB3, (0, 1), 10)
+
     def test_large_count_matches_closed_form(self):
         from looptop.series import closed_form_lie_rank
 

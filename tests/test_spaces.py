@@ -22,7 +22,6 @@ from looptop.spaces import (
     pi10_v8,
     report_to_json,
     smoothable,
-    space_label,
 )
 
 
@@ -277,6 +276,6 @@ class TestJson:
         assert json.dumps(json.loads(text), ensure_ascii=False, indent=2) == text
 
     def test_space_labels(self):
-        assert space_label(Manifold(2, 3)) == "M(2,3)"
-        assert space_label(ConnectedSum(((2, 3), (2, 3)))) == "(S2xS3)#(S2xS3)"
-        assert space_label(BettiOne(2)) == "CP2"
+        assert Manifold(2, 3).label == "M(2,3)"
+        assert ConnectedSum(((2, 3), (2, 3))).label == "(S2xS3)#(S2xS3)"
+        assert BettiOne(2).label == "CP2"
