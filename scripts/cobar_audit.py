@@ -2,7 +2,9 @@
 """Audit loop-space homology against the closed-form prediction.
 
 Builds the integral cobar complex of each requested space, computes exact
-Smith-form homology slice by slice, and prints the rank/torsion audit.
+Smith-form homology slice by slice, and prints the rank/torsion audit.  The
+header line of each space gives the verdict, the bigraded audit and the
+primes at which torsion was allowed.
 Useful for timing the oracle at different cutoffs.
 """
 
@@ -32,7 +34,12 @@ def main():
         report = verify_loop_homology(space, args.max_degree, max_cells=args.max_cells)
         elapsed = time.perf_counter() - start
         status = "ok" if report.ok else "FAIL"
-        print(f"{report.space_label:28s} D={args.max_degree:<3d} {status}  ({elapsed:.2f}s)")
+        bigraded = "ok" if report.bigraded_ok else "FAIL"
+        primes = ",".join(str(p) for p in report.torsion_primes) or "none"
+        print(
+            f"{report.space_label:28s} D={args.max_degree:<3d} {status}  bigraded={bigraded}  "
+            f"torsion-primes={primes}  ({elapsed:.2f}s)"
+        )
         for row in report.rows:
             torsion = ",".join(str(t) for t in row.torsion) or "-"
             mark = "" if row.rank_ok and row.torsion_ok else "   <-- mismatch"

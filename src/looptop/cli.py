@@ -141,6 +141,7 @@ def _cmd_verify(args, out):
             payload = {
                 "space": spaces.space_to_json(space),
                 "max_degree": report.max_degree,
+                "torsion_primes": list(report.torsion_primes),
                 "rows": [
                     {
                         "degree": r.degree,
@@ -152,7 +153,7 @@ def _cmd_verify(args, out):
                     }
                     for r in report.rows
                 ],
-                "euler_ok": report.euler_ok,
+                "bigraded_ok": report.bigraded_ok,
                 "ok": report.ok,
             }
             print(canonical_json(payload), file=out)
@@ -163,7 +164,9 @@ def _cmd_verify(args, out):
                 rows.append((r.degree, r.chain_dim, r.rank, r.expected_rank, torsion,
                              "ok" if r.rank_ok and r.torsion_ok else "FAIL"))
             _print_table(rows, out)
-            print(f"euler audit       {'ok' if report.euler_ok else 'FAIL'}", file=out)
+            primes = ", ".join(str(p) for p in report.torsion_primes) or "none"
+            print(f"torsion primes    {primes}", file=out)
+            print(f"bigraded audit    {'ok' if report.bigraded_ok else 'FAIL'}", file=out)
             print(f"verdict           {'ok' if report.ok else 'FAIL'}", file=out)
         return 0 if report.ok else 1
     if args.what == "counts":
@@ -350,6 +353,11 @@ def run(argv, out=None, err=None):
     try:
         if getattr(args, "max_degree", 0) < 0:
             raise ValidationError(f"--max-degree must be >= 0, got {args.max_degree}")
+        if args.command in ("verify", "lie-basis") and args.max_degree < 1:
+            name = f"verify {args.what}" if args.command == "verify" else args.command
+            raise ValidationError(f"--max-degree must be >= 1 for {name}, got {args.max_degree}")
+        if getattr(args, "max_dim", 2) < 2:
+            raise ValidationError(f"--max-dim must be >= 2 for {args.command}, got {args.max_dim}")
         if args.command == "manifold":
             matrix = parse_matrix(args.matrix) if args.matrix else None
             space = spaces.Manifold(args.n, args.betti, matrix)

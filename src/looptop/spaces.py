@@ -9,10 +9,11 @@ Each family's class makes every per-family decision itself: `label`,
 `to_json()`, `denominator(order)` (the inverse of the loop-homology
 Hilbert series), `coalgebra()` (the integral homology coalgebra),
 `relation()` (alphabet and quadratic relation), `torsion_primes()`,
-`classify(window)`, `moore()` and `report(max_dim)`.  The first three
-families share the one-relator quadratic pipeline, whose denominator is
-1 - sum_i t^(|a_i|-1) + t^(|top|-2); Betti-one models have no quadratic
-relation and answer from closed forms.
+`bigraded_series(order)`, `classify(window)`, `moore()` and
+`report(max_dim)`.  The first three families share the one-relator
+quadratic pipeline, whose denominator is 1 - sum_i t^(|a_i|-1) +
+t^(|top|-2); Betti-one models have no quadratic relation and answer from
+closed forms.
 """
 
 import random
@@ -67,7 +68,45 @@ def _check_parity(matrix, n, what="matrix"):
                 raise ValidationError(f"{what} must have zero diagonal when n is odd")
 
 
-class _FormSpace:
+def _bigraded_quotient(numerator, denominator, order):
+    """numerator / denominator in Z[x][[t]] through t^order.
+
+    Series are dicts {(power of x, power of t): coefficient}; the
+    denominator is 1 plus terms of positive t power.  Zero coefficients
+    are dropped from the result.
+    """
+    out = {}
+    for d in range(order + 1):
+        out.update(((w, t), c) for (w, t), c in numerator.items() if t == d)
+        for (a, b), c in denominator.items():
+            for (w, t), h in list(out.items()):
+                if b and t == d - b:
+                    out[(w + a, d)] = out.get((w + a, d), 0) - c * h
+    return {key: c for key, c in out.items() if c}
+
+
+class _OneRelator:
+    """Shared by the one-relator quadratic families."""
+
+    def torsion_primes(self):
+        return frozenset()
+
+    def bigraded_series(self, order):
+        """Loop-homology ranks by (word length, degree), through degree `order`.
+
+        The expansion of 1 / (1 - sum_g x t^(|g|-1) + x^2 t^(|top|-2)) over
+        the primitive generators g of the homology coalgebra; x counts word
+        length (Koszul concentration of an inert quadratic relation).
+        """
+        coalgebra = self.coalgebra()
+        denominator = {(0, 0): 1}
+        for gi, (_, deg) in enumerate(coalgebra.generators):
+            key, c = ((2, deg - 2), 1) if coalgebra.diagonal(gi) else ((1, deg - 1), -1)
+            denominator[key] = denominator.get(key, 0) + c
+        return _bigraded_quotient({(0, 0): 1}, denominator, order)
+
+
+class _FormSpace(_OneRelator):
     """Shared by manifolds and two-cell complexes: r n-spheres with one
     2n-cell attached along the integral form `self.form`."""
 
@@ -86,9 +125,6 @@ class _FormSpace:
 
         symmetry = "skew" if self.n % 2 else "symmetric"
         return Alphabet.uniform(self.r, self.n - 1), IntersectionRelation(self.form, symmetry)
-
-    def torsion_primes(self):
-        return frozenset()
 
     def report(self, max_dim):
         inverted = self.torsion_primes()
@@ -160,6 +196,11 @@ class Manifold(_FormSpace):
             return BettiOne(self.n).relation()
         return super().relation()
 
+    def bigraded_series(self, order):
+        if self.r == 1:
+            return BettiOne(self.n).bigraded_series(order)
+        return super().bigraded_series(order)
+
     def classify(self, window=12):
         return "elliptic" if self.r <= 2 else "hyperbolic"
 
@@ -180,7 +221,7 @@ class Manifold(_FormSpace):
 
 
 @dataclass(frozen=True)
-class ConnectedSum:
+class ConnectedSum(_OneRelator):
     """Connected sum of sphere products S^p_i x S^q_i with orientation signs."""
 
     factors: tuple
@@ -253,9 +294,6 @@ class ConnectedSum:
             m[2 * k][2 * k + 1] = sign
             m[2 * k + 1][2 * k] = -sign
         return Alphabet(tuple(degrees), tuple(names)), IntersectionRelation(m, "skew")
-
-    def torsion_primes(self):
-        return frozenset()
 
     def classify(self, window=12):
         return "elliptic" if self.r == 1 else "hyperbolic"
@@ -372,6 +410,11 @@ class BettiOne:
 
     def torsion_primes(self):
         return frozenset()
+
+    def bigraded_series(self, order):
+        """(1 + x t^(n-1)) / (1 - x^2 t^(3n-2)); x counts word length."""
+        n = self.n
+        return _bigraded_quotient({(0, 0): 1, (1, n - 1): 1}, {(0, 0): 1, (2, 3 * n - 2): -1}, order)
 
     def classify(self, window=12):
         return "elliptic"

@@ -110,6 +110,23 @@ def test_negative_window_is_a_usage_error(argv):
     assert "--max-degree must be >= 0" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "counts", "--space", "manifold:2:3", "--max-degree", "0"], "--max-degree"),
+        (["verify", "cobar", "--space", "manifold:2:3", "--max-degree", "0"], "--max-degree"),
+        (["lie-basis", "--space", "manifold:2:3", "--max-degree", "0"], "--max-degree"),
+        (["manifold", "--n", "2", "--betti", "3", "--max-dim", "1"], "--max-dim"),
+        (["connected-sum", "--factors", "2x3,2x3", "--max-dim", "1"], "--max-dim"),
+        (["cw", "--n", "2", "--matrix", "0,7;7,0", "--max-dim", "1"], "--max-dim"),
+    ],
+)
+def test_window_below_the_minimum_names_the_flag(argv, flag):
+    code, out, err = invoke(argv)
+    assert code == 2 and not out
+    assert flag in err and "Traceback" not in err
+
+
 def test_zero_window_is_still_accepted():
     code, out, _ = invoke(["hilbert", "--space", "manifold:2:3", "--max-degree", "0"])
     assert code == 0
@@ -125,6 +142,16 @@ class TestSpecExamples:
         payload = json.loads(out)
         counts = {s["sphere_dim"]: s["multiplicity"] for s in payload["summands"]}
         assert counts == {2: 3, 3: 2, 4: 5}
+
+    def test_verify_cobar_names_the_torsion_primes(self):
+        primes = {}
+        for space in ("cw:2:0,7;7,0", "manifold:2:2"):
+            code, out, _ = invoke(
+                ["verify", "cobar", "--space", space, "--max-degree", "3", "--format", "json"]
+            )
+            assert code == 0
+            primes[space] = json.loads(out)["torsion_primes"]
+        assert primes == {"cw:2:0,7;7,0": [7], "manifold:2:2": []}
 
     def test_verify_cobar_torsion_free(self):
         code, out, _ = invoke(

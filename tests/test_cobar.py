@@ -3,7 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from looptop._linalg import det_int, mat_mul, smith_normal_form
-from looptop.cobar import FiniteCoalgebra, build_cobar, homology, verify_loop_homology
+import looptop.cobar as cobar
+from looptop.cobar import FiniteCoalgebra, _euler_audit, build_cobar, homology, verify_loop_homology
 from looptop.errors import IntegrityError, ValidationError, WindowError
 from looptop.spaces import BettiOne, ConnectedSum, Manifold, TwoCellComplex
 
@@ -61,21 +62,16 @@ class TestSmithNormalForm:
 class TestBuildCobar:
     def test_m22_low_degrees(self):
         cx = build_cobar(Manifold(2, 2).coalgebra(), 5)
-        assert sorted(cx.basis(2)) == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        b3 = cx.basis(3)
-        assert (2,) in b3  # the desuspended top cell
-        m = cx.differential_matrix(3)
-        b2 = cx.basis(2)
-        z = b3.index((2,))
-        image = {b2[i]: m[i][z] for i in range(len(b2)) if m[i][z]}
+        degree_two = sorted(w for (s, d), words in cx.spots.items() if d == 2 for w in words)
+        assert degree_two == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        col = cx.diffs[(4, 3)][cx.index[(4, 3)][(2,)]]  # the desuspended top cell
+        image = {cx.spots[(4, 2)][row]: v for row, v in col.items()}
         assert image == {(0, 1): 1, (1, 0): 1}
 
     def test_betti_one_differential(self):
         cx = build_cobar(BettiOne(4, 0).coalgebra(), 8)
-        b7, b6 = cx.basis(7), cx.basis(6)
-        m = cx.differential_matrix(7)
-        col = b7.index((1,))
-        image = {b6[i]: m[i][col] for i in range(len(b6)) if m[i][col]}
+        col = cx.diffs[(8, 7)][cx.index[(8, 7)][(1,)]]
+        image = {cx.spots[(8, 6)][row]: v for row, v in col.items()}
         assert image == {(0, 0): 1}
 
     def test_zero_diagonal_means_zero_differential(self):
@@ -83,6 +79,11 @@ class TestBuildCobar:
         cx = build_cobar(TwoCellComplex(2, ((0, 0), (0, 0))).coalgebra(), 5)
         for key, cols in cx.diffs.items():
             assert all(not col for col in cols), key
+
+    def test_no_cell_above_the_window(self):
+        for space in (Manifold(2, 3), ConnectedSum(((2, 3), (2, 3))), BettiOne(4, 0)):
+            cx = build_cobar(space.coalgebra(), 7)
+            assert all(d <= 8 for _, d in cx.spots), space
 
     def test_cell_guard(self):
         with pytest.raises(ValidationError):
@@ -114,9 +115,8 @@ class TestHomology:
     def test_window_edge_is_an_error(self):
         cx = build_cobar(Manifold(2, 2).coalgebra(), 5)
         with pytest.raises(WindowError):
-            homology(cx, 5)
-        cx2 = build_cobar(Manifold(2, 2).coalgebra(), 5, slice_mode=True)
-        assert homology(cx2, 5)[0] == 6
+            homology(cx, 6)
+        assert homology(cx, 5)[0] == 6
 
     def test_scaled_hyperbolic_torsion(self):
         cx = build_cobar(TwoCellComplex(2, ((0, 7), (7, 0))).coalgebra(), 4)
@@ -124,7 +124,7 @@ class TestHomology:
         assert rank == 3 and torsion == [7]
 
     def test_betti_one_width_window(self):
-        cx = build_cobar(BettiOne(4, 0).coalgebra(), 14, slice_mode=True)
+        cx = build_cobar(BettiOne(4, 0).coalgebra(), 14)
         for d in range(14):
             rank, torsion = homology(cx, d)
             assert torsion == []
@@ -134,9 +134,30 @@ class TestHomology:
 class TestVerifier:
     def test_manifold_verification(self):
         report = verify_loop_homology(Manifold(2, 3), 8)
-        assert report.ok and report.euler_ok
+        assert report.ok and report.bigraded_ok
         ranks = [row.rank for row in report.rows]
         assert ranks == [1, 3, 8, 21, 55, 144, 377, 987, 2584]
+
+    def test_bigraded_audit_can_fail(self, monkeypatch):
+        # one unit of boundary rank moved between the degree-6 spots of
+        # slices 9 and 10: every per-degree rank still matches, two spots do not
+        space = ConnectedSum(((2, 3), (2, 3)))
+        build = cobar.build_cobar
+
+        def shifted(coalgebra, cutoff, max_cells=None):
+            cx = build(coalgebra, cutoff, max_cells)
+            for d in range(cutoff + 1):
+                homology(cx, d)
+            (a, ta), (b, tb) = cx._profiles[(9, 6)], cx._profiles[(10, 6)]
+            cx._profiles[(9, 6)], cx._profiles[(10, 6)] = (a - 1, ta), (b + 1, tb)
+            return cx
+
+        assert _euler_audit(build(space.coalgebra(), 6), space.bigraded_series(6))
+        assert not _euler_audit(shifted(space.coalgebra(), 6), space.bigraded_series(6))
+        monkeypatch.setattr(cobar, "build_cobar", shifted)
+        report = verify_loop_homology(space, 6)
+        assert all(row.rank_ok and row.torsion_ok for row in report.rows)
+        assert not report.bigraded_ok and not report.ok
 
     def test_connected_sum_verification(self):
         report = verify_loop_homology(ConnectedSum(((2, 3), (2, 3))), 8)
