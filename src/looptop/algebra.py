@@ -133,19 +133,6 @@ class TensorElement:
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else "-" + text[2:]
 
-    def evaluate(self, matrices):
-        """Substitute a square matrix per letter; returns the resulting matrix."""
-        size = len(matrices[0])
-        total = [[Fraction(0)] * size for _ in range(size)]
-        for word, coeff in self.terms.items():
-            prod = [[Fraction(1) if i == j else Fraction(0) for j in range(size)] for i in range(size)]
-            for letter in word:
-                prod = mat_mul(prod, matrices[letter])
-            for i in range(size):
-                for j in range(size):
-                    total[i][j] += coeff * prod[i][j]
-        return total
-
 
 def single_letter(alphabet, i):
     return TensorElement(alphabet, {(i,): Fraction(1)})

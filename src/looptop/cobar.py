@@ -13,7 +13,8 @@ reach a degree <= D, which is what homology through degree D needs.
 import os
 from dataclasses import dataclass, field
 
-from ._linalg import smith_normal_form as _dense_snf
+from ._linalg import smith_invariants
+from ._linalg import smith_normal_form as _dense_snf  # kept only as a benchmark span site
 from .errors import IntegrityError, ValidationError, WindowError
 
 DEFAULT_MAX_CELLS = 200_000
@@ -223,8 +224,9 @@ def _sparse_rank_and_torsion(columns):
     the original matrix is free on the non-pivot rows modulo the columns
     that could not find a unit pivot.  Those survivors are cleared on
     every pivot row by the unit pivots (more unimodular column
-    operations), so projecting them to the remaining rows and running the
-    dense SNF finishes the computation exactly.
+    operations), and their sparse Smith invariants, which
+    `smith_invariants` certifies independently, finish the computation
+    exactly.  With no survivor (the unimodular case) nothing more runs.
     """
     pivots = {}
     aside = []
@@ -278,13 +280,7 @@ def _sparse_rank_and_torsion(columns):
             j = min(hits)
             eliminate(vec, j, pivots[j])
             hits = [k for k in vec if k in pivots]
-    rows = sorted({r for vec in aside for r in vec})
-    pos = {r: i for i, r in enumerate(rows)}
-    dense = [[0] * len(aside) for _ in rows]
-    for j, vec in enumerate(aside):
-        for r, v in vec.items():
-            dense[pos[r]][j] = v
-    invariants, _, _ = _dense_snf(dense)
+    invariants = smith_invariants(aside)
     torsion = [x for x in invariants if x > 1]
     return len(pivots) + len(invariants), torsion
 

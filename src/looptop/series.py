@@ -387,29 +387,6 @@ def closed_form_rational_rank(n, r, degree):
     return _require_nonneg_int(acc, f"closed-form rational rank at degree {degree}")
 
 
-def rational_ranks_closed_form(n, r, N):
-    """Closed-form rational ranks m_d for d <= N, cross-checked by matching.
-
-    The graded PBW matcher applied to 1/(1 - r t^(n-1) + t^(2n-2)) must
-    reproduce the closed form exactly; a mismatch raises IntegrityError.
-    """
-    if r < 2:
-        raise ValidationError("rational ranks are defined here only for r >= 2")
-    dims = {}
-    for d in range(1, N + 1):
-        v = closed_form_rational_rank(n, r, d)
-        if v:
-            dims[d] = v
-    table = DimensionTable(dims, N)
-    matched = pbw_match_graded(manifold_denominator(n, r, N).inverse(), N)
-    if matched.dims != table.dims:
-        raise IntegrityError(
-            f"rational rank closed form disagrees with graded PBW matching for n={n}, r={r}: "
-            f"{table.dims} vs {matched.dims}"
-        )
-    return table
-
-
 def lie_ranks_from_denominator(denominator, N):
     """Moebius-inversion pipeline: log the denominator, invert, tabulate."""
     lam = log_lambda_coefficients(denominator, N)

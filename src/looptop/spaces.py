@@ -609,15 +609,6 @@ def group_description(invariants):
     return " + ".join(f"Z/{x}" for x in invariants)
 
 
-def finite_pi1_betti(l, r):
-    """Betti number of the universal cover: chi multiplies along covers."""
-    if l < 1:
-        raise ValidationError("the fundamental group order must be >= 1")
-    if r < 0:
-        raise ValidationError("the Betti number must be >= 0")
-    return l * (r + 2) - 2
-
-
 def classify_rational(space, window=12):
     """'elliptic' or 'hyperbolic'.
 

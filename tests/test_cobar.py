@@ -1,9 +1,13 @@
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looptop._linalg import det_int, mat_mul, smith_normal_form
+import looptop._linalg as _linalg
+from looptop._linalg import det_int, mat_mul, smith_invariants, smith_normal_form
 import looptop.cobar as cobar
+from looptop.cli import run
 from looptop.cobar import FiniteCoalgebra, _euler_audit, build_cobar, homology, verify_loop_homology
 from looptop.errors import IntegrityError, ValidationError, WindowError
 from looptop.spaces import BettiOne, ConnectedSum, Manifold, TwoCellComplex
@@ -57,6 +61,76 @@ class TestSmithNormalForm:
         assert [d for d in diag if d] == invariants
         for a, b in zip(invariants, invariants[1:]):
             assert b % a == 0
+
+
+def columns_of(matrix):
+    """The sparse {row: value} columns of a dense matrix."""
+    return [
+        {i: row[j] for i, row in enumerate(matrix) if row[j]}
+        for j in range(len(matrix[0]) if matrix else 0)
+    ]
+
+
+@st.composite
+def small_integer_matrices(draw):
+    """Up to 8x8, entries in [-12, 12], some zero rows and columns, and
+    entries drawn from one small prime p and p^2 together."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    p = draw(st.sampled_from([2, 3]))
+    entry = st.one_of(st.integers(-12, 12), st.sampled_from([0, p, -p, p * p, -p * p]))
+    matrix = draw(st.lists(st.lists(entry, min_size=m, max_size=m), min_size=n, max_size=n))
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        matrix[i] = [0] * m
+    for j in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        for row in matrix:
+            row[j] = 0
+    return matrix
+
+
+class TestSmithInvariants:
+    def test_p_and_p_squared_are_told_apart(self):
+        assert smith_invariants([{0: 9}, {1: 3}]) == [3, 9]
+        assert smith_invariants([{0: 3, 1: 3}, {0: 3, 1: -6}]) == [3, 9]
+        assert smith_invariants([{0: 2}, {1: 3}]) == [1, 6]
+        assert smith_invariants([{}, {5: 0}]) == []
+
+    @given(small_integer_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_agrees_with_the_dense_form(self, matrix):
+        assert smith_invariants(columns_of(matrix)) == smith_normal_form(matrix)[0]
+
+    def test_dense_form_has_no_entry_swell(self):
+        # interleaved row and column passes used to grow this 6x5 to 500-digit entries
+        matrix = [
+            [8, 12, 7, 7, -5],
+            [9, 7, 7, 7, 7],
+            [7, 7, 7, 7, 7],
+            [7, 7, 7, -7, 7],
+            [7, 6, 7, 7, 7],
+            [7, 7, 7, 7, 7],
+        ]
+        assert smith_normal_form(matrix)[0] == [1, 1, 1, 14, 168]
+        assert smith_invariants(columns_of(matrix)) == [1, 1, 1, 14, 168]
+
+
+def _z9_read_as_z3(diagonalize):
+    return lambda columns: [3 if d == 9 else d for d in diagonalize(columns)]
+
+
+def _largest_invariant_dropped(diagonalize):
+    # Z/9 vanishes over Z/3^2, so only the rank over F_q sees this loss
+    return lambda columns: sorted(diagonalize(columns))[:-1]
+
+
+@pytest.mark.parametrize("fault", [_z9_read_as_z3, _largest_invariant_dropped])
+def test_smith_certificate_can_fail(monkeypatch, fault):
+    monkeypatch.setattr(_linalg, "_diagonalize", fault(_linalg._diagonalize))
+    with pytest.raises(IntegrityError, match="certificate"):
+        smith_invariants([{0: 9}, {1: 3}])
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["verify", "cobar", "--space", "cw:2:0,9;9,0", "--max-degree", "4"]
+    assert run(argv, out=out, err=err) == 1
+    assert "integrity error" in err.getvalue()
 
 
 class TestBuildCobar:
@@ -180,6 +254,21 @@ class TestVerifier:
         assert all(report.ok for report in reports)
         torsion = [[row.torsion for row in report.rows] for report in reports]
         assert torsion[0] == torsion[1] == [(), (), (), (3,), (3,) * 3, (3,) * 7]
+
+    @pytest.mark.parametrize("entry", [3, 9])
+    def test_p_against_p_squared_at_degree_eight(self, entry):
+        # one prime power per form: Z/3 for [[0,3],[3,0]], Z/9 for [[0,9],[9,0]]
+        report = verify_loop_homology(TwoCellComplex(2, ((0, entry), (entry, 0))), 8)
+        assert report.ok and report.torsion_primes == (3,)
+        assert [row.rank for row in report.rows] == list(range(1, 10))
+        multiplicities = [0, 0, 1, 4, 11, 27, 63, 143, 320]
+        assert [row.torsion for row in report.rows] == [(entry,) * k for k in multiplicities]
+
+    def test_torsion_only_at_seven_at_degree_nine(self):
+        report = verify_loop_homology(TwoCellComplex(2, ((0, 7), (7, 0))), 9)
+        assert report.ok
+        seen = {t for row in report.rows for t in row.torsion}
+        assert seen == {7}
 
     def test_betti_one_verification(self):
         report = verify_loop_homology(BettiOne(4, 5), 13)

@@ -17,8 +17,8 @@ from looptop.lyndon import (
     standard_lyndon_counts,
     standard_lyndon_words,
 )
-from looptop.rewriting import RewriteSystem, reduce
 from looptop.spaces import ConnectedSum, Manifold
+from oracles import RewriteSystem, reduce
 
 
 AB2 = Alphabet.uniform(2, 1)

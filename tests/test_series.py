@@ -20,10 +20,10 @@ from looptop.series import (
     moebius_mu,
     pbw_match_graded,
     pbw_match_ungraded,
-    rational_ranks_closed_form,
     sphere_counts_from_denominator,
     sphere_summand_counts,
 )
+from oracles import rational_ranks_closed_form
 
 
 def series(coeffs, order):

@@ -16,13 +16,13 @@ from looptop.spaces import (
     classify_rational,
     decomposition_report,
     factorize,
-    finite_pi1_betti,
     group_description,
     moore_report,
     pi10_v8,
     report_to_json,
     smoothable,
 )
+from oracles import finite_pi1_betti
 
 
 class TestModelValidation:
