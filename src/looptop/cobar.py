@@ -8,6 +8,12 @@ the complex splits into finite slices indexed by s = degree + weight; all
 linear algebra runs per slice, exactly, over the integers.  A build at
 cutoff D keeps the words of degree at most D + 1 in the slices that can
 reach a degree <= D, which is what homology through degree D needs.
+
+Words are integer codes in base k (k generators), and each spot is built
+from the spots of one letter shorter by block offsets, so the build never
+hashes or looks up a word.  Ranks are taken per slice from the top degree
+down, and the unit pivots of each differential clear columns of the next
+one (see `_profile_slice`).
 """
 
 import os
@@ -85,16 +91,18 @@ class FiniteCoalgebra:
 class ChainComplex:
     """Cobar chain complex, stored per slice s = degree + weight.
 
-    spots[(s, d)] is the ordered word basis in that bidegree, index[(s, d)]
-    maps each word to its position there, and diffs[(s, d)] holds the
-    sparse columns of the differential into (s, d-1).  Homology is
-    complete through degree `cutoff`.
+    spots[(s, d)] is the word basis in that bidegree, in ascending order:
+    a word g_0 ... g_(w-1) over k generators is the integer code
+    sum g_j k^(w-1-j), and all words of a spot have the same length w =
+    s - d, so numeric order is the order of the letter tuples.
+    diffs[(s, d)] holds the sparse {row: value} columns of the
+    differential into (s, d-1), one per word.  `words` decodes a spot back
+    to letter tuples.  Homology is complete through degree `cutoff`.
     """
 
     coalgebra: FiniteCoalgebra
     cutoff: int
     spots: dict = field(default_factory=dict)
-    index: dict = field(default_factory=dict)
     diffs: dict = field(default_factory=dict)
     _profiles: dict = field(default_factory=dict)
 
@@ -102,6 +110,19 @@ class ChainComplex:
         if d == 0:
             return 1
         return sum(len(words) for (s, dd), words in self.spots.items() if dd == d)
+
+    def words(self, key):
+        """The words of spot `key` as letter tuples, in basis order."""
+        k = len(self.coalgebra.generators)
+        length = key[0] - key[1]
+        out = []
+        for code in self.spots[key]:
+            letters = []
+            for _ in range(length):
+                code, g = divmod(code, k)
+                letters.append(g)
+            out.append(tuple(reversed(letters)))
+        return out
 
 
 def _desusp(coalgebra):
@@ -127,6 +148,27 @@ def _diagonal_desuspended(coalgebra):
     return table
 
 
+def _window_sizes(degs, cutoff):
+    """sizes[w][d]: the number of words of weight w and degree d in the window.
+
+    The window is d <= cutoff + 1 and d + w <= cutoff + cutoff // min(degs);
+    entries outside it are 0.  Row 0 holds the empty word.  A
+    prefix or suffix of a word in the window is in the window, so each
+    entry counts every word of its weight and degree.
+    """
+    top = cutoff + 1
+    slice_cap = cutoff + cutoff // min(degs)
+    sizes = [[1] + [0] * top]
+    while True:
+        prev, w = sizes[-1], len(sizes)
+        row = [0] * (top + 1)
+        for d in range(min(top, slice_cap - w) + 1):
+            row[d] = sum(prev[d - g] for g in degs if g <= d)
+        if not any(row):
+            return sizes
+        sizes.append(row)
+
+
 def build_cobar(coalgebra, cutoff, max_cells=None):
     """Cobar complex of a finite coalgebra; cutoff is the last complete degree.
 
@@ -134,6 +176,16 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
     d + w <= cutoff + cutoff // (smallest generator degree).  Every word of
     degree <= cutoff passes, and so does every word of degree cutoff + 1 in
     a slice that holds one, so homology is complete through the cutoff.
+
+    The spots are counted first, so the cell cap is checked before anything
+    is built.  Then spot (w, d) (weight, degree) is the concatenation, over
+    generators g in ascending order, of the block g * k^(w-1) + W(w-1, d-|g|),
+    already sorted.  Its columns follow from the derivation rule
+    d(g u) = d(g) u + (-1)^|g| g d(u): the column of u shifted to the start
+    of g's block in the target spot, times (-1)^|g|, plus one entry per
+    term (l, r, c) of the desuspended diagonal of g, at the offset of l's
+    block, plus the offset of r's block inside it, plus the index of u.
+    No word is hashed or searched for.
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
@@ -142,55 +194,60 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
     degs = _desusp(coalgebra)
     if any(d < 1 for d in degs):
         raise ValidationError("every generator must have degree >= 2 before desuspension")
-    slice_cap = cutoff + cutoff // min(degs)
+    sizes = _window_sizes(degs, cutoff)
+    cells = sum(map(sum, sizes[1:]))
+    if cells > max_cells:
+        raise ValidationError(
+            f"chain complex needs {cells} words, over the cap of {max_cells}; "
+            f"raise LOOPTOP_MAX_CELLS or lower the degree cutoff"
+        )
 
-    spots = {}
-    count = 0
-    stack = [((), 0, 0)]
-    while stack:
-        word, degree, weight = stack.pop()
-        if word:
-            spots.setdefault((degree + weight, degree), []).append(word)
-            count += 1
-            if count > max_cells:
-                raise ValidationError(
-                    f"chain complex exceeds {max_cells} words; raise LOOPTOP_MAX_CELLS "
-                    f"or lower the degree cutoff"
-                )
-        for i, deg in enumerate(degs):
-            nd, nw = degree + deg, weight + 1
-            if nd <= cutoff + 1 and nd + nw <= slice_cap:
-                stack.append((word + (i,), nd, nw))
-    for key in spots:
-        spots[key].sort()
-    index = {key: {w: i for i, w in enumerate(words)} for key, words in spots.items()}
+    k = len(degs)
+    diag = {}
+    for g, terms in _diagonal_desuspended(coalgebra).items():
+        merged = {}
+        for left, right, coeff in terms:
+            merged[left, right] = merged.get((left, right), 0) + coeff
+        diag[g] = [(lr, c) for lr, c in merged.items() if c]
 
-    diag = _diagonal_desuspended(coalgebra)
-    diffs = {}
-    for (s, d), words in spots.items():
-        target = index.get((s, d - 1))
-        cols = []
-        for word in words:
-            col = {}
-            prefix_deg = 0
-            for i, gi in enumerate(word):
-                if diag[gi]:
-                    outer = -1 if prefix_deg % 2 else 1
-                    for left, right, coeff in diag[gi]:
-                        image = word[:i] + (left, right) + word[i + 1 :]
-                        if target is None:
-                            raise IntegrityError("differential image fell outside the window")
-                        row = target[image]
-                        val = col.get(row, 0) + outer * coeff
-                        if val:
-                            col[row] = val
-                        else:
-                            col.pop(row, None)
-                prefix_deg += degs[gi]
-            cols.append(col)
-        diffs[(s, d)] = cols
+    def block_starts(row, d):
+        """Start of each generator's block in a spot of degree d whose
+        suffix spots have the sizes in `row` (an empty block where d < |g|)."""
+        starts, at = [], 0
+        for g in degs:
+            starts.append(at)
+            if g <= d:
+                at += row[d - g]
+        return starts
 
-    cx = ChainComplex(coalgebra, cutoff, spots, index, diffs)
+    spots, diffs = {(0, 0): [0]}, {(0, 0): [{}]}  # the empty word, a suffix only
+    for w in range(1, len(sizes)):
+        lead = k ** (w - 1)
+        for d, size in enumerate(sizes[w]):
+            if not size:
+                continue
+            # the target spot has weight w+1 and degree d-1: blocks g . W(w, d-1-|g|),
+            # and inside the block of l the sub-blocks r . W(w-1, d-1-|l|-|r|)
+            target = block_starts(sizes[w], d - 1)
+            spot_words, spot_cols = [], []
+            for g, gdeg in enumerate(degs):
+                if gdeg > d or not sizes[w - 1][d - gdeg]:
+                    continue
+                sub = (d - gdeg + w - 1, d - gdeg)
+                base = g * lead
+                spot_words += [base + u for u in spots[sub]]
+                shift, sign = target[g], -1 if gdeg % 2 else 1
+                first = len(spot_cols)
+                spot_cols += [{shift + row: sign * v for row, v in du.items()} for du in diffs[sub]]
+                for (l, r), c in diag[g]:
+                    at = target[l] + block_starts(sizes[w - 1], d - 1 - degs[l])[r]
+                    for j, col in enumerate(spot_cols[first:]):
+                        col[at + j] = c
+            spots[d + w, d] = spot_words
+            diffs[d + w, d] = spot_cols
+    del spots[0, 0], diffs[0, 0]
+
+    cx = ChainComplex(coalgebra, cutoff, spots, diffs)
     _assert_d_squared_zero(cx)
     return cx
 
@@ -212,12 +269,12 @@ def _assert_d_squared_zero(cx):
                     else:
                         acc.pop(row2, None)
             if acc:
-                word = cx.spots[(s, d)][j]
+                word = cx.words((s, d))[j]
                 raise IntegrityError(f"d*d != 0 on word {word}: sign convention broken")
 
 
-def _sparse_rank_and_torsion(columns):
-    """Exact rank and torsion invariants of an integer column family.
+def _sparse_rank_and_torsion(columns, skip=frozenset()):
+    """Exact rank, torsion invariants and unit-pivot rows of a column family.
 
     Left-looking elimination with unit-leading pivots: integer column
     operations are unimodular, so after full reduction the cokernel of
@@ -227,6 +284,8 @@ def _sparse_rank_and_torsion(columns):
     operations), and their sparse Smith invariants, which
     `smith_invariants` certifies independently, finish the computation
     exactly.  With no survivor (the unimodular case) nothing more runs.
+    Columns whose index is in `skip` are left out; the third value is the
+    set of rows that hold a unit pivot of a reduced column.
     """
     pivots = {}
     aside = []
@@ -238,7 +297,7 @@ def _sparse_rank_and_torsion(columns):
             if nv:
                 vec[k] = nv
             else:
-                vec.pop(k, None)
+                del vec[k]  # nv = 0 only where vec held f * v
 
     def reduce_col(vec):
         while vec:
@@ -249,7 +308,9 @@ def _sparse_rank_and_torsion(columns):
             eliminate(vec, j, p)
         return vec, None
 
-    for col in columns:
+    for i, col in enumerate(columns):
+        if i in skip:
+            continue
         vec, j = reduce_col({k: v for k, v in col.items() if v})
         if j is None:
             continue
@@ -272,7 +333,7 @@ def _sparse_rank_and_torsion(columns):
                 still.append(vec)
         aside = still
     if not aside:
-        return len(pivots), []
+        return len(pivots), [], set(pivots)
     for vec in aside:
         # a pivot only adds rows below its own leading row, so this ends
         hits = [k for k in vec if k in pivots]
@@ -282,14 +343,57 @@ def _sparse_rank_and_torsion(columns):
             hits = [k for k in vec if k in pivots]
     invariants = smith_invariants(aside)
     torsion = [x for x in invariants if x > 1]
-    return len(pivots) + len(invariants), torsion
+    return len(pivots) + len(invariants), torsion, set(pivots)
+
+
+def _transpose(columns, nrows):
+    """The rows of the matrix as sparse {column: value} dicts, one at a time;
+    each is released once handed out, so the reduction's copy replaces it."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            rows[i][j] = v
+    rows.reverse()
+    while rows:
+        yield rows.pop()
+
+
+def _profile_slice(cx, s):
+    """(rank, torsion) of every differential of slice s, with clearing.
+
+    The spots are reduced from the top degree down.  The unit-pivot rows
+    of the reduced columns of d_(s,d+1) are columns of d_(s,d) that need
+    no work: each reduced column R is a Z-combination of boundaries, so
+    d(R) = 0 by d*d = 0 (asserted in the build), and since R has +-1 at its
+    pivot row i and every other entry at a larger row, column i of d_(s,d)
+    is a Z-combination of columns with larger index.  Taking the cleared
+    rows from the largest down, each cleared column lies in the Z-span of
+    the columns that are not cleared, so dropping them all leaves the
+    Z-span of the columns, hence the rank and the Smith invariants,
+    unchanged (the twist, or clearing, of persistent homology: Chen and
+    Kerber 2011; Bauer, Kerber and Reininghaus 2014).  A spot that nothing
+    clears, such as the top of the slice, reduces its transpose when it
+    has fewer rows than nonzero columns: the rank and the invariants are
+    the same, but its pivots then index its columns, so it passes no
+    cleared set down.
+    """
+    cleared = frozenset()
+    for d in sorted((d for ss, d in cx.spots if ss == s), reverse=True):
+        cols = cx.diffs[(s, d)]
+        nrows = len(cx.spots.get((s, d - 1), ()))
+        if not cleared and nrows < sum(1 for col in cols if col):
+            rank, torsion, _ = _sparse_rank_and_torsion(_transpose(cols, nrows))
+        else:
+            rank, torsion, cleared = _sparse_rank_and_torsion(cols, cleared)
+        cx._profiles[(s, d)] = rank, torsion
 
 
 def _spot_profile(cx, key):
     """Memoized (rank, torsion) of the differential columns leaving `key`."""
+    if key not in cx.spots:
+        return 0, []
     if key not in cx._profiles:
-        cols = cx.diffs.get(key, [])
-        cx._profiles[key] = _sparse_rank_and_torsion(cols) if cols else (0, [])
+        _profile_slice(cx, key[0])
     return cx._profiles[key]
 
 

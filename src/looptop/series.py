@@ -362,31 +362,6 @@ def closed_form_lie_rank(n, r, degree):
     return _require_nonneg_int(acc, f"closed-form rank at degree {degree}")
 
 
-def closed_form_rational_rank(n, r, degree):
-    """Rank of the degree-d rational homotopy Lie algebra piece.
-
-    Same double sum as the ungraded count but with the alternating sign
-    (-1)^(d(n-1)) (-1)^(d(n-1)/c) weighting that accounts for the graded
-    (exterior/polynomial) PBW factorization.
-    """
-    if r < 2:
-        raise ValidationError("closed form requires r >= 2")
-    if degree < 1:
-        raise ValidationError("degree must be >= 1")
-    if degree % (n - 1) != 0:
-        return 0
-    d = degree // (n - 1)
-    acc = Fraction(0)
-    for c in divisors(d):
-        mc = moebius_mu(c)
-        if mc:
-            sign = -1 if (degree // c) % 2 else 1
-            acc += sign * Fraction(mc, c) * _witt_inner_sum(r, d // c)
-    if degree % 2:
-        acc = -acc
-    return _require_nonneg_int(acc, f"closed-form rational rank at degree {degree}")
-
-
 def lie_ranks_from_denominator(denominator, N):
     """Moebius-inversion pipeline: log the denominator, invert, tabulate."""
     lam = log_lambda_coefficients(denominator, N)

@@ -3,8 +3,8 @@
 The rewriting reducer (normal forms modulo one quadratic relation, with
 strongly connected clusters of reducible words solved exactly), explicit
 irreducible-word enumeration, matrix evaluation of tensor elements, the
-Betti number of a finite cover and the closed-form rational ranks.  The
-engine never calls them; the tests use them to check its answers by an
+Betti number of a finite cover, the closed-form rational ranks and the
+tuple-word build of the cobar complex.  The engine never calls them; the tests use them to check its answers by an
 independent route.
 
 The rewrite rule eliminates the single forbidden factor x0 x1.  For skew
@@ -23,11 +23,15 @@ from fractions import Fraction
 
 from looptop._linalg import mat_mul
 from looptop.algebra import TensorElement
+from looptop.cobar import _desusp, _diagonal_desuspended
 from looptop.errors import IntegrityError, ValidationError
 from looptop.series import (
     DimensionTable,
-    closed_form_rational_rank,
+    _require_nonneg_int,
+    _witt_inner_sum,
+    divisors,
     manifold_denominator,
+    moebius_mu,
     pbw_match_graded,
 )
 
@@ -263,6 +267,31 @@ def finite_pi1_betti(l, r):
     return l * (r + 2) - 2
 
 
+def closed_form_rational_rank(n, r, degree):
+    """Rank of the degree-d rational homotopy Lie algebra piece.
+
+    Same double sum as the ungraded count but with the alternating sign
+    (-1)^(d(n-1)) (-1)^(d(n-1)/c) weighting that accounts for the graded
+    (exterior/polynomial) PBW factorization.
+    """
+    if r < 2:
+        raise ValidationError("closed form requires r >= 2")
+    if degree < 1:
+        raise ValidationError("degree must be >= 1")
+    if degree % (n - 1) != 0:
+        return 0
+    d = degree // (n - 1)
+    acc = Fraction(0)
+    for c in divisors(d):
+        mc = moebius_mu(c)
+        if mc:
+            sign = -1 if (degree // c) % 2 else 1
+            acc += sign * Fraction(mc, c) * _witt_inner_sum(r, d // c)
+    if degree % 2:
+        acc = -acc
+    return _require_nonneg_int(acc, f"closed-form rational rank at degree {degree}")
+
+
 def rational_ranks_closed_form(n, r, N):
     """Closed-form rational ranks m_d for d <= N, cross-checked by matching.
 
@@ -284,3 +313,55 @@ def rational_ranks_closed_form(n, r, N):
             f"{table.dims} vs {matched.dims}"
         )
     return table
+
+
+def reference_cobar(coalgebra, cutoff):
+    """Spots and differential of the cobar window, built on tuple words.
+
+    The word basis is found by depth-first search under the window filter
+    of `cobar.build_cobar` (degree <= cutoff + 1, degree + weight <= cutoff
+    + cutoff // smallest generator degree), sorted per spot, and indexed by
+    a word -> position dict; each column applies the desuspended diagonal at
+    every position of the word with the Koszul sign of the letters before
+    it and looks the image word up.  Returns (spots, diffs) keyed by
+    (degree + weight, degree), with letter tuples as words.
+    """
+    degs = _desusp(coalgebra)
+    slice_cap = cutoff + cutoff // min(degs)
+
+    spots = {}
+    stack = [((), 0, 0)]
+    while stack:
+        word, degree, weight = stack.pop()
+        if word:
+            spots.setdefault((degree + weight, degree), []).append(word)
+        for i, deg in enumerate(degs):
+            nd, nw = degree + deg, weight + 1
+            if nd <= cutoff + 1 and nd + nw <= slice_cap:
+                stack.append((word + (i,), nd, nw))
+    for key in spots:
+        spots[key].sort()
+    index = {key: {w: i for i, w in enumerate(words)} for key, words in spots.items()}
+
+    diag = _diagonal_desuspended(coalgebra)
+    diffs = {}
+    for (s, d), words in spots.items():
+        target = index.get((s, d - 1))
+        cols = []
+        for word in words:
+            col = {}
+            prefix_deg = 0
+            for i, gi in enumerate(word):
+                if diag[gi]:
+                    outer = -1 if prefix_deg % 2 else 1
+                    for left, right, coeff in diag[gi]:
+                        row = target[word[:i] + (left, right) + word[i + 1 :]]
+                        val = col.get(row, 0) + outer * coeff
+                        if val:
+                            col[row] = val
+                        else:
+                            col.pop(row, None)
+                prefix_deg += degs[gi]
+            cols.append(col)
+        diffs[(s, d)] = cols
+    return spots, diffs

@@ -14,7 +14,6 @@ from looptop.lyndon import standard_lyndon_counts
 from looptop.rewriting import irreducible_counts
 from looptop.series import (
     closed_form_lie_rank,
-    closed_form_rational_rank,
     connected_sum_denominator,
     growth_rate,
     lie_ranks_from_denominator,
@@ -35,6 +34,8 @@ from looptop.spaces import (
     report_to_json,
     smoothable,
 )
+
+from oracles import closed_form_rational_rank
 
 N_RANGE = (2, 3, 4, 5)
 R_RANGE = (2, 3, 4, 5, 6)

@@ -7,10 +7,20 @@ from hypothesis import strategies as st
 import looptop._linalg as _linalg
 from looptop._linalg import det_int, mat_mul, smith_invariants, smith_normal_form
 import looptop.cobar as cobar
-from looptop.cli import run
-from looptop.cobar import FiniteCoalgebra, _euler_audit, build_cobar, homology, verify_loop_homology
+from looptop.cli import parse_space, run
+from looptop.cobar import (
+    FiniteCoalgebra,
+    _euler_audit,
+    _sparse_rank_and_torsion,
+    _spot_profile,
+    build_cobar,
+    homology,
+    verify_loop_homology,
+)
 from looptop.errors import IntegrityError, ValidationError, WindowError
 from looptop.spaces import BettiOne, ConnectedSum, Manifold, TwoCellComplex
+
+from oracles import reference_cobar
 
 
 class TestCoalgebraOf:
@@ -136,16 +146,16 @@ def test_smith_certificate_can_fail(monkeypatch, fault):
 class TestBuildCobar:
     def test_m22_low_degrees(self):
         cx = build_cobar(Manifold(2, 2).coalgebra(), 5)
-        degree_two = sorted(w for (s, d), words in cx.spots.items() if d == 2 for w in words)
+        degree_two = sorted(w for key in cx.spots if key[1] == 2 for w in cx.words(key))
         assert degree_two == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        col = cx.diffs[(4, 3)][cx.index[(4, 3)][(2,)]]  # the desuspended top cell
-        image = {cx.spots[(4, 2)][row]: v for row, v in col.items()}
+        col = cx.diffs[(4, 3)][cx.words((4, 3)).index((2,))]  # the desuspended top cell
+        image = {cx.words((4, 2))[row]: v for row, v in col.items()}
         assert image == {(0, 1): 1, (1, 0): 1}
 
     def test_betti_one_differential(self):
         cx = build_cobar(BettiOne(4, 0).coalgebra(), 8)
-        col = cx.diffs[(8, 7)][cx.index[(8, 7)][(1,)]]
-        image = {cx.spots[(8, 6)][row]: v for row, v in col.items()}
+        col = cx.diffs[(8, 7)][cx.words((8, 7)).index((1,))]
+        image = {cx.words((8, 6))[row]: v for row, v in col.items()}
         assert image == {(0, 0): 1}
 
     def test_zero_diagonal_means_zero_differential(self):
@@ -162,6 +172,53 @@ class TestBuildCobar:
     def test_cell_guard(self):
         with pytest.raises(ValidationError):
             build_cobar(Manifold(2, 3).coalgebra(), 10, max_cells=100)
+
+    def test_cell_cap_is_exact(self):
+        coalgebra = Manifold(2, 3).coalgebra()
+        with pytest.raises(ValidationError, match="needs 178980 words.*LOOPTOP_MAX_CELLS"):
+            build_cobar(coalgebra, 10, max_cells=178_979)
+        cx = build_cobar(coalgebra, 10, max_cells=178_980)
+        assert sum(len(words) for words in cx.spots.values()) == 178_980
+
+    @pytest.mark.parametrize(
+        "text, cutoff",
+        [
+            ("manifold:2:2", 9),
+            ("manifold:2:3", 8),
+            ("manifold:4:3", 12),
+            *[(f"csum:2x3,2x3:signs={signs}", 7) for signs in ("+,+", "+,-", "-,+", "-,-")],
+            ("csum:3x4,3x4:signs=+,-", 10),
+            ("cw:2:0,9;9,0", 6),
+            ("cw:2:2,1;1,2", 7),
+            ("cw:2:0,7;7,0", 7),
+            ("betti1:4:1", 12),
+            ("betti1:2:0", 12),
+        ],
+    )
+    def test_matches_the_tuple_word_reference(self, text, cutoff):
+        coalgebra = parse_space(text).coalgebra()
+        cx = build_cobar(coalgebra, cutoff)
+        spots, diffs = reference_cobar(coalgebra, cutoff)
+        assert {key: cx.words(key) for key in cx.spots} == spots
+        assert cx.diffs == diffs
+
+    def test_d_squared_zero_check_can_fail(self, monkeypatch):
+        # Every family's diagonal has primitive components, so d*d vanishes on
+        # the generators whatever the diagonal's signs.  On x, x^2, x^3 with
+        # |x| = 3 the component x^2 is not primitive, and the desuspension
+        # sign is what makes d*d = 0.
+        cubic = FiniteCoalgebra(
+            (("x", 3), ("x2", 6), ("x3", 9)), {1: ((0, 0, 1),), 2: ((0, 1, 1), (1, 0, 1))}
+        )
+        build_cobar(cubic, 9)
+
+        def unsigned(coalgebra):
+            return {gi: coalgebra.diagonal(gi) for gi in range(len(coalgebra.generators))}
+
+        monkeypatch.setattr(cobar, "_diagonal_desuspended", unsigned)
+        build_cobar(ConnectedSum(((2, 3), (2, 3))).coalgebra(), 8)
+        with pytest.raises(IntegrityError, match=r"d\*d != 0 on word \(2,\)"):
+            build_cobar(cubic, 9)
 
     def test_d_squared_zero_across_models(self):
         # the assertion runs inside build_cobar for every complex
@@ -180,6 +237,23 @@ class TestBuildCobar:
 
 
 class TestHomology:
+    @pytest.mark.parametrize(
+        "text, cutoff",
+        [
+            ("manifold:2:2", 9),
+            ("csum:2x3,2x3:signs=+,-", 8),
+            ("cw:2:0,9;9,0", 6),
+            ("cw:2:2,1;1,2", 7),
+            ("cw:2:1,2;2,1", 7),
+            ("betti1:4:1", 12),
+        ],
+    )
+    def test_cleared_profile_equals_the_plain_one(self, text, cutoff):
+        # clearing and the transposed top spot change the work, not the answer
+        cx = build_cobar(parse_space(text).coalgebra(), cutoff)
+        for key, cols in cx.diffs.items():
+            assert _spot_profile(cx, key) == _sparse_rank_and_torsion(cols)[:2], key
+
     def test_m22_is_polynomial_on_two_letters(self):
         cx = build_cobar(Manifold(2, 2).coalgebra(), 7)
         for d in range(7):

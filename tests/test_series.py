@@ -9,7 +9,6 @@ from looptop.series import (
     DimensionTable,
     PowerSeries,
     closed_form_lie_rank,
-    closed_form_rational_rank,
     connected_sum_denominator,
     divisors,
     growth_rate,
@@ -23,7 +22,7 @@ from looptop.series import (
     sphere_counts_from_denominator,
     sphere_summand_counts,
 )
-from oracles import rational_ranks_closed_form
+from oracles import closed_form_rational_rank, rational_ranks_closed_form
 
 
 def series(coeffs, order):
