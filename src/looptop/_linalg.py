@@ -98,32 +98,6 @@ def det_int(A):
     return sign * M[n - 1][n - 1]
 
 
-# ------------------------------------------------------------------ sparse Q
-
-def rank_sparse_rational(rows):
-    """Rank over Q; rows are dicts {col: Fraction-like}."""
-    pivots = {}
-    rank = 0
-    for row in rows:
-        vec = {k: Fraction(v) for k, v in row.items() if v != 0}
-        while vec:
-            j = min(vec)
-            if j not in pivots:
-                pivots[j] = vec
-                rank += 1
-                break
-            pv = pivots[j]
-            f = vec[j] / pv[j]
-            for k, v in pv.items():
-                nv = vec.get(k, Fraction(0)) - f * v
-                if nv == 0:
-                    vec.pop(k, None)
-                else:
-                    vec[k] = nv
-        # empty vec: dependent row
-    return rank
-
-
 # ------------------------------------------------------------- sparse SNF
 
 def smith_invariants(columns):

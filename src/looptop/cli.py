@@ -225,7 +225,7 @@ def _cmd_hilbert(args, out):
     data = []
     for d in range(D + 1):
         enum = 1 if d == 0 else counts.get(d, 0)
-        closed = int(H[d])
+        closed = H[d]
         good = enum == closed
         ok = ok and good
         rows.append((d, enum, closed, "ok" if good else "FAIL"))

@@ -463,8 +463,7 @@ def verify_loop_homology(space, cutoff, max_cells=None):
     connected sums, Betti-1 models), the bad primes of the form for
     two-cell complexes.  Discrepancies populate the report; nothing raises.
     """
-    series = space.denominator(cutoff).inverse()
-    expected = [int(series[d]) for d in range(cutoff + 1)]
+    expected = space.denominator(cutoff).inverse().coefficients
     allowed_torsion = space.torsion_primes()
     cx = build_cobar(space.coalgebra(), cutoff, max_cells=max_cells)
 

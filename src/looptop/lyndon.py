@@ -125,23 +125,17 @@ def standard_lyndon_words(alphabet, forbidden, max_degree):
     return out
 
 
-def standard_lyndon_counts(alphabet, forbidden, max_degree, enumeration_limit=200_000):
-    """Per-degree counts of standard Lyndon words, scalable.
+def standard_lyndon_counts(alphabet, forbidden, max_degree):
+    """Per-degree counts of standard Lyndon words, by necklace counting.
 
-    Small ranges are counted by direct generation.  Above the limit the
-    count switches to cyclic-word bookkeeping: a Lyndon word never wraps
-    the factor x0 x1 around its end (it starts with its minimal letter,
-    which rules out last = x0, first = x1), so standard Lyndon words
-    correspond exactly to aperiodic necklaces whose cyclic reading avoids
-    the factor.  Closed walks avoiding the step x0 -> x1 are counted by a
-    degree-weighted transfer recursion and Moebius inversion over periods
-    divides out the rotations.  Generation and the necklace count are
-    asserted equal on small inputs by the test suite.
+    A Lyndon word never wraps the factor x0 x1 around its end (it starts
+    with its minimal letter, which rules out last = x0, first = x1), so
+    standard Lyndon words correspond exactly to aperiodic necklaces whose
+    cyclic reading avoids the factor.  Closed walks avoiding the step
+    x0 -> x1 are counted by a degree-weighted transfer recursion and
+    Moebius inversion over periods divides out the rotations.  The test
+    suite checks these counts against generated standard Lyndon words.
     """
-    est = _estimated_words(alphabet, max_degree)
-    if est <= enumeration_limit:
-        table = standard_lyndon_words(alphabet, forbidden, max_degree)
-        return {d: len(ws) for d, ws in table.items()}
     walks = _closed_walk_counts(alphabet, forbidden, max_degree)
     counts = {}
     for d in range(1, max_degree + 1):
@@ -218,7 +212,12 @@ def _necklace_count(alphabet, walks, degree):
     return total
 
 
-def lie_basis(nr, max_degree, series_counts=None, max_enumeration=2_000_000):
+# Largest walk over the free alphabet's Lyndon words (by _estimated_words)
+# that materializing a Lie basis may take.
+_WALK_LIMIT = 2_000_000
+
+
+def lie_basis(nr, max_degree, series_counts=None):
     """Standard-Lyndon Lie basis of the one-relator quotient, by degree.
 
     Words containing the eliminated factor consecutively are dropped; the
@@ -226,15 +225,16 @@ def lie_basis(nr, max_degree, series_counts=None, max_enumeration=2_000_000):
     PBW-matched dimensions of the irreducible-word Hilbert series (or an
     explicitly supplied table); any mismatch flags convention drift and
     raises IntegrityError.  Generation walks every Lyndon word of the free
-    alphabet, so a guard refuses windows whose walk would be astronomical
-    even when the surviving basis is small; counts remain available at any
-    size through standard_lyndon_counts.
+    alphabet, so a guard refuses windows whose walk would exceed
+    _WALK_LIMIT even when the surviving basis is small; counts remain
+    available at any size through standard_lyndon_counts.
     """
-    if _estimated_words(nr.alphabet, max_degree) > max_enumeration:
+    walk = _estimated_words(nr.alphabet, max_degree)
+    if walk > _WALK_LIMIT:
         raise ValidationError(
             f"materializing the Lie basis to degree {max_degree} needs a walk over "
-            f"roughly {_estimated_words(nr.alphabet, max_degree):.1e} words; lower the "
-            f"degree or use standard_lyndon_counts"
+            f"roughly {walk:.1e} words; lower --max-degree, or use verify counts "
+            f"for the per-degree counts"
         )
     for word in nr.lie_tail.terms:
         if any(letter in (0, 1) for letter in word):

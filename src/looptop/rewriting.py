@@ -5,8 +5,6 @@ factor, these are the irreducible words of the rewrite rule, and their
 count per degree gives the Hilbert series by enumeration.
 """
 
-from fractions import Fraction
-
 from .series import PowerSeries
 
 
@@ -41,5 +39,4 @@ def irreducible_counts(alphabet, forbidden, up_to_degree):
 def hilbert_from_enumeration(alphabet, forbidden, up_to_degree):
     """Hilbert series whose degree-d coefficient counts irreducible words."""
     counts = irreducible_counts(alphabet, forbidden, up_to_degree)
-    coeffs = [Fraction(1)] + [Fraction(counts.get(d, 0)) for d in range(1, up_to_degree + 1)]
-    return PowerSeries(tuple(coeffs))
+    return PowerSeries((1,) + tuple(counts[d] for d in range(1, up_to_degree + 1)))

@@ -1,10 +1,11 @@
-"""Exact rational power series and the dimension-counting pipelines.
+"""Integer power series and the dimension-counting pipelines.
 
-Everything here is computed with `fractions.Fraction`; no floats enter at
-any point.  The module provides three independent ways of extracting
-dimension tables from a Hilbert series (logarithm + Moebius inversion,
-incremental PBW matching, and a closed-form double sum) which the rest of
-the engine cross-checks against each other.
+Every series the engine inverts or matches has integer coefficients and
+constant term 1, so series arithmetic runs on Python ints; no floats enter
+at any point.  The module provides three independent ways of extracting
+dimension tables from a Hilbert series (Newton power sums + Moebius
+inversion, incremental PBW matching, and a closed-form double sum in exact
+rationals) which the rest of the engine cross-checks against each other.
 """
 
 from dataclasses import dataclass
@@ -47,29 +48,24 @@ def divisors(m):
     return small + large[::-1]
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise ValidationError(f"coefficients must be exact rationals, got {type(x).__name__}")
-
-
 @dataclass(frozen=True)
 class PowerSeries:
-    """Truncated power series with exact rational coefficients.
+    """Truncated power series with integer coefficients.
 
     ``coefficients[d]`` is the coefficient of t^d; indices run up to and
-    including ``truncation_order``.  All arithmetic truncates at the same
-    order as the operands.
+    including ``truncation_order``.  Products truncate at the common order
+    of the operands.
     """
 
     coefficients: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(_frac(c) for c in self.coefficients))
+        object.__setattr__(self, "coefficients", tuple(self.coefficients))
         if not self.coefficients:
             raise ValidationError("a power series needs at least the constant term")
+        for c in self.coefficients:
+            if not isinstance(c, int):
+                raise ValidationError(f"coefficients must be integers, got {type(c).__name__}")
 
     @property
     def truncation_order(self):
@@ -78,101 +74,44 @@ class PowerSeries:
     @classmethod
     def of(cls, coeffs, order):
         """Series with the given low-order coefficients, padded to ``order``."""
-        coeffs = list(coeffs)
-        if len(coeffs) > order + 1:
-            coeffs = coeffs[: order + 1]
-        coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
-        return cls(tuple(coeffs))
-
-    @classmethod
-    def one(cls, order):
-        return cls.of([1], order)
+        coeffs = list(coeffs)[: order + 1]
+        return cls(tuple(coeffs + [0] * (order + 1 - len(coeffs))))
 
     def __getitem__(self, d):
         if not 0 <= d <= self.truncation_order:
             raise WindowError(f"degree {d} outside truncation window 0..{self.truncation_order}")
         return self.coefficients[d]
 
-    def _match(self, other):
-        if self.truncation_order != other.truncation_order:
-            raise ValidationError("truncation orders differ; retruncate explicitly")
-        return other
-
     def truncate(self, order):
         return PowerSeries.of(self.coefficients, order)
 
-    def __add__(self, other):
-        other = self._match(other)
-        return PowerSeries(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
-
-    def __sub__(self, other):
-        other = self._match(other)
-        return PowerSeries(tuple(a - b for a, b in zip(self.coefficients, other.coefficients)))
-
     def __mul__(self, other):
-        other = self._match(other)
+        if self.truncation_order != other.truncation_order:
+            raise ValidationError("truncation orders differ; retruncate explicitly")
         n = self.truncation_order
-        out = [Fraction(0)] * (n + 1)
+        out = [0] * (n + 1)
         for i, a in enumerate(self.coefficients):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coefficients[j]
-                if b != 0:
+            if a:
+                for j, b in enumerate(other.coefficients[: n + 1 - i]):
                     out[i + j] += a * b
         return PowerSeries(tuple(out))
 
     def inverse(self):
-        """Multiplicative inverse; needs an invertible constant term."""
-        if self.coefficients[0] == 0:
-            raise ValidationError("cannot invert a series with zero constant term")
-        n = self.truncation_order
+        """Multiplicative inverse; the constant term must be 1 or -1, so
+        that the inverse has integer coefficients."""
         c0 = self.coefficients[0]
-        out = [Fraction(0)] * (n + 1)
-        out[0] = 1 / c0
-        for d in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, d + 1):
-                acc += self.coefficients[j] * out[d - j]
-            out[d] = -acc / c0
+        if c0 not in (1, -1):
+            raise ValidationError(f"cannot invert a series with constant term {c0} over the integers")
+        terms = _nonzero_terms(self.coefficients)
+        out = [c0]
+        for d in range(1, self.truncation_order + 1):
+            out.append(-c0 * sum(a * out[d - j] for j, a in terms if j <= d))
         return PowerSeries(tuple(out))
 
-    def log(self):
-        """log of a series with constant term 1, via log(1-u) = -sum u^k/k."""
-        if self.coefficients[0] != 1:
-            raise ValidationError("log needs constant term 1")
-        n = self.truncation_order
-        u = [Fraction(0)] + [-c for c in self.coefficients[1:]]  # self = 1 - u
-        out = [Fraction(0)] * (n + 1)
-        upow = [Fraction(1)] + [Fraction(0)] * n
-        for k in range(1, n + 1):
-            nxt = [Fraction(0)] * (n + 1)
-            for i in range(k - 1, n + 1):
-                a = upow[i]
-                if a == 0:
-                    continue
-                for j in range(1, n + 1 - i):
-                    if u[j] != 0:
-                        nxt[i + j] += a * u[j]
-            upow = nxt
-            for m in range(k, n + 1):
-                out[m] -= upow[m] / k
-        return PowerSeries(tuple(out))
 
-    def exp(self):
-        """exp of a series with zero constant term."""
-        if self.coefficients[0] != 0:
-            raise ValidationError("exp needs zero constant term")
-        n = self.truncation_order
-        # E' = f' E gives a coefficient recursion with exact rationals.
-        out = [Fraction(0)] * (n + 1)
-        out[0] = Fraction(1)
-        for d in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, d + 1):
-                acc += j * self.coefficients[j] * out[d - j]
-            out[d] = acc / d
-        return PowerSeries(tuple(out))
+def _nonzero_terms(coefficients):
+    """(degree, coefficient) of the nonzero terms of positive degree."""
+    return [(j, a) for j, a in enumerate(coefficients) if j and a]
 
 
 @dataclass(frozen=True)
@@ -204,41 +143,6 @@ def _require_nonneg_int(value, what):
     return int(value)
 
 
-def log_lambda_coefficients(denominator, N):
-    """Coefficients of log(denominator) up to order N (index 0 is 0).
-
-    The input must have constant term 1.  Returned as a PowerSeries whose
-    degree-m entry is the lambda_m used by Moebius inversion.
-    """
-    if N < 1:
-        raise ValidationError("N must be >= 1")
-    if denominator.coefficients[0] != 1:
-        raise ValidationError("denominator must have constant term 1")
-    return denominator.truncate(N).log()
-
-
-def moebius_invert_dims(lam, N):
-    """Recover l_m = -sum_{d|m} mu(d) lambda_{m/d} / d for m <= N.
-
-    Every l_m must come out a nonnegative integer; anything else means the
-    input series was not the log of an inverse Hilbert product and is
-    reported as an integrity error.
-    """
-    if N > lam.truncation_order:
-        raise ValidationError("lambda series is shorter than requested order")
-    dims = {}
-    for m in range(1, N + 1):
-        acc = Fraction(0)
-        for d in divisors(m):
-            md = moebius_mu(d)
-            if md:
-                acc -= Fraction(md, d) * lam[m // d]
-        val = _require_nonneg_int(acc, f"l_{m}")
-        if val:
-            dims[m] = val
-    return DimensionTable(dims, N)
-
-
 def _check_hilbert_input(H, N):
     if N < 1:
         raise ValidationError("N must be >= 1")
@@ -247,32 +151,47 @@ def _check_hilbert_input(H, N):
     if N > H.truncation_order:
         raise ValidationError("Hilbert series shorter than requested order")
     for d in range(N + 1):
-        if H.coefficients[d].denominator != 1 or H.coefficients[d] < 0:
+        if H.coefficients[d] < 0:
             raise ValidationError(f"Hilbert coefficient at degree {d} must be a nonnegative integer")
+
+
+def _pbw_match(H, N, what, factor):
+    """Match H degree by degree against a product of sparse factors.
+
+    At each degree d the running product agrees with H below d, so the
+    multiplicity at d is forced to be the coefficient gap; a negative gap
+    raises.  ``factor(d, m, N)`` gives the coefficients c_k of the degree-d
+    factor sum_k c_k t^(dk) for multiplicity m through t^N, and the running
+    product is multiplied by its terms only, never by a full series.
+    """
+    _check_hilbert_input(H, N)
+    P = [1] + [0] * N
+    dims = {}
+    for d in range(1, N + 1):
+        gap = H[d] - P[d]
+        if gap < 0:
+            raise IntegrityError(f"{what} PBW multiplicity at degree {d} is negative: {gap}")
+        if gap:
+            dims[d] = gap
+            terms = [(d * k, c) for k, c in enumerate(factor(d, gap, N)) if k and c]
+            # in place from the top: P[i - e] with e > 0 is still the old value
+            for i in range(N, d - 1, -1):
+                P[i] += sum(c * P[i - e] for e, c in terms if e <= i)
+    return DimensionTable(dims, N)
+
+
+def _polynomial_factor(d, m, N):
+    """(1 - t^d)^(-m) = sum_k C(m+k-1, k) t^(dk), through t^N."""
+    return [comb(m + k - 1, k) for k in range(N // d + 1)]
 
 
 def pbw_match_ungraded(H, N):
     """Match H(t) = prod_d (1 - t^d)^(-l_d) degree by degree.
 
-    At each degree the current partial product agrees with H below d, so
-    l_d is forced to be the coefficient gap; a negative gap means H is not
-    the Hilbert series of a free commutative algebra and raises.
+    A negative gap means H is not the Hilbert series of a free commutative
+    algebra and raises IntegrityError.
     """
-    _check_hilbert_input(H, N)
-    H = H.truncate(N)
-    P = PowerSeries.one(N)
-    dims = {}
-    for d in range(1, N + 1):
-        gap = H[d] - P[d]
-        l_d = _require_nonneg_int(gap, f"ungraded PBW multiplicity at degree {d}")
-        if l_d:
-            dims[d] = l_d
-            # multiply P by (1 - t^d)^(-l_d), i.e. sum_k C(l_d+k-1, k) t^(dk)
-            factor = [Fraction(0)] * (N + 1)
-            for k in range(0, N // d + 1):
-                factor[d * k] = Fraction(comb(l_d + k - 1, k))
-            P = P * PowerSeries(tuple(factor))
-    return DimensionTable(dims, N)
+    return _pbw_match(H, N, "ungraded", _polynomial_factor)
 
 
 def pbw_match_graded(H, N):
@@ -281,32 +200,21 @@ def pbw_match_graded(H, N):
     Exterior factors sit on odd degrees, polynomial factors on even ones,
     mirroring the free graded-commutative algebra on a graded module.
     """
-    _check_hilbert_input(H, N)
-    H = H.truncate(N)
-    P = PowerSeries.one(N)
-    dims = {}
-    for d in range(1, N + 1):
-        gap = H[d] - P[d]
-        m_d = _require_nonneg_int(gap, f"graded PBW multiplicity at degree {d}")
-        if m_d:
-            dims[d] = m_d
-            factor = [Fraction(0)] * (N + 1)
-            if d % 2 == 1:
-                for k in range(0, min(m_d, N // d) + 1):
-                    factor[d * k] = Fraction(comb(m_d, k))
-            else:
-                for k in range(0, N // d + 1):
-                    factor[d * k] = Fraction(comb(m_d + k - 1, k))
-            P = P * PowerSeries(tuple(factor))
-    return DimensionTable(dims, N)
+    return _pbw_match(H, N, "graded", _graded_factor)
+
+
+def _graded_factor(d, m, N):
+    """(1 + t^d)^m on odd d, (1 - t^d)^(-m) on even d, through t^N."""
+    if d % 2:
+        return [comb(m, k) for k in range(min(m, N // d) + 1)]
+    return _polynomial_factor(d, m, N)
 
 
 def manifold_denominator(n, r, order):
     """1 - r t^(n-1) + t^(2n-2), the loop-homology Hilbert denominator."""
     if n < 2:
         raise ValidationError("n must be >= 2")
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1)
+    coeffs = [1] + [0] * order
     if n - 1 <= order:
         coeffs[n - 1] -= r
     if 2 * n - 2 <= order:
@@ -319,8 +227,7 @@ def connected_sum_denominator(factors, order):
     if not factors:
         raise ValidationError("need at least one sphere-product factor")
     n = factors[0][0] + factors[0][1]
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1)
+    coeffs = [1] + [0] * order
     for p, q in factors:
         if p + q != n:
             raise ValidationError("all factors must have the same total dimension")
@@ -363,9 +270,34 @@ def closed_form_lie_rank(n, r, degree):
 
 
 def lie_ranks_from_denominator(denominator, N):
-    """Moebius-inversion pipeline: log the denominator, invert, tabulate."""
-    lam = log_lambda_coefficients(denominator, N)
-    return moebius_invert_dims(lam, N)
+    """Moebius pipeline: the Lie ranks l_m with denominator = prod (1 - t^m)^(l_m).
+
+    The power sums p_m = m * [t^m] log(denominator) come from Newton's
+    identity p_m = m a_m - sum_{k<m} a_k p_(m-k), and Moebius inversion
+    gives l_m = -(1/m) sum_{d|m} mu(d) p_(m/d).  Every l_m must come out a
+    nonnegative integer; anything else means the input was not the inverse
+    of a free commutative algebra's Hilbert series and raises
+    IntegrityError.
+    """
+    if N < 1:
+        raise ValidationError("N must be >= 1")
+    a = denominator.truncate(N).coefficients
+    if a[0] != 1:
+        raise ValidationError("denominator must have constant term 1")
+    terms = _nonzero_terms(a)
+    p = [0]
+    for m in range(1, N + 1):
+        p.append(m * a[m] - sum(c * p[m - k] for k, c in terms if k < m))
+    dims = {}
+    for m in range(1, N + 1):
+        total = -sum(moebius_mu(d) * p[m // d] for d in divisors(m))
+        if total % m:
+            raise IntegrityError(f"l_{m} is not an integer: {total}/{m}")
+        if total < 0:
+            raise IntegrityError(f"l_{m} is negative: {total // m}")
+        if total:
+            dims[m] = total // m
+    return DimensionTable(dims, N)
 
 
 def sphere_summand_counts(n, r, max_dim):

@@ -632,14 +632,14 @@ _WITNESS_LIMIT = 2000
 def _quadratic_report(space, max_dim, counts, inverted, growth):
     """Shared manifold / connected-sum / two-cell decomposition pipeline."""
     from .algebra import normalize_relation, relation_from_space
-    from .lyndon import _estimated_words, bracket_string, lie_basis, standard_lyndon_counts
+    from .lyndon import _WALK_LIMIT, _estimated_words, bracket_string, lie_basis, standard_lyndon_counts
 
     alphabet, rel = relation_from_space(space)
     nr = normalize_relation(alphabet, rel)
     degree_counts = {l - 1: c for l, c in counts.items()}
     total = sum(counts.values())
     witnesses = {}
-    if total <= _WITNESS_LIMIT and _estimated_words(nr.alphabet, max_dim - 1) <= 2_000_000:
+    if total <= _WITNESS_LIMIT and _estimated_words(nr.alphabet, max_dim - 1) <= _WALK_LIMIT:
         basis = lie_basis(nr, max_dim - 1, series_counts=degree_counts)
         for d, elements in basis.items():
             witnesses[d + 1] = tuple(bracket_string(e.word, nr.alphabet) for e in elements)

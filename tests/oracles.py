@@ -3,9 +3,11 @@
 The rewriting reducer (normal forms modulo one quadratic relation, with
 strongly connected clusters of reducible words solved exactly), explicit
 irreducible-word enumeration, matrix evaluation of tensor elements, the
-Betti number of a finite cover, the closed-form rational ranks and the
-tuple-word build of the cobar complex.  The engine never calls them; the tests use them to check its answers by an
-independent route.
+Betti number of a finite cover, the closed-form rational ranks, the
+tuple-word build of the cobar complex, sparse rank over Q, and the
+`Fraction` series logarithm and exponential with the log + Moebius Lie
+ranks.  The engine never calls them; the tests use them to check its
+answers by an independent route.
 
 The rewrite rule eliminates the single forbidden factor x0 x1.  For skew
 relations repeated substitution terminates on its own, but a symmetric
@@ -365,3 +367,84 @@ def reference_cobar(coalgebra, cutoff):
             cols.append(col)
         diffs[(s, d)] = cols
     return spots, diffs
+
+
+def rank_sparse_rational(rows):
+    """Rank over Q; rows are dicts {col: Fraction-like}."""
+    pivots = {}
+    rank = 0
+    for row in rows:
+        vec = {k: Fraction(v) for k, v in row.items() if v != 0}
+        while vec:
+            j = min(vec)
+            if j not in pivots:
+                pivots[j] = vec
+                rank += 1
+                break
+            pv = pivots[j]
+            f = vec[j] / pv[j]
+            for k, v in pv.items():
+                nv = vec.get(k, Fraction(0)) - f * v
+                if nv == 0:
+                    vec.pop(k, None)
+                else:
+                    vec[k] = nv
+        # empty vec: dependent row
+    return rank
+
+
+def series_log(coefficients):
+    """log of a series with constant term 1, via log(1-u) = -sum u^k/k."""
+    if coefficients[0] != 1:
+        raise ValidationError("log needs constant term 1")
+    n = len(coefficients) - 1
+    u = [Fraction(0)] + [-Fraction(c) for c in coefficients[1:]]  # series = 1 - u
+    out = [Fraction(0)] * (n + 1)
+    upow = [Fraction(1)] + [Fraction(0)] * n
+    for k in range(1, n + 1):
+        nxt = [Fraction(0)] * (n + 1)
+        for i in range(k - 1, n + 1):
+            a = upow[i]
+            if a == 0:
+                continue
+            for j in range(1, n + 1 - i):
+                if u[j] != 0:
+                    nxt[i + j] += a * u[j]
+        upow = nxt
+        for m in range(k, n + 1):
+            out[m] -= upow[m] / k
+    return tuple(out)
+
+
+def series_exp(coefficients):
+    """exp of a series with zero constant term."""
+    if coefficients[0] != 0:
+        raise ValidationError("exp needs zero constant term")
+    n = len(coefficients) - 1
+    # E' = f' E gives a coefficient recursion with exact rationals.
+    out = [Fraction(0)] * (n + 1)
+    out[0] = Fraction(1)
+    for d in range(1, n + 1):
+        acc = Fraction(0)
+        for j in range(1, d + 1):
+            acc += j * coefficients[j] * out[d - j]
+        out[d] = acc / d
+    return tuple(out)
+
+
+def log_moebius_ranks(denominator, N):
+    """Lie ranks l_m = -sum_{d|m} mu(d) lambda_(m/d) / d for m <= N, from
+    the `Fraction` logarithm sum_m lambda_m t^m of the denominator.
+
+    Every l_m must come out a nonnegative integer, else IntegrityError.
+    """
+    lam = series_log(denominator.truncate(N).coefficients)
+    dims = {}
+    for m in range(1, N + 1):
+        acc = Fraction(0)
+        for d in divisors(m):
+            acc -= Fraction(moebius_mu(d), d) * lam[m // d]
+        val = _require_nonneg_int(acc, f"l_{m}")
+        if val:
+            dims[m] = val
+    return DimensionTable(dims, N)

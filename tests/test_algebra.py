@@ -229,7 +229,7 @@ def _ideal_rank(nr, weight):
     """Fresh elimination of the weight-w two-sided ideal span of the relation."""
     from itertools import product
 
-    from looptop._linalg import rank_sparse_rational
+    from oracles import rank_sparse_rational
 
     rel_terms = dict(nr.f_alg.scale(-1).terms)
     rel_terms[(0, 1)] = rel_terms.get((0, 1), Fraction(0)) + 1

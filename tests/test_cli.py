@@ -1,5 +1,8 @@
 import io
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +134,20 @@ def test_zero_window_is_still_accepted():
     code, out, _ = invoke(["hilbert", "--space", "manifold:2:3", "--max-degree", "0"])
     assert code == 0
     assert out.splitlines()[1].split() == ["0", "1", "1", "ok"]
+
+
+def test_lie_basis_walk_guard_names_the_flag_and_the_counts_command():
+    code, out, err = invoke(["lie-basis", "--space", "manifold:2:3", "--max-degree", "14"])
+    assert code == 2 and not out
+    assert "--max-degree" in err and "verify counts" in err
+    assert "standard_lyndon_counts" not in err and "Traceback" not in err
+
+
+def test_crosscheck_script_reports_agreement(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "crosscheck_counts.py"
+    monkeypatch.setattr(sys, "argv", [str(script)])
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out.splitlines()[-1] == "all pipelines agree"
 
 
 class TestSpecExamples:

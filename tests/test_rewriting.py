@@ -4,7 +4,6 @@ from itertools import product
 
 import pytest
 
-from looptop._linalg import rank_sparse_rational
 from looptop.algebra import (
     Alphabet,
     IntersectionRelation,
@@ -16,7 +15,7 @@ from looptop.errors import IntegrityError, ValidationError
 from looptop.rewriting import hilbert_from_enumeration, irreducible_counts
 from looptop.series import connected_sum_denominator, manifold_denominator
 from looptop.spaces import ConnectedSum, Manifold
-from oracles import RewriteSystem, evaluate, irreducible_words, reduce
+from oracles import RewriteSystem, evaluate, irreducible_words, rank_sparse_rational, reduce
 
 
 AB2 = Alphabet.uniform(2, 1)

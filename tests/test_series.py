@@ -13,16 +13,20 @@ from looptop.series import (
     divisors,
     growth_rate,
     lie_ranks_from_denominator,
-    log_lambda_coefficients,
     manifold_denominator,
-    moebius_invert_dims,
     moebius_mu,
     pbw_match_graded,
     pbw_match_ungraded,
     sphere_counts_from_denominator,
     sphere_summand_counts,
 )
-from oracles import closed_form_rational_rank, rational_ranks_closed_form
+from oracles import (
+    closed_form_rational_rank,
+    log_moebius_ranks,
+    rational_ranks_closed_form,
+    series_exp,
+    series_log,
+)
 
 
 def series(coeffs, order):
@@ -59,17 +63,29 @@ class TestPowerSeries:
         with pytest.raises(WindowError):
             a[5]
         with pytest.raises(ValidationError):
-            a + series([1], 2)
+            a * series([1], 2)
 
     def test_inverse(self):
         p = manifold_denominator(2, 3, 6)
         h = p.inverse()
-        assert [int(h[i]) for i in range(7)] == [1, 3, 8, 21, 55, 144, 377]
-        assert (p * h).coefficients == PowerSeries.one(6).coefficients
+        assert [h[i] for i in range(7)] == [1, 3, 8, 21, 55, 144, 377]
+        assert (p * h).coefficients == series([1], 6).coefficients
+
+    def test_inverse_needs_a_unit_constant_term(self):
+        assert series([-1, 1], 3).inverse().coefficients == (-1, -1, -1, -1)
+        for c0 in (0, 2, -3):
+            with pytest.raises(ValidationError):
+                series([c0, 1], 3).inverse()
+
+    def test_coefficients_must_be_integers(self):
+        with pytest.raises(ValidationError):
+            PowerSeries((1, Fraction(1, 2)))
+        with pytest.raises(ValidationError):
+            PowerSeries((1, 0.5))
 
     def test_log_requires_unit_constant_term(self):
         with pytest.raises(ValidationError):
-            series([2, 1], 3).log()
+            series_log((2, 1, 0, 0))
 
     @given(
         st.lists(
@@ -80,8 +96,8 @@ class TestPowerSeries:
     )
     @settings(max_examples=60)
     def test_log_exp_roundtrip_exact(self, tail):
-        s = PowerSeries(tuple([Fraction(1)] + tail))
-        assert s.log().exp().coefficients == s.coefficients
+        s = tuple([Fraction(1)] + tail)
+        assert series_exp(series_log(s)) == s
 
     @given(
         st.lists(
@@ -92,45 +108,65 @@ class TestPowerSeries:
     )
     @settings(max_examples=60)
     def test_exp_log_roundtrip_exact(self, tail):
-        s = PowerSeries(tuple([Fraction(0)] + tail))
-        assert s.exp().log().coefficients == s.coefficients
+        s = tuple([Fraction(0)] + tail)
+        assert series_log(series_exp(s)) == s
 
 
 class TestLogLambda:
     def test_classical_log(self):
-        lam = log_lambda_coefficients(series([1, -1], 3), 3)
+        lam = series_log((1, -1, 0, 0))
         assert [lam[m] for m in (1, 2, 3)] == [Fraction(-1), Fraction(-1, 2), Fraction(-1, 3)]
 
     def test_squared_geometric(self):
-        lam = log_lambda_coefficients(series([1, -2, 1], 2), 2)
+        lam = series_log((1, -2, 1))
         assert [lam[1], lam[2]] == [Fraction(-2), Fraction(-1)]
 
     def test_fibonacci_denominator(self):
-        lam = log_lambda_coefficients(series([1, -3, 1], 2), 2)
+        lam = series_log((1, -3, 1))
         assert [lam[1], lam[2]] == [Fraction(-3), Fraction(-7, 2)]
 
     def test_rejects_bad_constant_term(self):
         with pytest.raises(ValidationError):
-            log_lambda_coefficients(series([0, 1], 2), 2)
+            series_log((0, 1, 0))
+        with pytest.raises(ValidationError):
+            lie_ranks_from_denominator(series([0, 1], 2), 2)
 
 
 class TestMoebiusInversion:
     def test_three_letter_counts(self):
-        lam = log_lambda_coefficients(series([1, -3, 1], 3), 3)
-        assert moebius_invert_dims(lam, 3).as_list() == [3, 2, 5]
+        assert lie_ranks_from_denominator(series([1, -3, 1], 3), 3).as_list() == [3, 2, 5]
 
     def test_abelian_pair(self):
-        lam = log_lambda_coefficients(series([1, -2, 1], 10), 10)
-        assert moebius_invert_dims(lam, 10).as_list() == [2] + [0] * 9
+        assert lie_ranks_from_denominator(series([1, -2, 1], 10), 10).as_list() == [2] + [0] * 9
 
     def test_single_generator(self):
-        lam = log_lambda_coefficients(series([1, -1], 10), 10)
-        assert moebius_invert_dims(lam, 10).as_list() == [1] + [0] * 9
+        assert lie_ranks_from_denominator(series([1, -1], 10), 10).as_list() == [1] + [0] * 9
 
     def test_invalid_series_is_integrity_error(self):
-        lam = log_lambda_coefficients(series([1, -1, 1], 4), 4)
         with pytest.raises(IntegrityError):
-            moebius_invert_dims(lam, 4)
+            lie_ranks_from_denominator(series([1, -1, 1], 4), 4)
+        with pytest.raises(IntegrityError):
+            log_moebius_ranks(series([1, -1, 1], 4), 4)
+
+    @given(
+        st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=14),
+        st.integers(min_value=1, max_value=14),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_integer_pipelines_match_the_fraction_oracle(self, tail, N):
+        # both integer pipelines refuse exactly when the log + Moebius
+        # reference does, and otherwise return its table
+        den = series([1] + tail, N)
+        try:
+            want = log_moebius_ranks(den, N).dims
+        except IntegrityError:
+            with pytest.raises(IntegrityError):
+                lie_ranks_from_denominator(den, N)
+            with pytest.raises((IntegrityError, ValidationError)):
+                pbw_match_ungraded(den.inverse(), N)
+            return
+        assert lie_ranks_from_denominator(den, N).dims == want
+        assert pbw_match_ungraded(den.inverse(), N).dims == want
 
 
 class TestPBWUngraded:
@@ -146,7 +182,7 @@ class TestPBWUngraded:
 
     def test_connected_sum_baseline(self):
         H = connected_sum_denominator([(2, 3), (2, 3)], 6).inverse()
-        assert [int(H[i]) for i in range(4)] == [1, 2, 6, 15]
+        assert [H[i] for i in range(4)] == [1, 2, 6, 15]
         assert pbw_match_ungraded(H, 3).as_list() == [2, 3, 5]
 
     def test_non_pbw_series_rejected(self):
