@@ -4,11 +4,14 @@
 Builds the integral cobar complex of each requested space, computes exact
 Smith-form homology slice by slice, and prints the rank/torsion audit.  The
 header line of each space gives the verdict, the bigraded audit and the
-primes at which torsion was allowed.
-Useful for timing the oracle at different cutoffs.
+primes at which torsion was allowed, the time taken and the peak resident
+memory of the process so far (ru_maxrss: it never goes down, so each line
+shows the peak over its own space and every space before it).
+Useful for timing and sizing the oracle at different cutoffs.
 """
 
 import argparse
+import resource
 import time
 
 from looptop.cli import parse_space
@@ -36,9 +39,10 @@ def main():
         status = "ok" if report.ok else "FAIL"
         bigraded = "ok" if report.bigraded_ok else "FAIL"
         primes = ",".join(str(p) for p in report.torsion_primes) or "none"
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
         print(
             f"{report.space_label:28s} D={args.max_degree:<3d} {status}  bigraded={bigraded}  "
-            f"torsion-primes={primes}  ({elapsed:.2f}s)"
+            f"torsion-primes={primes}  ({elapsed:.2f}s, peak RSS {peak_mb:.1f} MB)"
         )
         for row in report.rows:
             torsion = ",".join(str(t) for t in row.torsion) or "-"

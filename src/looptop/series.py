@@ -269,14 +269,28 @@ def closed_form_lie_rank(n, r, degree):
     return _require_nonneg_int(acc, f"closed-form rank at degree {degree}")
 
 
+def _power_sums(a, N):
+    """The power sums p_1..p_N (p[0] = 0) of a series with constant term 1.
+
+    p_m = m * [t^m] log(a) by Newton's identity p_m = m a_m - sum_{k<m} a_k
+    p_(m-k), in ints.  For integer coefficients the Moebius sums
+    sum_{d|m} mu(d) p_(m/d) are divisible by m: they are m times the
+    exponents of the series' Euler product (necklace integrality).
+    """
+    terms = _nonzero_terms(a)
+    p = [0]
+    for m in range(1, N + 1):
+        p.append(m * a[m] - sum(c * p[m - k] for k, c in terms if k < m))
+    return p
+
+
 def lie_ranks_from_denominator(denominator, N):
     """Moebius pipeline: the Lie ranks l_m with denominator = prod (1 - t^m)^(l_m).
 
-    The power sums p_m = m * [t^m] log(denominator) come from Newton's
-    identity p_m = m a_m - sum_{k<m} a_k p_(m-k), and Moebius inversion
-    gives l_m = -(1/m) sum_{d|m} mu(d) p_(m/d).  Every l_m must come out a
-    nonnegative integer; anything else means the input was not the inverse
-    of a free commutative algebra's Hilbert series and raises
+    Moebius inversion of the power sums (`_power_sums`) gives l_m = -(1/m)
+    sum_{d|m} mu(d) p_(m/d), an integer for any integer series.  Every l_m
+    must come out nonnegative; a negative one means the input was not the
+    inverse of a free commutative algebra's Hilbert series and raises
     IntegrityError.
     """
     if N < 1:
@@ -284,19 +298,14 @@ def lie_ranks_from_denominator(denominator, N):
     a = denominator.truncate(N).coefficients
     if a[0] != 1:
         raise ValidationError("denominator must have constant term 1")
-    terms = _nonzero_terms(a)
-    p = [0]
-    for m in range(1, N + 1):
-        p.append(m * a[m] - sum(c * p[m - k] for k, c in terms if k < m))
+    p = _power_sums(a, N)
     dims = {}
     for m in range(1, N + 1):
-        total = -sum(moebius_mu(d) * p[m // d] for d in divisors(m))
-        if total % m:
-            raise IntegrityError(f"l_{m} is not an integer: {total}/{m}")
-        if total < 0:
-            raise IntegrityError(f"l_{m} is negative: {total // m}")
-        if total:
-            dims[m] = total // m
+        rank = -sum(moebius_mu(d) * p[m // d] for d in divisors(m)) // m
+        if rank < 0:
+            raise IntegrityError(f"l_{m} is negative: {rank}")
+        if rank:
+            dims[m] = rank
     return DimensionTable(dims, N)
 
 

@@ -1,4 +1,6 @@
 import io
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,11 @@ import looptop.cobar as cobar
 from looptop.cli import parse_space, run
 from looptop.cobar import (
     FiniteCoalgebra,
+    PackedColumns,
     _euler_audit,
     _sparse_rank_and_torsion,
     _spot_profile,
+    _transpose,
     build_cobar,
     homology,
     verify_loop_homology,
@@ -79,6 +83,16 @@ def columns_of(matrix):
         {i: row[j] for i, row in enumerate(matrix) if row[j]}
         for j in range(len(matrix[0]) if matrix else 0)
     ]
+
+
+def packed(columns):
+    """`columns` ({row: value} dicts) in the build's packed layout."""
+    ptr, rows, vals = array("q", [0]), array("q"), []
+    for col in columns:
+        rows.extend(col)
+        vals.extend(col.values())
+        ptr.append(len(rows))
+    return PackedColumns(ptr, rows, vals)
 
 
 @st.composite
@@ -148,13 +162,13 @@ class TestBuildCobar:
         cx = build_cobar(Manifold(2, 2).coalgebra(), 5)
         degree_two = sorted(w for key in cx.spots if key[1] == 2 for w in cx.words(key))
         assert degree_two == [(0, 0), (0, 1), (1, 0), (1, 1)]
-        col = cx.diffs[(4, 3)][cx.words((4, 3)).index((2,))]  # the desuspended top cell
+        col = list(cx.diffs[(4, 3)])[cx.words((4, 3)).index((2,))]  # the desuspended top cell
         image = {cx.words((4, 2))[row]: v for row, v in col.items()}
         assert image == {(0, 1): 1, (1, 0): 1}
 
     def test_betti_one_differential(self):
         cx = build_cobar(BettiOne(4, 0).coalgebra(), 8)
-        col = cx.diffs[(8, 7)][cx.words((8, 7)).index((1,))]
+        col = list(cx.diffs[(8, 7)])[cx.words((8, 7)).index((1,))]
         image = {cx.words((8, 6))[row]: v for row, v in col.items()}
         assert image == {(0, 0): 1}
 
@@ -200,7 +214,35 @@ class TestBuildCobar:
         cx = build_cobar(coalgebra, cutoff)
         spots, diffs = reference_cobar(coalgebra, cutoff)
         assert {key: cx.words(key) for key in cx.spots} == spots
-        assert cx.diffs == diffs
+        assert {key: list(cols) for key, cols in cx.diffs.items()} == diffs
+
+    @pytest.mark.parametrize(
+        "text, cutoff", [("manifold:2:3", 8), ("csum:2x3,2x3:signs=+,-", 7), ("cw:2:0,9;9,0", 6)]
+    )
+    def test_sizes_seen_by_the_trace_match_the_reference(self, text, cutoff):
+        # the benchmark's traced pass counts cells by len() of a spot and
+        # entries by len() of each column the differential iterates over
+        coalgebra = parse_space(text).coalgebra()
+        cx = build_cobar(coalgebra, cutoff)
+        spots, diffs = reference_cobar(coalgebra, cutoff)
+        sizes = {key: len(words) for key, words in spots.items()}
+        assert {key: len(words) for key, words in cx.spots.items()} == sizes
+        assert {key: len(cols) for key, cols in cx.diffs.items()} == sizes
+        assert {key: sum(len(col) for col in cols) for key, cols in cx.diffs.items()} == {
+            key: sum(len(col) for col in cols) for key, cols in diffs.items()
+        }
+
+    def test_packed_build_retains_little_per_cell(self):
+        # one {row: value} dict per column retained about 230 B per cell
+        coalgebra = Manifold(2, 3).coalgebra()
+        tracemalloc.start()
+        try:
+            cx = build_cobar(coalgebra, 8)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        cells = sum(len(words) for words in cx.spots.values())
+        assert retained <= 110 * cells, retained / cells
 
     def test_d_squared_zero_check_can_fail(self, monkeypatch):
         # Every family's diagonal has primitive components, so d*d vanishes on
@@ -234,6 +276,29 @@ class TestBuildCobar:
             (BettiOne(8, 0), 12),
         ):
             build_cobar(space.coalgebra(), cutoff)
+
+
+class TestPackedColumns:
+    @given(small_integer_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_transpose_twice_is_the_identity(self, matrix):
+        cols = packed(columns_of(matrix))
+        once = _transpose(cols, len(matrix))
+        assert list(once) == columns_of([list(row) for row in zip(*matrix)])
+        twice = _transpose(once, len(matrix[0]))
+        assert (twice.ptr, twice.rows, twice.vals) == (cols.ptr, cols.rows, cols.vals)
+
+    @given(small_integer_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_ranking_is_repeatable_and_leaves_the_store_alone(self, matrix):
+        cols = packed(columns_of(matrix))
+        before = (array("q", cols.ptr), array("q", cols.rows), list(cols.vals))
+        first = _sparse_rank_and_torsion(cols)
+        assert _sparse_rank_and_torsion(cols) == first
+        assert (cols.ptr, cols.rows, cols.vals) == before
+        invariants = smith_normal_form(matrix)[0]
+        assert first[:2] == (len(invariants), [x for x in invariants if x > 1])
+        assert _sparse_rank_and_torsion(_transpose(cols, len(matrix)))[:2] == first[:2]
 
 
 class TestHomology:

@@ -8,6 +8,7 @@ from looptop.errors import IntegrityError, ValidationError, WindowError
 from looptop.series import (
     DimensionTable,
     PowerSeries,
+    _power_sums,
     closed_form_lie_rank,
     connected_sum_denominator,
     divisors,
@@ -167,6 +168,23 @@ class TestMoebiusInversion:
             return
         assert lie_ranks_from_denominator(den, N).dims == want
         assert pbw_match_ungraded(den.inverse(), N).dims == want
+
+    @given(
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=16),
+        st.integers(min_value=1, max_value=16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_moebius_sums_of_integer_series_are_divisible(self, tail, N):
+        # necklace integrality: for an integer series with constant term 1
+        # every sum_{d|m} mu(d) p_(m/d) is divisible by m, which is why the
+        # Moebius step divides exactly; the power sums are checked against
+        # m times the Fraction logarithm's coefficients
+        coefficients = series([1] + tail, N).coefficients
+        p = _power_sums(coefficients, N)
+        lam = series_log(coefficients)
+        for m in range(1, N + 1):
+            assert p[m] == m * lam[m]
+            assert sum(moebius_mu(d) * p[m // d] for d in divisors(m)) % m == 0
 
 
 class TestPBWUngraded:
