@@ -1,0 +1,167 @@
+"""Byte-level record of the command-line front end.
+
+Each request runs in process through `looptop.cli.run`.  Its exit code and
+the sha256 of its stdout and of its stderr are pinned; stderr is also
+captured through `redirect_stderr`, so argparse"s own usage messages count.
+The corpus covers every command in both formats, the window, grammar and
+usage errors, the cell cap, the Lyndon walk guard and the `--deep` override.
+
+A digest changes only with a deliberate change of output.  Run this file as
+a script (`PYTHONPATH=src python tests/test_cli_golden.py`) to print the
+current digests.
+"""
+
+import hashlib
+import io
+import os
+import runpy
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from looptop.cli import run
+
+SHOWCASE = Path(__file__).resolve().parents[1] / "scripts" / "showcase_reports.py"
+SHOWCASE_SHA256 = "a75127aa66762cab2fc2252721b50035abc070c358d643d3b3cb037f161cccf5"
+
+# (id, argv, extra environment)
+REQUESTS = (
+    ("manifold", ["manifold", "--n", "2", "--betti", "3", "--max-dim", "6"], {}),
+    ("manifold-json", ["manifold", "--n", "2", "--betti", "3", "--max-dim", "6", "--format", "json"], {}),
+    ("manifold-matrix", ["manifold", "--n", "3", "--betti", "2", "--matrix", "0,1;-1,0", "--max-dim", "8"], {}),
+    ("manifold-betti1", ["manifold", "--n", "2", "--betti", "1"], {}),
+    ("csum", ["connected-sum", "--factors", "2x3,2x3", "--signs", "+,-", "--max-dim", "6"], {}),
+    ("csum-json", ["connected-sum", "--factors", "2x3,2x3", "--signs=+,-", "--max-dim", "6", "--format", "json"], {}),
+    ("cw", ["cw", "--n", "2", "--matrix", "0,7;7,0", "--max-dim", "6"], {}),
+    ("cw-json", ["cw", "--n", "2", "--matrix", "0,7;7,0", "--max-dim", "6", "--format", "json"], {}),
+    ("cw-rank3", ["cw", "--n", "2", "--matrix", "0,1,0;1,0,0;0,0,2", "--max-dim", "4"], {}),
+    ("betti-one", ["betti-one", "--n", "4", "--m", "4"], {}),
+    ("betti-one-json", ["betti-one", "--n", "8", "--m", "3", "--format", "json"], {}),
+    ("betti-one-v8", ["betti-one", "--n", "4", "--m", "1"], {}),
+    ("verify-cobar", ["verify", "cobar", "--space", "manifold:2:2", "--max-degree", "6"], {}),
+    ("verify-cobar-json", ["verify", "cobar", "--space", "manifold:2:2", "--max-degree", "6", "--format", "json"], {}),
+    ("verify-cobar-torsion", ["verify", "cobar", "--space", "cw:2:0,3;3,0", "--max-degree", "5"], {}),
+    ("verify-cobar-torsion-json", ["verify", "cobar", "--space", "cw:2:0,3;3,0", "--max-degree", "5", "--format", "json"], {}),
+    ("verify-counts", ["verify", "counts", "--space", "csum:2x3,2x3", "--max-degree", "10"], {}),
+    ("verify-counts-json", ["verify", "counts", "--space", "csum:2x3,2x3", "--max-degree", "10", "--format", "json"], {}),
+    ("hilbert", ["hilbert", "--space", "manifold:2:3", "--max-degree", "10"], {}),
+    ("hilbert-json", ["hilbert", "--space", "manifold:2:3", "--max-degree", "10", "--format", "json"], {}),
+    ("lie-basis", ["lie-basis", "--space", "manifold:2:3", "--max-degree", "5"], {}),
+    ("lie-basis-json", ["lie-basis", "--space", "csum:2x3,2x3", "--max-degree", "4", "--format", "json"], {}),
+    ("moore", ["moore", "--space", "cw:2:0,1,0;1,0,0;0,0,2"], {}),
+    ("moore-json", ["moore", "--space", "betti1:4:7", "--format", "json"], {}),
+    ("hilbert-degree-minus-1", ["hilbert", "--space", "manifold:2:3", "--max-degree", "-1"], {}),
+    ("hilbert-degree-0", ["hilbert", "--space", "manifold:2:3", "--max-degree", "0"], {}),
+    ("counts-degree-0", ["verify", "counts", "--space", "manifold:2:3", "--max-degree", "0"], {}),
+    ("lie-basis-degree-0", ["lie-basis", "--space", "manifold:2:3", "--max-degree", "0"], {}),
+    ("manifold-max-dim-1", ["manifold", "--n", "2", "--betti", "3", "--max-dim", "1"], {}),
+    ("unknown-family", ["moore", "--space", "torus:1:1"], {}),
+    ("bad-signs", ["connected-sum", "--factors", "2x3,2x3", "--signs", "+,x"], {}),
+    ("bad-matrix-entry", ["cw", "--n", "2", "--matrix", "0,x;1,0"], {}),
+    ("missing-flag", ["manifold", "--n", "2"], {}),
+    ("no-command", [], {}),
+    ("bad-choice", ["verify", "homology", "--space", "manifold:2:3"], {}),
+    ("bad-int", ["hilbert", "--space", "manifold:2:3", "--max-degree", "x"], {}),
+    ("invalid-manifold", ["manifold", "--n", "3", "--betti", "3"], {}),
+    ("cw-rank-below-2", ["cw", "--n", "2", "--matrix", "0,0;0,0"], {}),
+    ("cw-one-cell", ["cw", "--n", "2", "--matrix", "1"], {}),
+    ("counts-betti-one", ["verify", "counts", "--space", "manifold:2:1"], {}),
+    ("hilbert-rank-one", ["hilbert", "--space", "cw:2:1"], {}),
+    ("cell-cap", ["verify", "cobar", "--space", "manifold:2:3", "--max-degree", "8"], {"LOOPTOP_MAX_CELLS": "50"}),
+    ("bad-cell-cap", ["verify", "cobar", "--space", "manifold:2:2"], {"LOOPTOP_MAX_CELLS": "lots"}),
+    ("walk-guard", ["lie-basis", "--space", "manifold:2:3", "--max-degree", "14"], {}),
+    ("deep-refused", ["verify", "cobar", "--space", "betti1:8:0", "--max-degree", "25"], {}),
+    ("deep", ["verify", "cobar", "--space", "betti1:8:0", "--max-degree", "25", "--deep"], {}),
+)
+
+EMPTY = hashlib.sha256(b"").hexdigest()
+
+# id -> (exit code, sha256 of stdout, sha256 of stderr)
+GOLDEN = {
+    "manifold": (0, "f8e74107ffc36dd02b13be60e78363231e4f56e95db67067e08ce4560604a1e6", EMPTY),
+    "manifold-json": (0, "b2b972e82481eac64839d30c0a0c179ac634a2434346b3d6d723e840bbc6bf3b", EMPTY),
+    "manifold-matrix": (0, "0d189f910c3a3424aee4e7c459c5f43ccb7513d81e547bbfe3dedd1d226e21cd", EMPTY),
+    "manifold-betti1": (0, "36339d41a1d5873423f13d25e47dedcc5769ba6ba424ea4e9ddaec1b3e9b76bc", EMPTY),
+    "csum": (0, "06376edacf6d54fbfa6031b94d73a4fde7575a2fc8f4f9e3f9b1f13e4285d8da", EMPTY),
+    "csum-json": (0, "a02e3fc06e9d3b136ef7719b43acf1400eb26eb1abaaa0c1edefa11570ada245", EMPTY),
+    "cw": (0, "e2ed01d2410965df2ae0ec24a8daccd2875993ab8cd8f7d9dabd474d098687a8", EMPTY),
+    "cw-json": (0, "5022a5b30b35ea510d6b1fc21c0875f3a8146811e6d8b16e1ac22c1a04734d93", EMPTY),
+    "cw-rank3": (0, "8357f3a71eae54efbe08c795c6ca96aafa6d2ddbdc02485aa017564413ea355f", EMPTY),
+    "betti-one": (0, "3ad244d58ba8ad2ffbc2089bb3c86434694e931703c1933b9f641db975833c86", EMPTY),
+    "betti-one-json": (0, "7a1ec0af17cc3f4637951c566053e27763dacc55ddc3cedf7a4a0641ec418c18", EMPTY),
+    "betti-one-v8": (0, "255f5e6347ffdd0b319d9d52b9ead0aa7062d2fe6bb321d2b56dced4a334a7a4", EMPTY),
+    "verify-cobar": (0, "cf635ebeac71bafa367abf292797ce05c1195056227e05527692c57f9912dc5a", EMPTY),
+    "verify-cobar-json": (0, "fd4bf1aeae1f0810ee49d67b2f6c0e0e9d8fc1a9c1e07e0efd097cb22b30be5c", EMPTY),
+    "verify-cobar-torsion": (0, "5f810fd1be18b6b0833e18a699348e8a0ce27f0c169bab47e714711188f6b48c", EMPTY),
+    "verify-cobar-torsion-json": (0, "109df725935c06036bc5c8008088b76dc64ff66dceaeb61bfcd4d5d6cb017481", EMPTY),
+    "verify-counts": (0, "a0771ee80894de6bf9e358668b62ecf6e7cf05e8c39453eb4993a15dcd51da05", EMPTY),
+    "verify-counts-json": (0, "ce77b3e92726dae15763a81c5ea47e8f40c736544ab182c0b0852ac5279888ac", EMPTY),
+    "hilbert": (0, "05c41a2fb063f45a6e00819ca9d6f1633c9e453d88aea2e24600de416d0cb5cf", EMPTY),
+    "hilbert-json": (0, "3244035c7bf8c111cd682a3a29cabef62822ce13939a24f46b014cf8773ea163", EMPTY),
+    "lie-basis": (0, "b54cae169883d9d9e9fd0258374198089037be726ee0466bf39c8ccd848cdd52", EMPTY),
+    "lie-basis-json": (0, "955c90a70ad92432b7458ef6e5ce7a5669c738d136c68845ced9c4ec16f9c9a5", EMPTY),
+    "moore": (0, "3f645aaa851477ae7cadf6aca7f13b2a8797427a01899bbb112f2dc340c8e46b", EMPTY),
+    "moore-json": (0, "6ce8564d12cdee0cc481fafce88042bba954d6d7046964faedd10e0985219956", EMPTY),
+    "hilbert-degree-minus-1": (2, EMPTY, "51aa0ddc665a900e466441076dca388f588b026ce464d10ef086508907fb4899"),
+    "hilbert-degree-0": (0, "b23b4d3e4ac761bed99f1f3a3200013bef13574efaef316499d35998ec022e1a", EMPTY),
+    "counts-degree-0": (2, EMPTY, "1b7eca8408942c2f23e4780bbad865272807c8f4514a1b976bde6c4ee5173210"),
+    "lie-basis-degree-0": (2, EMPTY, "f7837a02bcb4636b96d09464174eb9254543c02568923851861a06b5d512644e"),
+    "manifold-max-dim-1": (2, EMPTY, "ef61b17af8ab135fe7520dfc4bf978d5cd660d1ba733f5263b61ccf162723f85"),
+    "unknown-family": (2, EMPTY, "8d3f5e8abf9cf9ddbb4caa213f977fd97d73217545c4f5ea0a54eec7700f7dbe"),
+    "bad-signs": (2, EMPTY, "5f049cca692e9dfac1eac948cbae58acbfc38eeaec976678051ddc55036a982d"),
+    "bad-matrix-entry": (2, EMPTY, "cfdd9dd5f94d805c227a02431bc9ad79a399245579615b2106783a2235ed9bbe"),
+    "missing-flag": (2, EMPTY, "ea12b734694b21d467061b61fec2c9d2ed0870ad625ac92ea74f0398836bbc31"),
+    "no-command": (2, EMPTY, "04b63d4d6f4cf5266a64b9d2915adc3e87c763bfbd557c76ed09ac1ad178528d"),
+    "bad-choice": (2, EMPTY, "ccb9cc45d68c9563fcd8ef5a71a5049188c330e6643717fdac5dcbec018c587d"),
+    "bad-int": (2, EMPTY, "c52d90298cdddb3547d9a5e6476130783266ea96c899928555703fd63282b69a"),
+    "invalid-manifold": (2, EMPTY, "49b11cbc93c5af103b9fc3b196fb9b3d71da41bfa1fc5505526e50d1e865a4ed"),
+    "cw-rank-below-2": (2, EMPTY, "d6dbc5fa254bd977bc0cd662293b4e58af10141cb765f7cfe2991bf94cbeb27c"),
+    "cw-one-cell": (2, EMPTY, "d6dbc5fa254bd977bc0cd662293b4e58af10141cb765f7cfe2991bf94cbeb27c"),
+    "counts-betti-one": (2, EMPTY, "521420d14899844e082bacad00e1f0e821f238f4496384358c8f7f6abe2d58f9"),
+    "hilbert-rank-one": (2, EMPTY, "590d029e08801ac0ce2050b3743a3f3d7f559471e05f0ea6f2f9e311ead306f6"),
+    "cell-cap": (2, EMPTY, "2cba3d86847ab9f19c8cdd760e1893ce987acaec7549b7e3ad395cd4fa9de415"),
+    "bad-cell-cap": (2, EMPTY, "8c031a24cd1ccfb4475273586345bd6b29539d225698242b7a94a1533ff9b52a"),
+    "walk-guard": (2, EMPTY, "11eb82de5e2dd7fcfb7bd4a3819f0378a057f40dc6e76f6774db5d614c350325"),
+    "deep-refused": (2, EMPTY, "3f7241867f179fc76457ebac4aeb19b01287ece2a5f2aa7d65fb358d3c95060c"),
+    "deep": (0, "6761baa4037832478e858ca1765aa80774233974702901c9eb9db79ed6f54751", EMPTY),
+}
+
+
+def record(argv, env):
+    """(exit code, sha256 of stdout, sha256 of stderr) of one request."""
+    saved = {key: os.environ.get(key) for key in ("COLUMNS", "LOOPTOP_MAX_CELLS")}
+    os.environ["COLUMNS"] = "80"  # argparse wraps usage text to the terminal width
+    os.environ.pop("LOOPTOP_MAX_CELLS", None)
+    os.environ.update(env)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = run(list(argv), out=out, err=err)
+    finally:
+        for key, value in saved.items():
+            if value is None:
+                os.environ.pop(key, None)
+            else:
+                os.environ[key] = value
+    digest = lambda text: hashlib.sha256(text.encode()).hexdigest()  # noqa: E731
+    return code, digest(out.getvalue()), digest(err.getvalue())
+
+
+@pytest.mark.parametrize("name, argv, env", REQUESTS, ids=[r[0] for r in REQUESTS])
+def test_cli_bytes_are_pinned(name, argv, env):
+    assert record(argv, env) == GOLDEN[name]
+
+
+def test_showcase_script_bytes_are_pinned():
+    out = io.StringIO()
+    with redirect_stdout(out):
+        runpy.run_path(str(SHOWCASE), run_name="__main__")
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == SHOWCASE_SHA256
+
+
+if __name__ == "__main__":
+    for name, argv, env in REQUESTS:
+        code, *digests = record(argv, env)
+        shown = ", ".join("EMPTY" if h == EMPTY else f'"{h}"' for h in digests)
+        print(f'    "{name}": ({code}, {shown}),')
