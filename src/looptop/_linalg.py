@@ -32,8 +32,8 @@ def mat_transpose(A):
     return [list(col) for col in zip(*A)]
 
 
-def mat_identity(n, one=1):
-    return [[one if i == j else 0 * one for j in range(n)] for i in range(n)]
+def mat_identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def mat_inverse(A):

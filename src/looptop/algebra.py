@@ -29,8 +29,8 @@ class Alphabet:
             raise ValidationError("letter degrees must be >= 1")
 
     @classmethod
-    def uniform(cls, r, degree, prefix="α"):
-        return cls(tuple([degree] * r), tuple(_sub(prefix, i + 1) for i in range(r)))
+    def uniform(cls, r, degree):
+        return cls(tuple([degree] * r), tuple(_sub("α", i + 1) for i in range(r)))
 
     @property
     def size(self):

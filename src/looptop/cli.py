@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure or internal inconsistency,
-2 usage error.  Reports go to stdout, diagnostics to stderr.  Tables are
-plain aligned UTF-8 columns; JSON is emitted in a canonical field order
-so that parse + re-emit is byte-identical.
+2 usage error.  Reports go to stdout, diagnostics to stderr.  Each
+subcommand sets its handler, which `run` calls after the window checks all
+commands share.  Every handler prints through one writer, `_emit`: JSON in
+a canonical field order (parse + re-emit is byte-identical), or else an
+aligned table of plain UTF-8 columns, header row first, then lines of
+`label  text` with the label padded to 18 columns.
 """
 
 import argparse
@@ -17,6 +20,7 @@ from .cobar import verify_loop_homology
 
 DEFAULT_MAX_DIM = 10
 DEFAULT_MAX_DEGREE = 8
+DEFAULT_DEGREE_CAP = 16
 
 
 def parse_matrix(text):
@@ -92,198 +96,211 @@ def canonical_json(payload):
     return json.dumps(payload, ensure_ascii=False, indent=2)
 
 
-def _emit_report(report, fmt, out):
-    if fmt == "json":
-        print(canonical_json(spaces.report_to_json(report)), file=out)
+def _emit(args, out, payload, table=(), lines=()):
+    """The one writer: `payload` as canonical JSON, or else `table` (header
+    row first) as aligned columns and then the (label, text) `lines`."""
+    if args.format == "json":
+        print(canonical_json(payload), file=out)
         return
-    rows = [("sphere", "count", "witnesses")]
-    for s in report.summands:
-        shown = "; ".join(s.witnesses[:6])
-        if len(s.witnesses) > 6:
-            shown += f"; ... ({len(s.witnesses)} total)"
-        rows.append((f"S^{s.sphere_dim}", str(s.multiplicity), shown))
-    _print_table(rows, out)
-    print(f"classification    {report.classification}", file=out)
+    if table:
+        widths = [max(len(str(row[i])) for row in table) for i in range(len(table[0]))]
+        for row in table:
+            print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)).rstrip(), file=out)
+    for label, text in lines:
+        print(f"{label:<18}{text}", file=out)
+
+
+def _flag(ok):
+    return "ok" if ok else "FAIL"
+
+
+def _shown(items, limit):
+    """The first `limit` items joined by '; ', with the total if some are cut."""
+    text = "; ".join(items[:limit])
+    return f"{text}; ... ({len(items)} total)" if len(items) > limit else text
+
+
+def _cell(value):
+    """A check-table cell: a list joined by commas ('-' when empty), a flag as ok/FAIL."""
+    if isinstance(value, bool):
+        return _flag(value)
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value) or "-"
+    return value
+
+
+def _emit_check(args, out, payload, header, lines=()):
+    """A check's payload.  Its table is the JSON rows under `header`, so the
+    two formats cannot drift apart; a verdict line follows `lines`."""
+    table = [header] + [[_cell(v) for v in row.values()] for row in payload["rows"]]
+    _emit(args, out, payload, table, [*lines, ("verdict", _flag(payload["ok"]))])
+    return 0 if payload["ok"] else 1
+
+
+def _emit_report(args, out, report):
+    table = [("sphere", "count", "witnesses")] + [
+        (f"S^{s.sphere_dim}", s.multiplicity, _shown(s.witnesses, 6)) for s in report.summands
+    ]
+    lines = [("classification", report.classification)]
     if report.growth is not None:
         a, b, c = report.growth.surd
-        print(f"growth rate       ({a} + {b}*sqrt({c}))/2 = {report.growth.decimal()}", file=out)
-    inv = ", ".join(str(p) for p in report.inverted_primes) or "none"
-    print(f"inverted primes   {inv}", file=out)
-    print(f"loop space        {report.loop_decomposition_text}", file=out)
-    print(f"moore             {report.moore.verdict}", file=out)
-
-
-def _print_table(rows, out):
-    widths = [max(len(str(row[i])) for row in rows) for i in range(len(rows[0]))]
-    for row in rows:
-        print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)).rstrip(), file=out)
-
-
-def _cmd_report(space, args, out):
-    report = spaces.decomposition_report(space, args.max_dim)
-    _emit_report(report, args.format, out)
+        lines.append(("growth rate", f"({a} + {b}*sqrt({c}))/2 = {report.growth.decimal()}"))
+    lines += [
+        ("inverted primes", ", ".join(str(p) for p in report.inverted_primes) or "none"),
+        ("loop space", report.loop_decomposition_text),
+        ("moore", report.moore.verdict),
+    ]
+    _emit(args, out, spaces.report_to_json(report), table, lines)
     return 0
 
 
-DEFAULT_DEGREE_CAP = 16
+def _cmd_manifold(args, out):
+    matrix = parse_matrix(args.matrix) if args.matrix else None
+    space = spaces.Manifold(args.n, args.betti, matrix)
+    return _emit_report(args, out, spaces.decomposition_report(space, args.max_dim))
+
+
+def _cmd_connected_sum(args, out):
+    space = parse_connected_sum(args.factors, args.signs)
+    return _emit_report(args, out, spaces.decomposition_report(space, args.max_dim))
+
+
+def _cmd_cw(args, out):
+    space = spaces.TwoCellComplex(args.n, parse_matrix(args.matrix))
+    return _emit_report(args, out, spaces.decomposition_report(space, args.max_dim))
+
+
+def _cmd_betti_one(args, out):
+    return _emit_report(args, out, spaces.betti_one_report(args.n, args.m))
 
 
 def _cmd_verify(args, out):
+    return {"cobar": _verify_cobar, "counts": _verify_counts}[args.what](args, out)
+
+
+def _verify_cobar(args, out):
     space = parse_space(args.space)
-    if args.what == "cobar":
-        if args.max_degree > DEFAULT_DEGREE_CAP and not args.deep:
-            raise ValidationError(
-                f"chain complexes above degree {DEFAULT_DEGREE_CAP} grow exponentially; "
-                f"pass --deep to override"
-            )
-        report = verify_loop_homology(space, args.max_degree)
-        if args.format == "json":
-            payload = {
-                "space": spaces.space_to_json(space),
-                "max_degree": report.max_degree,
-                "torsion_primes": list(report.torsion_primes),
-                "rows": [
-                    {
-                        "degree": r.degree,
-                        "chain_dim": r.chain_dim,
-                        "rank": r.rank,
-                        "expected_rank": r.expected_rank,
-                        "torsion": list(r.torsion),
-                        "ok": r.rank_ok and r.torsion_ok,
-                    }
-                    for r in report.rows
-                ],
-                "bigraded_ok": report.bigraded_ok,
-                "ok": report.ok,
+    if args.max_degree > DEFAULT_DEGREE_CAP and not args.deep:
+        raise ValidationError(
+            f"chain complexes above degree {DEFAULT_DEGREE_CAP} grow exponentially; "
+            f"pass --deep to override"
+        )
+    report = verify_loop_homology(space, args.max_degree)
+    payload = {
+        "space": spaces.space_to_json(space),
+        "max_degree": report.max_degree,
+        "torsion_primes": list(report.torsion_primes),
+        "rows": [
+            {
+                "degree": r.degree,
+                "chain_dim": r.chain_dim,
+                "rank": r.rank,
+                "expected_rank": r.expected_rank,
+                "torsion": list(r.torsion),
+                "ok": r.rank_ok and r.torsion_ok,
             }
-            print(canonical_json(payload), file=out)
-        else:
-            rows = [("degree", "chain", "rank", "expected", "torsion", "ok")]
-            for r in report.rows:
-                torsion = ",".join(str(t) for t in r.torsion) or "-"
-                rows.append((r.degree, r.chain_dim, r.rank, r.expected_rank, torsion,
-                             "ok" if r.rank_ok and r.torsion_ok else "FAIL"))
-            _print_table(rows, out)
-            primes = ", ".join(str(p) for p in report.torsion_primes) or "none"
-            print(f"torsion primes    {primes}", file=out)
-            print(f"bigraded audit    {'ok' if report.bigraded_ok else 'FAIL'}", file=out)
-            print(f"verdict           {'ok' if report.ok else 'FAIL'}", file=out)
-        return 0 if report.ok else 1
-    if args.what == "counts":
-        return _verify_counts(space, args, out)
-    raise ValidationError(f"unknown verify target {args.what!r}")
+            for r in report.rows
+        ],
+        "bigraded_ok": report.bigraded_ok,
+        "ok": report.ok,
+    }
+    primes = ", ".join(str(p) for p in report.torsion_primes) or "none"
+    return _emit_check(
+        args, out, payload, ("degree", "chain", "rank", "expected", "torsion", "ok"),
+        [("torsion primes", primes), ("bigraded audit", _flag(report.bigraded_ok))],
+    )
 
 
-def _verify_counts(space, args, out):
-    from .algebra import normalize_relation, relation_from_space
+def _verify_counts(args, out):
     from .lyndon import standard_lyndon_counts
     from .series import lie_ranks_from_denominator
 
+    space = parse_space(args.space)
     D = args.max_degree
-    alphabet, rel = relation_from_space(space)  # refuses models with no quadratic relation
+    nr = spaces.normalized_relation(space)  # refuses models with no quadratic relation
     den = space.denominator(D)
     inversion = lie_ranks_from_denominator(den, D)
     matched = pbw_match_ungraded(den.inverse(), D)
-    nr = normalize_relation(alphabet, rel)
-    lyndon_counts = standard_lyndon_counts(nr.alphabet, nr.forbidden_pair, D)
-    ok = True
-    rows = [("degree", "moebius", "pbw", "lyndon", "ok")]
+    lyndon = standard_lyndon_counts(nr.alphabet, nr.forbidden_pair, D)
+    rows = []
     for d in range(1, D + 1):
-        a, b, c = inversion[d], matched[d], lyndon_counts.get(d, 0)
-        good = a == b == c
-        ok = ok and good
-        rows.append((d, a, b, c, "ok" if good else "FAIL"))
-    if args.format == "json":
-        payload = {
-            "space": spaces.space_to_json(space),
-            "max_degree": D,
-            "rows": [
-                {"degree": r[0], "moebius": r[1], "pbw": r[2], "lyndon": r[3], "ok": r[4] == "ok"}
-                for r in rows[1:]
-            ],
-            "ok": ok,
-        }
-        print(canonical_json(payload), file=out)
-    else:
-        _print_table(rows, out)
-        print(f"verdict           {'ok' if ok else 'FAIL'}", file=out)
-    return 0 if ok else 1
+        a, b, c = inversion[d], matched[d], lyndon.get(d, 0)
+        rows.append({"degree": d, "moebius": a, "pbw": b, "lyndon": c, "ok": a == b == c})
+    payload = {
+        "space": spaces.space_to_json(space),
+        "max_degree": D,
+        "rows": rows,
+        "ok": all(row["ok"] for row in rows),
+    }
+    return _emit_check(args, out, payload, ("degree", "moebius", "pbw", "lyndon", "ok"))
 
 
 def _cmd_hilbert(args, out):
-    space = parse_space(args.space)
-    from .algebra import normalize_relation, relation_from_space
     from .rewriting import irreducible_counts
 
+    space = parse_space(args.space)
     D = args.max_degree
-    alphabet, rel = relation_from_space(space)  # refuses models with no quadratic relation
+    nr = spaces.normalized_relation(space)  # refuses models with no quadratic relation
     H = space.denominator(D).inverse()
-    nr = normalize_relation(alphabet, rel)
     counts = irreducible_counts(nr.alphabet, nr.forbidden_pair, D)
-    ok = True
-    rows = [("degree", "enumerated", "closed-form", "ok")]
-    data = []
+    rows = []
     for d in range(D + 1):
         enum = 1 if d == 0 else counts.get(d, 0)
-        closed = H[d]
-        good = enum == closed
-        ok = ok and good
-        rows.append((d, enum, closed, "ok" if good else "FAIL"))
-        data.append({"degree": d, "enumerated": enum, "closed_form": closed, "ok": good})
-    if args.format == "json":
-        print(canonical_json({"space": spaces.space_to_json(space), "max_degree": D,
-                              "rows": data, "ok": ok}), file=out)
-    else:
-        _print_table(rows, out)
-        print(f"verdict           {'ok' if ok else 'FAIL'}", file=out)
-    return 0 if ok else 1
+        rows.append({"degree": d, "enumerated": enum, "closed_form": H[d], "ok": enum == H[d]})
+    payload = {
+        "space": spaces.space_to_json(space),
+        "max_degree": D,
+        "rows": rows,
+        "ok": all(row["ok"] for row in rows),
+    }
+    return _emit_check(args, out, payload, ("degree", "enumerated", "closed-form", "ok"))
 
 
 def _cmd_lie_basis(args, out):
-    space = parse_space(args.space)
-    from .algebra import normalize_relation, relation_from_space
     from .lyndon import bracket_string, lie_basis
 
-    alphabet, rel = relation_from_space(space)
-    nr = normalize_relation(alphabet, rel)
-    basis = lie_basis(nr, args.max_degree)
-    if args.format == "json":
-        payload = {
-            "space": spaces.space_to_json(space),
-            "max_degree": args.max_degree,
-            "basis": [
-                {
-                    "degree": d,
-                    "count": len(elements),
-                    "brackets": [bracket_string(e.word, nr.alphabet) for e in elements],
-                }
-                for d, elements in sorted(basis.items())
-            ],
-        }
-        print(canonical_json(payload), file=out)
-    else:
-        rows = [("degree", "count", "brackets")]
-        for d, elements in sorted(basis.items()):
-            shown = "; ".join(bracket_string(e.word, nr.alphabet) for e in elements[:8])
-            if len(elements) > 8:
-                shown += f"; ... ({len(elements)} total)"
-            rows.append((d, len(elements), shown))
-        _print_table(rows, out)
+    space = parse_space(args.space)
+    nr = spaces.normalized_relation(space)
+    basis = [
+        (d, [bracket_string(e.word, nr.alphabet) for e in elements])
+        for d, elements in sorted(lie_basis(nr, args.max_degree).items())
+    ]
+    payload = {
+        "space": spaces.space_to_json(space),
+        "max_degree": args.max_degree,
+        "basis": [{"degree": d, "count": len(brackets), "brackets": brackets} for d, brackets in basis],
+    }
+    table = [("degree", "count", "brackets")] + [
+        (d, len(brackets), _shown(brackets, 8)) for d, brackets in basis
+    ]
+    _emit(args, out, payload, table)
     return 0
 
 
 def _cmd_moore(args, out):
     space = parse_space(args.space)
     report = spaces.moore_report(space)
-    if args.format == "json":
-        print(canonical_json({"space": spaces.space_to_json(space),
-                              "verdict": report.verdict,
-                              "justification": report.justification}), file=out)
-    else:
-        print(f"space             {space.label}", file=out)
-        print(f"verdict           {report.verdict}", file=out)
-        print(f"justification     {report.justification}", file=out)
+    payload = {
+        "space": spaces.space_to_json(space),
+        "verdict": report.verdict,
+        "justification": report.justification,
+    }
+    lines = [("space", space.label), ("verdict", report.verdict), ("justification", report.justification)]
+    _emit(args, out, payload, lines=lines)
     return 0
+
+
+def _add_shared(p, *flags, max_degree=None):
+    """Add the shared `flags` to subparser `p` in the order given, which is
+    the order of its usage line."""
+    options = {
+        "--space": {"type": str, "required": True},
+        "--max-degree": {"type": int, "default": max_degree},
+        "--max-dim": {"type": int, "default": DEFAULT_MAX_DIM},
+        "--format": {"choices": ("table", "json"), "default": "table"},
+    }
+    for flag in flags:
+        p.add_argument(flag, **options[flag])
 
 
 def build_parser():
@@ -293,61 +310,57 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, max_dim=True):
-        p.add_argument("--format", choices=("table", "json"), default="table")
-        if max_dim:
-            p.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM, dest="max_dim")
-
     p = sub.add_parser("manifold", help="(n-1)-connected 2n-manifold report")
+    p.set_defaults(handler=_cmd_manifold)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--betti", type=int, required=True)
     p.add_argument("--matrix", type=str, default=None, help='intersection form, e.g. "0,1;1,0"')
-    add_common(p)
+    _add_shared(p, "--format", "--max-dim")
 
     p = sub.add_parser("connected-sum", help="connected sum of sphere products")
+    p.set_defaults(handler=_cmd_connected_sum)
     p.add_argument("--factors", type=str, required=True, help='e.g. "2x3,2x3"')
     p.add_argument("--signs", type=str, default=None, help='e.g. "+,-"')
-    add_common(p)
+    _add_shared(p, "--format", "--max-dim")
 
     p = sub.add_parser("cw", help="wedge of n-spheres with one 2n-cell")
+    p.set_defaults(handler=_cmd_cw)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--matrix", type=str, required=True, help='cup form, e.g. "0,7;7,0"')
-    add_common(p)
+    _add_shared(p, "--format", "--max-dim")
 
     p = sub.add_parser("betti-one", help="Betti-number-one manifold report")
+    p.set_defaults(handler=_cmd_betti_one)
     p.add_argument("--n", type=int, required=True, choices=(2, 4, 8))
     p.add_argument("--m", type=int, default=0)
-    add_common(p, max_dim=False)
+    _add_shared(p, "--format")
 
     p = sub.add_parser("verify", help="run a verification pipeline")
+    p.set_defaults(handler=_cmd_verify)
     p.add_argument("what", choices=("cobar", "counts"))
-    p.add_argument("--space", type=str, required=True)
-    p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DEGREE, dest="max_degree")
+    _add_shared(p, "--space", "--max-degree", max_degree=DEFAULT_MAX_DEGREE)
     p.add_argument("--deep", action="store_true", help="allow cobar cutoffs above 16")
-    p.add_argument("--format", choices=("table", "json"), default="table")
+    _add_shared(p, "--format")
 
     p = sub.add_parser("moore", help="Moore-conjecture verdict for a space")
-    p.add_argument("--space", type=str, required=True)
-    p.add_argument("--format", choices=("table", "json"), default="table")
+    p.set_defaults(handler=_cmd_moore)
+    _add_shared(p, "--space", "--format")
 
     p = sub.add_parser("hilbert", help="loop-homology Hilbert series, two ways")
-    p.add_argument("--space", type=str, required=True)
-    p.add_argument("--max-degree", type=int, default=DEFAULT_MAX_DIM, dest="max_degree")
-    p.add_argument("--format", choices=("table", "json"), default="table")
+    p.set_defaults(handler=_cmd_hilbert)
+    _add_shared(p, "--space", "--max-degree", "--format", max_degree=DEFAULT_MAX_DIM)
 
     p = sub.add_parser("lie-basis", help="standard Lyndon Lie basis with brackets")
-    p.add_argument("--space", type=str, required=True)
-    p.add_argument("--max-degree", type=int, default=6, dest="max_degree")
-    p.add_argument("--format", choices=("table", "json"), default="table")
+    p.set_defaults(handler=_cmd_lie_basis)
+    _add_shared(p, "--space", "--max-degree", "--format", max_degree=6)
     return parser
 
 
 def run(argv, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -358,38 +371,11 @@ def run(argv, out=None, err=None):
             raise ValidationError(f"--max-degree must be >= 1 for {name}, got {args.max_degree}")
         if getattr(args, "max_dim", 2) < 2:
             raise ValidationError(f"--max-dim must be >= 2 for {args.command}, got {args.max_dim}")
-        if args.command == "manifold":
-            matrix = parse_matrix(args.matrix) if args.matrix else None
-            space = spaces.Manifold(args.n, args.betti, matrix)
-            return _cmd_report(space, args, out)
-        if args.command == "connected-sum":
-            return _cmd_report(parse_connected_sum(args.factors, args.signs), args, out)
-        if args.command == "cw":
-            space = spaces.TwoCellComplex(args.n, parse_matrix(args.matrix))
-            return _cmd_report(space, args, out)
-        if args.command == "betti-one":
-            report = spaces.betti_one_report(args.n, args.m)
-            _emit_report(report, args.format, out)
-            return 0
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        if args.command == "moore":
-            return _cmd_moore(args, out)
-        if args.command == "hilbert":
-            return _cmd_hilbert(args, out)
-        if args.command == "lie-basis":
-            return _cmd_lie_basis(args, out)
-        raise ValidationError(f"unknown command {args.command!r}")
-    except ValidationError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
+        return args.handler(args, out)
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=err)
         return 1
-    except LooptopError as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except ValueError as exc:
+    except (LooptopError, ValueError) as exc:
         print(f"error: {exc}", file=err)
         return 2
 

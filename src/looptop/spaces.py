@@ -9,13 +9,14 @@ Each family's class makes every per-family decision itself: `label`,
 `to_json()`, `denominator(order)` (the inverse of the loop-homology
 Hilbert series), `coalgebra()` (the integral homology coalgebra),
 `relation()` (alphabet and quadratic relation), `torsion_primes()`,
-`bigraded_series(order)`, `classify(window)`, `moore()` and
-`report(max_dim)`.  The first three families share the one-relator
-quadratic pipeline, whose denominator is 1 - sum_i t^(|a_i|-1) +
-t^(|top|-2); Betti-one models have no quadratic relation and answer from
-closed forms.
+`bigraded_series(order)`, `classify()`, `moore()` and `report(max_dim)`.
+The first three families share the one-relator quadratic pipeline, whose
+denominator is 1 - sum_i t^(|a_i|-1) + t^(|top|-2), and each of them
+counts its sphere summands in `sphere_counts(max_dim)`; Betti-one models
+have no quadratic relation and answer from closed forms.
 """
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -126,11 +127,11 @@ class _FormSpace(_OneRelator):
         symmetry = "skew" if self.n % 2 else "symmetric"
         return Alphabet.uniform(self.r, self.n - 1), IntersectionRelation(self.form, symmetry)
 
+    def sphere_counts(self, max_dim):
+        return sphere_summand_counts(self.n, self.r, max_dim)
+
     def report(self, max_dim):
-        inverted = self.torsion_primes()
-        counts = sphere_summand_counts(self.n, self.r, max_dim)
-        growth = growth_rate(self.r) if self.r >= 3 else None
-        return _quadratic_report(self, max_dim, counts, inverted, growth)
+        return _quadratic_report(self, max_dim, growth_rate(self.r) if self.r >= 3 else None)
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,7 @@ class Manifold(_FormSpace):
             return BettiOne(self.n).bigraded_series(order)
         return super().bigraded_series(order)
 
-    def classify(self, window=12):
+    def classify(self):
         return "elliptic" if self.r <= 2 else "hyperbolic"
 
     def moore(self):
@@ -295,15 +296,17 @@ class ConnectedSum(_OneRelator):
             m[2 * k + 1][2 * k] = -sign
         return Alphabet(tuple(degrees), tuple(names)), IntersectionRelation(m, "skew")
 
-    def classify(self, window=12):
+    def classify(self):
         return "elliptic" if self.r == 1 else "hyperbolic"
 
     def moore(self):
         return _MOORE_PRODUCT if self.r == 1 else _MOORE_NO_EXPONENT
 
+    def sphere_counts(self, max_dim):
+        return sphere_counts_from_denominator(self.denominator(max_dim), max_dim)
+
     def report(self, max_dim):
-        counts = sphere_counts_from_denominator(self.denominator(max_dim), max_dim)
-        return _quadratic_report(self, max_dim, counts, self.torsion_primes(), None)
+        return _quadratic_report(self, max_dim, None)
 
 
 @dataclass(frozen=True)
@@ -348,7 +351,7 @@ class TwoCellComplex(_FormSpace):
         """The bad primes of the form: it is reported after inverting them."""
         return bad_primes(self.matrix)
 
-    def classify(self, window=12):
+    def classify(self):
         if self.r >= 3:
             return "hyperbolic"
         if rank_rational([list(row) for row in self.matrix]) < 2:
@@ -356,7 +359,7 @@ class TwoCellComplex(_FormSpace):
                 "rational classification of a two-cell complex with r <= 2 and a "
                 "degenerate form is out of reach here"
             )
-        window = max(window, 6 * (self.n - 1))
+        window = max(12, 6 * (self.n - 1))
         table = pbw_match_graded(self.denominator(window).inverse(), window)
         upper_support = [d for d in range(window // 2 + 1, window + 1) if table[d]]
         return "elliptic" if not upper_support else "hyperbolic"
@@ -416,7 +419,7 @@ class BettiOne:
         n = self.n
         return _bigraded_quotient({(0, 0): 1, (1, n - 1): 1}, {(0, 0): 1, (2, 3 * n - 2): -1}, order)
 
-    def classify(self, window=12):
+    def classify(self):
         return "elliptic"
 
     def moore(self):
@@ -465,15 +468,9 @@ def _pollard_rho(n, rng):
             x = (x * x + c) % n
             y = (y * y + c) % n
             y = (y * y + c) % n
-            d = _gcd(abs(x - y), n)
+            d = math.gcd(x - y, n)
         if d != n:
             return d
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def factorize(n):
@@ -515,7 +512,7 @@ def bad_primes(matrix):
             for k in range(size):
                 for l in range(k + 1, size):
                     minor = m[i][k] * m[j][l] - m[i][l] * m[j][k]
-                    g = _gcd(g, abs(minor))
+                    g = math.gcd(g, minor)
     if g == 0:
         raise UnsupportedSpaceError(
             "form has rank < 2 over the rationals; every prime would be bad"
@@ -609,16 +606,16 @@ def group_description(invariants):
     return " + ".join(f"Z/{x}" for x in invariants)
 
 
-def classify_rational(space, window=12):
+def classify_rational(space):
     """'elliptic' or 'hyperbolic'.
 
     Manifolds: elliptic iff r <= 2.  Connected sums: elliptic iff a single
     sphere product.  Two-cell complexes: hyperbolic for r >= 3; for r <= 2
-    with a rank-2 form the graded ranks are scanned inside the window
-    (their support is finite exactly in the elliptic case).  Betti-1
-    models are elliptic.
+    with a rank-2 form the graded ranks are scanned through degree
+    max(12, 6(n-1)) (their support is finite exactly in the elliptic
+    case).  Betti-1 models are elliptic.
     """
-    return space.classify(window)
+    return space.classify()
 
 
 def moore_report(space):
@@ -629,13 +626,25 @@ def moore_report(space):
 _WITNESS_LIMIT = 2000
 
 
-def _quadratic_report(space, max_dim, counts, inverted, growth):
+def normalized_relation(space):
+    """The space's quadratic relation in plane-split normal form.
+
+    Models with no quadratic relation raise UnsupportedSpaceError.  Both
+    steps are looked up on `looptop.algebra` at call time, so a wrapper
+    bound there (the benchmark's traced pass) sees every call.
+    """
+    from . import algebra
+
+    return algebra.normalize_relation(*algebra.relation_from_space(space))
+
+
+def _quadratic_report(space, max_dim, growth):
     """Shared manifold / connected-sum / two-cell decomposition pipeline."""
-    from .algebra import normalize_relation, relation_from_space
     from .lyndon import _WALK_LIMIT, _estimated_words, bracket_string, lie_basis, standard_lyndon_counts
 
-    alphabet, rel = relation_from_space(space)
-    nr = normalize_relation(alphabet, rel)
+    inverted = space.torsion_primes()
+    counts = space.sphere_counts(max_dim)
+    nr = normalized_relation(space)
     degree_counts = {l - 1: c for l, c in counts.items()}
     total = sum(counts.values())
     witnesses = {}

@@ -1,0 +1,147 @@
+"""Random command lines never crash the front end.
+
+Argument lists are drawn from the space grammar and the command flags.
+Most pieces are well formed, so that the pipelines run; malformed ones are
+mixed in: bad integers, unknown families, ragged or asymmetric matrices,
+mismatched factors, stray flags and left-out values.  Whatever comes in,
+`run` returns instead of raising, the exit code is 0 (success) or 2 (usage
+error), and no traceback reaches stderr.  Exit 1 means two pipelines
+disagree, which no input may cause.
+
+Sizes are bounded so that the test stays fast: `LOOPTOP_MAX_CELLS=20000`,
+Betti numbers and matrix sizes up to 6, windows up to 8.  `lie-basis`
+builds a bracket for every basis word, so its window stops at 5; a report
+lists witnesses only while there are at most 2000 of them.
+"""
+
+import io
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
+
+from looptop.cli import run
+
+JUNK = st.sampled_from(["", "x", "1.5", "-", ":", ";", ",", "--bogus", "2x", "+,x"])
+
+
+def mostly(good, bad):
+    """`good` about nineteen times in twenty, else `bad`."""
+    return st.integers(0, 19).flatmap(lambda k: good if k else bad)
+
+
+def small_int(lo, hi):
+    """An integer in [lo, hi] as text, or now and then a malformed token."""
+    return mostly(st.integers(lo, hi).map(str), JUNK)
+
+
+@st.composite
+def forms(draw, n):
+    """A form of the parity n asks for (symmetric for even n, skew for odd n)."""
+    size = draw(st.integers(1, 6))
+    skew = n % 2 == 1
+    m = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i + skew, size):
+            m[i][j] = draw(st.integers(-3, 3))
+            m[j][i] = -m[i][j] if skew else m[i][j]
+    return ";".join(",".join(str(v) for v in row) for row in m)
+
+
+@st.composite
+def junk_matrices(draw):
+    """Any shape (now and then ragged), any entries, some not integers."""
+    size = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(size):
+        width = draw(mostly(st.just(size), st.integers(1, 6)))
+        rows.append(",".join(draw(small_int(-4, 4)) for _ in range(width)))
+    return ";".join(rows)
+
+
+@st.composite
+def cw_parts(draw):
+    """(n, cup form) of a two-cell complex, mostly well formed."""
+    n = draw(st.integers(1, 5))
+    return str(n), draw(mostly(forms(n), junk_matrices()))
+
+
+@st.composite
+def good_factors(draw):
+    total = draw(st.integers(4, 9))
+    ps = draw(st.lists(st.integers(2, total - 2), min_size=1, max_size=3))
+    return ",".join(f"{p}x{total - p}" for p in ps)
+
+
+def factors():
+    pair = st.tuples(small_int(1, 6), small_int(1, 6)).map("x".join)
+    return mostly(good_factors(), st.lists(pair, min_size=1, max_size=3).map(",".join))
+
+
+def signs():
+    sign = mostly(st.sampled_from(["+", "-"]), st.sampled_from(["x", ""]))
+    return st.lists(sign, min_size=1, max_size=3).map(",".join)
+
+
+def space_texts():
+    return mostly(
+        st.one_of(
+            st.builds("manifold:{}:{}".format, small_int(2, 6), small_int(1, 6)),
+            st.builds("csum:{}".format, factors()),
+            st.builds("csum:{}:signs={}".format, factors(), signs()),
+            cw_parts().map(lambda nm: f"cw:{nm[0]}:{nm[1]}"),
+            st.builds("betti1:{}:{}".format, st.sampled_from(["2", "4", "8", "3"]), small_int(-5, 200)),
+        ),
+        st.sampled_from(["torus:1:1", "manifold:2", "manifold:1:2", "cw:2:", "csum:", "csum:2x3:bogus", ""]),
+    )
+
+
+def option(flag, values):
+    """`[flag, value]`, or now and then nothing (the flag left out)."""
+    return mostly(values.map(lambda v: [flag, v]), st.just([]))
+
+
+def argvs():
+    window = small_int(-2, 8)
+    cw = cw_parts().map(lambda nm: ["--n", nm[0], "--matrix", nm[1]])
+    commands = st.one_of(
+        st.tuples(
+            st.just(["manifold"]), option("--n", small_int(2, 6)), option("--betti", small_int(1, 6)),
+            mostly(st.just([]), option("--matrix", junk_matrices())), option("--max-dim", window),
+        ),
+        st.tuples(
+            st.just(["connected-sum"]), option("--factors", factors()),
+            st.one_of(st.just([]), option("--signs", signs())), option("--max-dim", window),
+        ),
+        st.tuples(st.just(["cw"]), mostly(cw, st.just(["--n", "2"])), option("--max-dim", window)),
+        st.tuples(
+            st.just(["betti-one"]), option("--n", mostly(st.sampled_from(["2", "4", "8"]), JUNK)),
+            option("--m", small_int(-5, 200)),
+        ),
+        st.tuples(
+            st.just(["verify"]), mostly(st.sampled_from([["cobar"], ["counts"]]), st.just(["homology"])),
+            option("--space", space_texts()), option("--max-degree", window),
+            st.sampled_from([[], ["--deep"]]),
+        ),
+        st.tuples(st.just(["moore"]), option("--space", space_texts())),
+        st.tuples(st.just(["hilbert"]), option("--space", space_texts()), option("--max-degree", window)),
+        st.tuples(
+            st.just(["lie-basis"]), option("--space", space_texts()), option("--max-degree", small_int(-2, 5)),
+        ),
+    )
+    stray = mostly(st.just([]), st.sampled_from([["--bogus"], ["extra"], ["--max-dim"], ["--format"]]))
+    formats = mostly(st.sampled_from([[], ["--format", "json"]]), st.just(["--format", "yaml"]))
+    return st.tuples(commands, stray, formats).map(lambda t: [a for part in t[0] for a in part] + t[1] + t[2])
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs())
+def test_random_command_lines_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
+        mp.setenv("LOOPTOP_MAX_CELLS", "20000")
+        code = run(argv, out=out, err=err)  # an exception here fails the test
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
