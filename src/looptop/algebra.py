@@ -39,9 +39,6 @@ class Alphabet:
     def word_degree(self, word):
         return sum(self.degrees[i] for i in word)
 
-    def word_name(self, word):
-        return "".join(self.names[i] for i in word)
-
 
 _SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
 
@@ -78,9 +75,6 @@ class TensorElement:
             return self.alphabet.word_degree(word)
         return None
 
-    def is_zero(self):
-        return not self.terms
-
     def __add__(self, other):
         if other.alphabet != self.alphabet:
             raise ValidationError("mixed alphabets")
@@ -115,28 +109,6 @@ class TensorElement:
             return None
         return min(self.terms)
 
-    def render(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for word in sorted(self.terms):
-            c = self.terms[word]
-            name = self.alphabet.word_name(word)
-            if c == 1:
-                parts.append(f"+ {name}")
-            elif c == -1:
-                parts.append(f"- {name}")
-            elif c > 0:
-                parts.append(f"+ {c}·{name}")
-            else:
-                parts.append(f"- {-c}·{name}")
-        text = " ".join(parts)
-        return text[2:] if text.startswith("+ ") else "-" + text[2:]
-
-
-def single_letter(alphabet, i):
-    return TensorElement(alphabet, {(i,): Fraction(1)})
-
 
 @dataclass(frozen=True)
 class IntersectionRelation:
@@ -168,24 +140,6 @@ class IntersectionRelation:
 
     def rank(self):
         return rank_rational([list(row) for row in self.matrix])
-
-    def tensor(self, alphabet):
-        terms = {}
-        for i, row in enumerate(self.matrix):
-            for j, g in enumerate(row):
-                if g != 0:
-                    terms[(i, j)] = g
-        return TensorElement(alphabet, terms)
-
-    def lie_tensor(self, alphabet):
-        """Upper-triangle bracket combination sum_{i<j} g_ij [x_i, x_j]."""
-        out = TensorElement(alphabet, {})
-        for i in range(self.size):
-            for j in range(i + 1, self.size):
-                g = self.matrix[i][j]
-                if g != 0:
-                    out = out + single_letter(alphabet, i).commutator(single_letter(alphabet, j)).scale(g)
-        return out
 
 
 @dataclass(frozen=True)

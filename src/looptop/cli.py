@@ -20,7 +20,6 @@ from .cobar import verify_loop_homology
 
 DEFAULT_MAX_DIM = 10
 DEFAULT_MAX_DEGREE = 8
-DEFAULT_DEGREE_CAP = 16
 
 
 def parse_matrix(text):
@@ -180,11 +179,6 @@ def _cmd_verify(args, out):
 
 def _verify_cobar(args, out):
     space = parse_space(args.space)
-    if args.max_degree > DEFAULT_DEGREE_CAP and not args.deep:
-        raise ValidationError(
-            f"chain complexes above degree {DEFAULT_DEGREE_CAP} grow exponentially; "
-            f"pass --deep to override"
-        )
     report = verify_loop_homology(space, args.max_degree)
     payload = {
         "space": spaces.space_to_json(space),
@@ -339,7 +333,6 @@ def build_parser():
     p.set_defaults(handler=_cmd_verify)
     p.add_argument("what", choices=("cobar", "counts"))
     _add_shared(p, "--space", "--max-degree", max_degree=DEFAULT_MAX_DEGREE)
-    p.add_argument("--deep", action="store_true", help="allow cobar cutoffs above 16")
     _add_shared(p, "--format")
 
     p = sub.add_parser("moore", help="Moore-conjecture verdict for a space")

@@ -179,24 +179,33 @@ def _diagonal_desuspended(coalgebra):
     return table
 
 
-def _window_sizes(degs, cutoff):
+def _window_sizes(degs, cutoff, max_cells):
     """sizes[w][d]: the number of words of weight w and degree d in the window.
 
-    The window is d <= cutoff + 1 and d + w <= cutoff + cutoff // min(degs);
-    entries outside it are 0.  Row 0 holds the empty word.  A
-    prefix or suffix of a word in the window is in the window, so each
-    entry counts every word of its weight and degree.
+    The window is d <= cutoff + 1 and d + w <= cutoff + cutoff // min(degs).
+    Row 0 holds the empty word; row w stops at the last degree a weight-w
+    word reaches, and an index past its end reads as 0.  A prefix or suffix
+    of a word in the window is in the window, so each entry counts every
+    word of its weight and degree.  The cap is checked row by row, so a
+    refusal costs the same at any cutoff.
     """
     top = cutoff + 1
     slice_cap = cutoff + cutoff // min(degs)
-    sizes = [[1] + [0] * top]
+    sizes, total = [[1]], 0
     while True:
         prev, w = sizes[-1], len(sizes)
-        row = [0] * (top + 1)
-        for d in range(min(top, slice_cap - w) + 1):
-            row[d] = sum(prev[d - g] for g in degs if g <= d)
+        row = [
+            sum(prev[d - g] for g in degs if 0 <= d - g < len(prev))
+            for d in range(min(top, slice_cap - w, w * max(degs)) + 1)
+        ]
         if not any(row):
             return sizes
+        total += sum(row)
+        if total > max_cells:
+            raise ValidationError(
+                f"chain complex needs {total} words or more, over the cap of {max_cells}; "
+                f"raise LOOPTOP_MAX_CELLS or lower the degree cutoff"
+            )
         sizes.append(row)
 
 
@@ -227,13 +236,7 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
     degs = _desusp(coalgebra)
     if any(d < 1 for d in degs):
         raise ValidationError("every generator must have degree >= 2 before desuspension")
-    sizes = _window_sizes(degs, cutoff)
-    cells = sum(map(sum, sizes[1:]))
-    if cells > max_cells:
-        raise ValidationError(
-            f"chain complex needs {cells} words, over the cap of {max_cells}; "
-            f"raise LOOPTOP_MAX_CELLS or lower the degree cutoff"
-        )
+    sizes = _window_sizes(degs, cutoff, max_cells)
 
     k = len(degs)
     diag = {}
@@ -243,14 +246,17 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
             merged[left, right] = merged.get((left, right), 0) + coeff
         diag[g] = [(lr, c) for lr, c in merged.items() if c]
 
-    def block_starts(row, d):
+    def count(w, d):
+        """The number of words of weight w and degree d, 0 past a row's end."""
+        return sizes[w][d] if 0 <= d < len(sizes[w]) else 0
+
+    def block_starts(w, d):
         """Start of each generator's block in a spot of degree d whose
-        suffix spots have the sizes in `row` (an empty block where d < |g|)."""
+        suffixes have weight w (an empty block where d < |g|)."""
         starts, at = [], 0
         for g in degs:
             starts.append(at)
-            if g <= d:
-                at += row[d - g]
+            at += count(w, d - g)
         return starts
 
     # the empty word, a suffix only, with its one empty column
@@ -262,11 +268,11 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
                 continue
             # the target spot has weight w+1 and degree d-1: blocks g . W(w, d-1-|g|),
             # and inside the block of l the sub-blocks r . W(w-1, d-1-|l|-|r|)
-            target = block_starts(sizes[w], d - 1)
+            target = block_starts(w, d - 1)
             spot_words, cols = [], PackedColumns()
             ptr, rows, vals = cols.ptr, cols.rows, cols.vals
             for g, gdeg in enumerate(degs):
-                if gdeg > d or not sizes[w - 1][d - gdeg]:
+                if not count(w - 1, d - gdeg):
                     continue
                 sub = (d - gdeg + w - 1, d - gdeg)
                 spot_words += [g * lead + u for u in spots[sub]]
@@ -274,7 +280,7 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
                 sub_ptr, sub_rows, sub_vals = du.ptr, du.rows, du.vals
                 shift, odd = target[g], gdeg % 2
                 terms = [
-                    (target[l] + block_starts(sizes[w - 1], d - 1 - degs[l])[r], c)
+                    (target[l] + block_starts(w - 1, d - 1 - degs[l])[r], c)
                     for (l, r), c in diag[g]
                 ]
                 if not terms:  # the whole block at once: rows shifted, values signed
@@ -523,10 +529,11 @@ def verify_loop_homology(space, cutoff, max_cells=None):
     family's torsion primes: none for unimodular inputs (manifolds,
     connected sums, Betti-1 models), the bad primes of the form for
     two-cell complexes.  Discrepancies populate the report; nothing raises.
+    The ranks are expanded after the build, so the cell cap refuses first.
     """
-    expected = space.denominator(cutoff).inverse().coefficients
     allowed_torsion = space.torsion_primes()
     cx = build_cobar(space.coalgebra(), cutoff, max_cells=max_cells)
+    expected = space.denominator(cutoff).inverse().coefficients
 
     rows = []
     ok = True

@@ -131,9 +131,6 @@ class DimensionTable:
             raise WindowError(f"degree {d} outside table window 1..{self.max_degree}")
         return self.dims.get(d, 0)
 
-    def as_list(self):
-        return [self[d] for d in range(1, self.max_degree + 1)]
-
 
 def _require_nonneg_int(value, what):
     if value.denominator != 1:

@@ -579,15 +579,6 @@ class DecompositionReport:
     moore: MooreReport
 
 
-def smoothable(n, m):
-    """Whether the Betti-1 manifold V_{m,1} admits a smooth structure."""
-    if n == 4:
-        return m * (m + 1) % 4 == 0
-    if n == 8:
-        return m * (m + 1) % 8 == 0
-    raise ValidationError("smoothability criterion applies to n in {4, 8}")
-
-
 def pi10_v8(m):
     """pi_10 of the 8-dimensional Betti-1 manifold V_{m,1}, as invariant factors.
 

@@ -6,7 +6,9 @@ irreducible-word enumeration, matrix evaluation of tensor elements, the
 Betti number of a finite cover, the closed-form rational ranks, the
 tuple-word build of the cobar complex, sparse rank over Q, and the
 `Fraction` series logarithm and exponential with the log + Moebius Lie
-ranks.  The engine never calls them; the tests use them to check its
+ranks, and the small helpers only tests read: tensor elements as text, the
+relation as a tensor, a dimension table as a list, the smoothability
+table of the Betti-one manifolds.  The engine never calls them; the tests use them to check its
 answers by an independent route.
 
 The rewrite rule eliminates the single forbidden factor x0 x1.  For skew
@@ -53,7 +55,7 @@ class RewriteSystem:
             if _find_factor(word, forbidden) is not None:
                 raise IntegrityError("replacement reintroduces the forbidden factor directly")
         expected = alphabet.degrees[forbidden[0]] + alphabet.degrees[forbidden[1]]
-        if not replacement.is_zero() and replacement.degree != expected:
+        if not is_zero(replacement) and replacement.degree != expected:
             raise ValidationError("replacement degree does not match the forbidden factor")
         self.alphabet = alphabet
         self.forbidden = tuple(forbidden)
@@ -448,3 +450,66 @@ def log_moebius_ranks(denominator, N):
         if val:
             dims[m] = val
     return DimensionTable(dims, N)
+
+
+def is_zero(element):
+    return not element.terms
+
+
+def render(element):
+    """A tensor element as text: signed terms in word order, e.g. "α₁α₂ - 2·α₂α₁"."""
+    if not element.terms:
+        return "0"
+    parts = []
+    for word in sorted(element.terms):
+        c = element.terms[word]
+        name = "".join(element.alphabet.names[i] for i in word)
+        if c == 1:
+            parts.append(f"+ {name}")
+        elif c == -1:
+            parts.append(f"- {name}")
+        elif c > 0:
+            parts.append(f"+ {c}·{name}")
+        else:
+            parts.append(f"- {-c}·{name}")
+    text = " ".join(parts)
+    return text[2:] if text.startswith("+ ") else "-" + text[2:]
+
+
+def single_letter(alphabet, i):
+    return TensorElement(alphabet, {(i,): Fraction(1)})
+
+
+def relation_tensor(rel, alphabet):
+    """The relation sum g_ij x_i x_j of an `IntersectionRelation` as a tensor element."""
+    terms = {}
+    for i, row in enumerate(rel.matrix):
+        for j, g in enumerate(row):
+            if g != 0:
+                terms[(i, j)] = g
+    return TensorElement(alphabet, terms)
+
+
+def lie_tensor(rel, alphabet):
+    """Upper-triangle bracket combination sum_{i<j} g_ij [x_i, x_j]."""
+    out = TensorElement(alphabet, {})
+    for i in range(rel.size):
+        for j in range(i + 1, rel.size):
+            g = rel.matrix[i][j]
+            if g != 0:
+                out = out + single_letter(alphabet, i).commutator(single_letter(alphabet, j)).scale(g)
+    return out
+
+
+def as_list(table):
+    """A `DimensionTable` as the list of its dimensions in degrees 1..max_degree."""
+    return [table[d] for d in range(1, table.max_degree + 1)]
+
+
+def smoothable(n, m):
+    """Whether the Betti-1 manifold V_{m,1} admits a smooth structure."""
+    if n == 4:
+        return m * (m + 1) % 4 == 0
+    if n == 8:
+        return m * (m + 1) % 8 == 0
+    raise ValidationError("smoothability criterion applies to n in {4, 8}")

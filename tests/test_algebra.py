@@ -13,11 +13,11 @@ from looptop.algebra import (
     default_manifold_matrix,
     normalize_relation,
     relation_from_space,
-    single_letter,
 )
 from looptop.errors import IntegrityError, UnsupportedSpaceError, ValidationError
 from looptop.rewriting import irreducible_counts
 from looptop.spaces import ConnectedSum, Manifold, TwoCellComplex
+from oracles import is_zero, lie_tensor, relation_tensor, render, single_letter
 
 
 def skew(rows):
@@ -43,12 +43,12 @@ class TestTensorElement:
     def test_zero_coefficients_dropped(self):
         ab = Alphabet.uniform(2, 1)
         x = single_letter(ab, 0)
-        assert (x - x).is_zero()
+        assert is_zero(x - x)
 
     def test_render(self):
         ab = Alphabet.uniform(2, 1)
         e = TensorElement(ab, {(0, 1): 1, (1, 0): -2})
-        assert "α₁α₂" in e.render() and "2·α₂α₁" in e.render()
+        assert "α₁α₂" in render(e) and "2·α₂α₁" in render(e)
 
 
 class TestIntersectionRelation:
@@ -115,7 +115,7 @@ class TestNormalizeRelation:
         nr = normalize_relation(ab, skew([[0, 1], [-1, 0]]))
         assert nr.basis_change == ((1, 0), (0, 1))
         assert nr.f_alg.terms == {(1, 0): Fraction(1)}
-        assert nr.lie_tail.is_zero()
+        assert is_zero(nr.lie_tail)
 
     def test_diagonal_form(self):
         ab = Alphabet.uniform(2, 1)
@@ -127,7 +127,7 @@ class TestNormalizeRelation:
             (0, 0): Fraction(-1),
             (1, 1): Fraction(-2),
         }
-        assert nr.lie_tail.is_zero()
+        assert is_zero(nr.lie_tail)
 
     def test_connected_sum_tail(self):
         ab, rel = relation_from_space(ConnectedSum(((2, 3), (2, 3)), (1, 1)))
@@ -167,7 +167,7 @@ class TestNormalizeRelation:
         ab = Alphabet.uniform(3, 1)
         nr = normalize_relation(ab, rel)
         new_rel = IntersectionRelation(nr.matrix, nr.symmetry)
-        bracket_form = new_rel.lie_tensor(nr.alphabet)
+        bracket_form = lie_tensor(new_rel, nr.alphabet)
         x0, x1 = single_letter(nr.alphabet, 0), single_letter(nr.alphabet, 1)
         assert (x0.commutator(x1) - nr.lie_tail).terms == bracket_form.terms
 
@@ -196,7 +196,7 @@ class TestNormalizeRelation:
                 for j in range(n):
                     if nr.matrix[i][j] != 0:
                         expanded = expanded + (letters[i] * letters[j]).scale(nr.matrix[i][j])
-            assert expanded.terms == rel.tensor(ab).terms
+            assert expanded.terms == relation_tensor(rel, ab).terms
 
     def test_zero_diagonal_tricky_symmetric(self):
         # all 2x2 principal minors singular yet rank 3
@@ -293,7 +293,7 @@ class TestNormalizePostconditionsRandomized:
             for j in range(size):
                 if G[i][j] != 0:
                     expanded = expanded + (letters[i] * letters[j]).scale(G[i][j])
-        assert expanded.terms == rel.tensor(ab).terms
+        assert expanded.terms == relation_tensor(rel, ab).terms
 
 
 class TestCountInvariance:

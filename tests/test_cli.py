@@ -61,13 +61,13 @@ class TestExitCodes:
         code, _, err = invoke(["cw", "--n", "2", "--matrix", "0,x;1,0"])
         assert code == 2 and "integer" in err
 
-    def test_degree_cap_needs_override(self):
-        code, _, err = invoke(["verify", "cobar", "--space", "betti1:8:0", "--max-degree", "25"])
-        assert code == 2 and "--deep" in err
-        code, out, _ = invoke(
+    def test_cell_cap_is_the_only_size_rule(self, capsys):
+        code, out, _ = invoke(["verify", "cobar", "--space", "betti1:8:0", "--max-degree", "25"])
+        assert code == 0 and "FAIL" not in out
+        code, _, _ = invoke(
             ["verify", "cobar", "--space", "betti1:8:0", "--max-degree", "25", "--deep"]
         )
-        assert code == 0 and "FAIL" not in out
+        assert code == 2 and "unrecognized arguments: --deep" in capsys.readouterr().err
 
     def test_cell_cap_env_guard(self, monkeypatch):
         monkeypatch.setenv("LOOPTOP_MAX_CELLS", "50")

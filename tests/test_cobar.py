@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 from array import array
 
@@ -157,6 +158,14 @@ def test_smith_certificate_can_fail(monkeypatch, fault):
     assert "integrity error" in err.getvalue()
 
 
+def _words_through(degs, top):
+    """The number of words over letters of degrees `degs` with degree <= top."""
+    counts = [1]
+    for d in range(1, top + 1):
+        counts.append(sum(counts[d - g] for g in degs if g <= d))
+    return sum(counts)
+
+
 class TestBuildCobar:
     def test_m22_low_degrees(self):
         cx = build_cobar(Manifold(2, 2).coalgebra(), 5)
@@ -193,6 +202,48 @@ class TestBuildCobar:
             build_cobar(coalgebra, 10, max_cells=178_979)
         cx = build_cobar(coalgebra, 10, max_cells=178_980)
         assert sum(len(words) for words in cx.spots.values()) == 178_980
+
+    @settings(max_examples=60, deadline=None)
+    @given(degs=st.lists(st.integers(1, 4), min_size=1, max_size=4), data=st.data())
+    def test_counted_spots_and_cap_match_the_reference(self, degs, data):
+        # primitive generators, so the window is all there is to count; the
+        # cutoff stays where the tuple-word reference builds at most 3000 words
+        fits = [c for c in range(2, 11) if _words_through(degs, c + 1) <= 3000]
+        cutoff = data.draw(st.integers(1, max(fits, default=1)))
+        coalgebra = FiniteCoalgebra(tuple((f"g{i}", d + 1) for i, d in enumerate(degs)), {})
+        spots, _ = reference_cobar(coalgebra, cutoff)
+        total = sum(map(len, spots.values()))
+        cx = build_cobar(coalgebra, cutoff, max_cells=total)
+        assert {key: len(words) for key, words in cx.spots.items()} == {
+            key: len(words) for key, words in spots.items()
+        }
+        if total:
+            cap = data.draw(st.integers(0, total - 1))
+            with pytest.raises(ValidationError, match="LOOPTOP_MAX_CELLS") as refusal:
+                build_cobar(coalgebra, cutoff, max_cells=cap)
+            named = int(re.search(r"needs (\d+) words or more", str(refusal.value)).group(1))
+            assert cap < named <= total
+
+    def test_refusal_cost_does_not_grow_with_the_cutoff(self, monkeypatch):
+        # the count runs weight by weight and stops at the cap; a table of
+        # every (weight, degree) through D = 2000 holds millions of counts of
+        # up to 985 digits
+        space = Manifold(2, 3)
+        for refuse in (build_cobar, verify_loop_homology):
+            arg = space.coalgebra() if refuse is build_cobar else space
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValidationError, match="LOOPTOP_MAX_CELLS"):
+                    refuse(arg, 2000, max_cells=200_000)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 5_000_000, (refuse.__name__, peak)
+        monkeypatch.delenv("LOOPTOP_MAX_CELLS", raising=False)
+        err = io.StringIO()
+        argv = ["verify", "cobar", "--space", "manifold:2:3", "--max-degree", "1000000"]
+        assert run(argv, out=io.StringIO(), err=err) == 2
+        assert "LOOPTOP_MAX_CELLS" in err.getvalue()
 
     @pytest.mark.parametrize(
         "text, cutoff",

@@ -22,6 +22,7 @@ from looptop.series import (
     sphere_summand_counts,
 )
 from oracles import (
+    as_list,
     closed_form_rational_rank,
     log_moebius_ranks,
     rational_ranks_closed_form,
@@ -135,13 +136,13 @@ class TestLogLambda:
 
 class TestMoebiusInversion:
     def test_three_letter_counts(self):
-        assert lie_ranks_from_denominator(series([1, -3, 1], 3), 3).as_list() == [3, 2, 5]
+        assert as_list(lie_ranks_from_denominator(series([1, -3, 1], 3), 3)) == [3, 2, 5]
 
     def test_abelian_pair(self):
-        assert lie_ranks_from_denominator(series([1, -2, 1], 10), 10).as_list() == [2] + [0] * 9
+        assert as_list(lie_ranks_from_denominator(series([1, -2, 1], 10), 10)) == [2] + [0] * 9
 
     def test_single_generator(self):
-        assert lie_ranks_from_denominator(series([1, -1], 10), 10).as_list() == [1] + [0] * 9
+        assert as_list(lie_ranks_from_denominator(series([1, -1], 10), 10)) == [1] + [0] * 9
 
     def test_invalid_series_is_integrity_error(self):
         with pytest.raises(IntegrityError):
@@ -196,12 +197,12 @@ class TestPBWUngraded:
 
     def test_polynomial_ring_on_two_generators(self):
         H = series([1, -1], 6).inverse() * series([1, -1], 6).inverse()
-        assert pbw_match_ungraded(H, 6).as_list() == [2, 0, 0, 0, 0, 0]
+        assert as_list(pbw_match_ungraded(H, 6)) == [2, 0, 0, 0, 0, 0]
 
     def test_connected_sum_baseline(self):
         H = connected_sum_denominator([(2, 3), (2, 3)], 6).inverse()
         assert [H[i] for i in range(4)] == [1, 2, 6, 15]
-        assert pbw_match_ungraded(H, 3).as_list() == [2, 3, 5]
+        assert as_list(pbw_match_ungraded(H, 3)) == [2, 3, 5]
 
     def test_non_pbw_series_rejected(self):
         with pytest.raises(IntegrityError):

@@ -20,9 +20,8 @@ from looptop.spaces import (
     moore_report,
     pi10_v8,
     report_to_json,
-    smoothable,
 )
-from oracles import finite_pi1_betti
+from oracles import finite_pi1_betti, smoothable
 
 
 class TestModelValidation:
