@@ -28,30 +28,8 @@ def mat_mul(A, B):
     return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
 
 
-def mat_transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
 def mat_identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_inverse(A):
-    """Inverse of a square matrix over the rationals; raises if singular."""
-    n = len(A)
-    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise IntegrityError("matrix is singular")
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
-    return [row[n:] for row in M]
 
 
 def rank_rational(rows):

@@ -3,15 +3,19 @@
 Words are plain tuples of letter indices; lexicographic comparison is
 tuple comparison, which matches the alphabet order by construction.  A
 TensorElement is a sparse homogeneous rational combination of words.  The
-quadratic relation of a space arrives as an (anti)symmetric intersection
-matrix and leaves as a NormalizedRelation: a rewrite rule x0 x1 -> f_alg
-together with the Lie tail of the eliminated bracket.
+quadratic relation of a space arrives as an integral (anti)symmetric
+intersection matrix and leaves as a NormalizedRelation: its letters
+reordered so that two letters spanning a nonsingular plane of the form come
+first and the rest keep their order.  Splitting that plane off over the rationals would turn the relation
+into a rewrite rule x0 x1 -> (words without x0 x1); every count reads only
+the forbidden factor x0 x1, so the letter order is found by an integer
+search and the congruence itself is never formed.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import mat_inverse, mat_mul, mat_transpose, rank_rational
+from ._linalg import rank_rational
 from .errors import IntegrityError, UnsupportedSpaceError, ValidationError
 
 
@@ -114,11 +118,13 @@ class TensorElement:
 class IntersectionRelation:
     """The quadratic relation sum g_ij x_i x_j with its symmetry type."""
 
-    matrix: tuple  # rows of Fractions
+    matrix: tuple  # rows of ints
     symmetry: str  # "symmetric" | "skew"
 
     def __post_init__(self):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
+        if any(x != int(x) for row in self.matrix for x in row):
+            raise ValidationError("relation matrix must be integral")
+        rows = tuple(tuple(int(x) for x in row) for row in self.matrix)
         object.__setattr__(self, "matrix", rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
@@ -144,25 +150,18 @@ class IntersectionRelation:
 
 @dataclass(frozen=True)
 class NormalizedRelation:
-    """Plane-split normal form of an intersection relation.
+    """The letters of a relation in normal order: the plane letters, then the rest.
 
-    basis_change holds the congruence B with B g B^T = matrix, so entry
-    (0,1) of the transformed pairing is 1 and rows/columns 0,1 vanish
-    against letters >= 2.  The relation element then has coefficient
-    matrix `matrix` when written in the letters that correspond to the
-    rows of letter_map = B^(-T) (coefficients of a tensor transform
-    contravariantly to the pairing), and reads x0 x1 = f_alg; the
-    eliminated bracket satisfies [x0, x1] = lie_tail with lie_tail
-    supported on letters >= 2.
+    The plane letters (i0, j0) span a nonsingular plane of the form g: for a
+    skew form the first g_ij != 0; for a symmetric form the first coordinate
+    plane with g_ii g_jj != g_ij^2, or else the first i with g_ii != 0 and
+    the first j1 != i that has some j2 outside {i, j1} with
+    g_ii g_j1j2 != g_ij1 g_ij2.  The other letters keep their order.  With
+    the plane split off, the relation reads x0 x1 = (words without x0 x1),
+    so x0 x1 is the one forbidden factor of the irreducible words.
     """
 
     alphabet: Alphabet
-    basis_change: tuple  # rows: the plane-split basis in old coordinates
-    letter_map: tuple  # rows: new letters as combinations of old letters
-    matrix: tuple  # transformed pairing = relation coefficient matrix
-    symmetry: str
-    f_alg: TensorElement
-    lie_tail: TensorElement
 
     @property
     def forbidden_pair(self):
@@ -219,127 +218,46 @@ def relation_from_space(space):
     return space.relation()
 
 
-def _pair(matrix, u, v):
-    n = len(matrix)
-    return sum(u[i] * matrix[i][j] * v[j] for i in range(n) for j in range(n))
-
-
-def _find_plane(rel):
-    """Indices / vectors spanning a nonsingular plane, plus dropped basis slots."""
-    g = [list(row) for row in rel.matrix]
+def _plane_letters(g, symmetry):
+    """The first letters (i0, j0) spanning a nonsingular plane of g, or None."""
     n = len(g)
-    e = lambda i: [Fraction(1) if k == i else Fraction(0) for k in range(n)]
-    if rel.symmetry == "skew":
-        for i in range(n):
-            for j in range(i + 1, n):
-                if g[i][j] != 0:
-                    v0 = [x / g[i][j] for x in e(i)]
-                    return v0, e(j), (i, j)
-        raise UnsupportedSpaceError("skew relation is zero; rank < 2")
-    # symmetric: first try coordinate planes
-    for i in range(n):
-        for j in range(i + 1, n):
-            if g[i][i] * g[j][j] - g[i][j] * g[i][j] != 0:
-                return e(i), e(j), (i, j)
-    # all coordinate planes singular; pick a diagonal entry and project
-    for i in range(n):
-        if g[i][i] != 0:
-            v0 = e(i)
-            projected = []
-            for j in range(n):
-                if j == i:
-                    continue
-                w = [a - Fraction(g[i][j], g[i][i]) * b for a, b in zip(e(j), v0)]
-                projected.append((j, w))
-            for j, w in projected:
-                if _pair(g, w, w) != 0:
-                    return v0, w, (i, j)
-            for a in range(len(projected)):
-                for b in range(a + 1, len(projected)):
-                    j, w1 = projected[a]
-                    _, w2 = projected[b]
-                    w = [x + y for x, y in zip(w1, w2)]
-                    if _pair(g, w, w) != 0:
-                        return v0, w, (i, j)
-            raise UnsupportedSpaceError("form has rank < 2")
-    raise UnsupportedSpaceError("symmetric form with zero diagonal and singular planes has rank < 2")
+    coordinate = ((i, j) for i in range(n) for j in range(i + 1, n))
+    if symmetry == "skew":
+        return next(((i, j) for i, j in coordinate if g[i][j]), None)
+    plane = next(((i, j) for i, j in coordinate if g[i][i] * g[j][j] != g[i][j] ** 2), None)
+    if plane is not None:
+        return plane
+    # every coordinate plane is singular, so the projection of each other
+    # letter j off an anisotropic letter i pairs to zero with itself, and i
+    # spans a plane with j1 exactly when the projections of j1 and some j2
+    # pair to g_j1j2 - g_ij1 g_ij2 / g_ii != 0
+    i = next((i for i in range(n) if g[i][i]), None)
+    if i is None:
+        return None
+    others = [j for j in range(n) if j != i]
+    for j1 in others:
+        if any(g[i][i] * g[j1][j2] != g[i][j1] * g[i][j2] for j2 in others if j2 != j1):
+            return i, j1
+    return None
 
 
 def normalize_relation(alphabet, rel):
-    """Nonsingular-plane-split normal form over the rationals.
+    """The NormalizedRelation of `rel`, by an integer search for its plane.
 
-    Finds a plane with pairing(v0, v1) = 1, orthogonalizes the remaining
-    basis vectors against it, and reorders letters so the plane occupies
-    positions 0 and 1.  The resulting rewrite sends x0 x1 to f_alg (which
-    contains no x0 x1 term) and the eliminated bracket to a tail supported
-    on letters >= 2.
+    A plane exists exactly when the form has rank >= 2, so a form of lower
+    rank is refused.  A relation whose nonzero g_ij do not all have the same
+    degree deg_i + deg_j is not homogeneous, which no space model produces.
     """
     if rel.size != alphabet.size:
         raise ValidationError("alphabet and relation size differ")
-    if rel.size < 2 or rel.rank() < 2:
+    plane = _plane_letters(rel.matrix, rel.symmetry)
+    if plane is None:
         raise UnsupportedSpaceError("normalization needs rank >= 2")
-    g = [list(row) for row in rel.matrix]
-    n = rel.size
-    v0, v1, (i0, j0) = _find_plane(rel)
-    beta = _pair(g, v0, v1)
-    if beta == 0:
-        v1 = [a + b for a, b in zip(v0, v1)]
-        beta = _pair(g, v0, v1)
-    v1 = [x / beta for x in v1]
-    plane = [[_pair(g, v0, v0), _pair(g, v0, v1)], [_pair(g, v1, v0), _pair(g, v1, v1)]]
-    rest = []
-    kept = [k for k in range(n) if k not in (i0, j0)]
-    e = lambda i: [Fraction(1) if k == i else Fraction(0) for k in range(n)]
-    plane_inv = mat_inverse(plane)
-    for k in kept:
-        w = e(k)
-        rhs = [_pair(g, v0, w), _pair(g, v1, w)]
-        a = plane_inv[0][0] * rhs[0] + plane_inv[0][1] * rhs[1]
-        b = plane_inv[1][0] * rhs[0] + plane_inv[1][1] * rhs[1]
-        w = [x - a * p - b * q for x, p, q in zip(w, v0, v1)]
-        rest.append((k, w))
-
-    basis = [v0, v1] + [w for _, w in rest]
-    home = [i0, j0] + [k for k, _ in rest]
-    new_degrees = tuple(alphabet.degrees[h] for h in home)
-    new_names = tuple(alphabet.names[h] for h in home)
-    B = basis
-    letter_map = mat_transpose(mat_inverse(B))
-    for row, vec in enumerate(letter_map):
-        for col, val in enumerate(vec):
-            if val != 0 and alphabet.degrees[col] != new_degrees[row]:
-                raise IntegrityError("basis change would mix letters of different degrees")
-    new_alphabet = Alphabet(new_degrees, new_names)
-
-    Bt = mat_transpose(B)
-    G = mat_mul(mat_mul(B, g), Bt)
-    if G[0][1] != 1:
-        raise IntegrityError("plane normalization failed to make pairing(v0, v1) = 1")
-    for k in range(2, n):
-        if G[0][k] != 0 or G[1][k] != 0 or G[k][0] != 0 or G[k][1] != 0:
-            raise IntegrityError("plane split left a residual pairing with letters >= 2")
-
-    # relation sum G_ij x_i x_j = 0 solved for the (0,1) slot
-    f_terms = {}
-    for i in range(n):
-        for j in range(n):
-            if (i, j) == (0, 1) or G[i][j] == 0:
-                continue
-            f_terms[(i, j)] = -G[i][j]
-    f_alg = TensorElement(new_alphabet, f_terms)
-    tail_terms = {}
-    for i in range(2, n):
-        for j in range(i + 1, n):
-            if G[i][j] != 0:
-                tail_terms[(i, j)] = tail_terms.get((i, j), Fraction(0)) - G[i][j]
-                tail_terms[(j, i)] = tail_terms.get((j, i), Fraction(0)) + G[i][j]
-    lie_tail = TensorElement(new_alphabet, tail_terms)
+    degrees = alphabet.degrees
+    weights = {degrees[i] + degrees[j] for i, row in enumerate(rel.matrix) for j, v in enumerate(row) if v}
+    if len(weights) > 1:
+        raise IntegrityError(f"relation mixes the degrees {sorted(weights)}: it is not homogeneous")
+    order = [*plane, *(k for k in range(rel.size) if k not in plane)]
     return NormalizedRelation(
-        alphabet=new_alphabet,
-        basis_change=tuple(tuple(row) for row in B),
-        letter_map=tuple(tuple(row) for row in letter_map),
-        matrix=tuple(tuple(row) for row in G),
-        symmetry=rel.symmetry,
-        f_alg=f_alg,
-        lie_tail=lie_tail,
+        Alphabet(tuple(degrees[k] for k in order), tuple(alphabet.names[k] for k in order))
     )

@@ -11,6 +11,7 @@ aligned table of plain UTF-8 columns, header row first, then lines of
 
 import argparse
 import json
+import os
 import sys
 
 from . import spaces
@@ -97,16 +98,27 @@ def canonical_json(payload):
 
 def _emit(args, out, payload, table=(), lines=()):
     """The one writer: `payload` as canonical JSON, or else `table` (header
-    row first) as aligned columns and then the (label, text) `lines`."""
-    if args.format == "json":
-        print(canonical_json(payload), file=out)
-        return
-    if table:
-        widths = [max(len(str(row[i])) for row in table) for i in range(len(table[0]))]
-        for row in table:
-            print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)).rstrip(), file=out)
-    for label, text in lines:
-        print(f"{label:<18}{text}", file=out)
+    row first) as aligned columns and then the (label, text) `lines`.
+
+    A reader that closes the stream early ends the output quietly: the rest
+    goes to the null device and the command keeps the exit code it has for
+    a reader that reads everything."""
+    try:
+        if args.format == "json":
+            print(canonical_json(payload), file=out)
+        else:
+            if table:
+                widths = [max(len(str(row[i])) for row in table) for i in range(len(table[0]))]
+                for row in table:
+                    print("  ".join(str(cell).ljust(w) for cell, w in zip(row, widths)).rstrip(), file=out)
+            for label, text in lines:
+                print(f"{label:<18}{text}", file=out)
+        out.flush()
+    except BrokenPipeError:
+        # the buffered rest would fail again at exit; send it nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, out.fileno())
+        os.close(devnull)
 
 
 def _flag(ok):

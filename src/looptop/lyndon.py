@@ -236,9 +236,6 @@ def lie_basis(nr, max_degree, series_counts=None):
             f"roughly {walk:.1e} words; lower --max-degree, or use verify counts "
             f"for the per-degree counts"
         )
-    for word in nr.lie_tail.terms:
-        if any(letter in (0, 1) for letter in word):
-            raise ValidationError("lie_tail touches the eliminated plane letters")
     table = standard_lyndon_words(nr.alphabet, nr.forbidden_pair, max_degree)
     if series_counts is None:
         H = hilbert_from_enumeration(nr.alphabet, nr.forbidden_pair, max_degree)

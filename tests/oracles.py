@@ -3,7 +3,9 @@
 The rewriting reducer (normal forms modulo one quadratic relation, with
 strongly connected clusters of reducible words solved exactly), explicit
 irreducible-word enumeration, matrix evaluation of tensor elements, the
-Betti number of a finite cover, the closed-form rational ranks, the
+rational plane split of an intersection relation (the congruence whose
+plane fixes the engine's letter order, with its rewrite rule and Lie
+tail), the Betti number of a finite cover, the closed-form rational ranks, the
 tuple-word build of the cobar complex, sparse rank over Q, and the
 `Fraction` series logarithm and exponential with the log + Moebius Lie
 ranks, and the small helpers only tests read: tensor elements as text, the
@@ -23,12 +25,13 @@ words explored guards against pathological inputs.
 """
 
 import weakref
+from dataclasses import dataclass
 from fractions import Fraction
 
 from looptop._linalg import mat_mul
-from looptop.algebra import TensorElement
+from looptop.algebra import Alphabet, TensorElement
 from looptop.cobar import _desusp, _diagonal_desuspended
-from looptop.errors import IntegrityError, ValidationError
+from looptop.errors import IntegrityError, UnsupportedSpaceError, ValidationError
 from looptop.series import (
     DimensionTable,
     _require_nonneg_int,
@@ -62,8 +65,9 @@ class RewriteSystem:
         self.replacement = replacement
 
     @classmethod
-    def from_normalized(cls, nr):
-        return cls(nr.alphabet, nr.f_alg, nr.forbidden_pair)
+    def from_normalized(cls, split):
+        """The rule x0 x1 -> f_alg of a `RationalPlaneSplit`."""
+        return cls(split.alphabet, split.f_alg, split.forbidden_pair)
 
 
 def _find_factor(word, forbidden):
@@ -450,6 +454,182 @@ def log_moebius_ranks(denominator, N):
         if val:
             dims[m] = val
     return DimensionTable(dims, N)
+
+
+def mat_transpose(A):
+    return [list(col) for col in zip(*A)]
+
+
+def mat_inverse(A):
+    """Inverse of a square matrix over the rationals; raises if singular."""
+    n = len(A)
+    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
+            raise IntegrityError("matrix is singular")
+        M[col], M[piv] = M[piv], M[col]
+        inv = 1 / M[col][col]
+        M[col] = [x * inv for x in M[col]]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col]
+                M[r] = [a - f * b for a, b in zip(M[r], M[col])]
+    return [row[n:] for row in M]
+
+
+@dataclass(frozen=True)
+class RationalPlaneSplit:
+    """Plane-split normal form of an intersection relation, over the rationals.
+
+    basis_change holds the congruence B with B g B^T = matrix, so entry
+    (0,1) of the transformed pairing is 1 and rows/columns 0,1 vanish
+    against letters >= 2.  The relation element then has coefficient
+    matrix `matrix` when written in the letters that correspond to the
+    rows of letter_map = B^(-T) (coefficients of a tensor transform
+    contravariantly to the pairing), and reads x0 x1 = f_alg; the
+    eliminated bracket satisfies [x0, x1] = lie_tail with lie_tail
+    supported on letters >= 2.  Its alphabet is the letter order that the
+    engine's integer search, `normalize_relation`, must return.
+    """
+
+    alphabet: Alphabet
+    basis_change: tuple  # rows: the plane-split basis in old coordinates
+    letter_map: tuple  # rows: new letters as combinations of old letters
+    matrix: tuple  # transformed pairing = relation coefficient matrix
+    symmetry: str
+    f_alg: TensorElement
+    lie_tail: TensorElement
+
+    @property
+    def forbidden_pair(self):
+        return (0, 1)
+
+
+def _pair(matrix, u, v):
+    n = len(matrix)
+    return sum(u[i] * matrix[i][j] * v[j] for i in range(n) for j in range(n))
+
+
+def _find_plane(rel):
+    """Indices / vectors spanning a nonsingular plane, plus dropped basis slots."""
+    g = [list(row) for row in rel.matrix]
+    n = len(g)
+    e = lambda i: [Fraction(1) if k == i else Fraction(0) for k in range(n)]
+    if rel.symmetry == "skew":
+        for i in range(n):
+            for j in range(i + 1, n):
+                if g[i][j] != 0:
+                    v0 = [x / g[i][j] for x in e(i)]
+                    return v0, e(j), (i, j)
+        raise UnsupportedSpaceError("skew relation is zero; rank < 2")
+    # symmetric: first try coordinate planes
+    for i in range(n):
+        for j in range(i + 1, n):
+            if g[i][i] * g[j][j] - g[i][j] * g[i][j] != 0:
+                return e(i), e(j), (i, j)
+    # all coordinate planes singular; pick a diagonal entry and project
+    for i in range(n):
+        if g[i][i] != 0:
+            v0 = e(i)
+            projected = []
+            for j in range(n):
+                if j == i:
+                    continue
+                w = [a - Fraction(g[i][j], g[i][i]) * b for a, b in zip(e(j), v0)]
+                projected.append((j, w))
+            for j, w in projected:
+                if _pair(g, w, w) != 0:
+                    return v0, w, (i, j)
+            for a in range(len(projected)):
+                for b in range(a + 1, len(projected)):
+                    j, w1 = projected[a]
+                    _, w2 = projected[b]
+                    w = [x + y for x, y in zip(w1, w2)]
+                    if _pair(g, w, w) != 0:
+                        return v0, w, (i, j)
+            raise UnsupportedSpaceError("form has rank < 2")
+    raise UnsupportedSpaceError("symmetric form with zero diagonal and singular planes has rank < 2")
+
+
+def rational_plane_split(alphabet, rel):
+    """Nonsingular-plane-split normal form over the rationals.
+
+    Finds a plane with pairing(v0, v1) = 1, orthogonalizes the remaining
+    basis vectors against it, and reorders letters so the plane occupies
+    positions 0 and 1.  The resulting rewrite sends x0 x1 to f_alg (which
+    contains no x0 x1 term) and the eliminated bracket to a tail supported
+    on letters >= 2.
+    """
+    if rel.size != alphabet.size:
+        raise ValidationError("alphabet and relation size differ")
+    if rel.size < 2 or rel.rank() < 2:
+        raise UnsupportedSpaceError("normalization needs rank >= 2")
+    g = [list(row) for row in rel.matrix]
+    n = rel.size
+    v0, v1, (i0, j0) = _find_plane(rel)
+    beta = _pair(g, v0, v1)
+    if beta == 0:
+        v1 = [a + b for a, b in zip(v0, v1)]
+        beta = _pair(g, v0, v1)
+    v1 = [x / beta for x in v1]
+    plane = [[_pair(g, v0, v0), _pair(g, v0, v1)], [_pair(g, v1, v0), _pair(g, v1, v1)]]
+    rest = []
+    kept = [k for k in range(n) if k not in (i0, j0)]
+    e = lambda i: [Fraction(1) if k == i else Fraction(0) for k in range(n)]
+    plane_inv = mat_inverse(plane)
+    for k in kept:
+        w = e(k)
+        rhs = [_pair(g, v0, w), _pair(g, v1, w)]
+        a = plane_inv[0][0] * rhs[0] + plane_inv[0][1] * rhs[1]
+        b = plane_inv[1][0] * rhs[0] + plane_inv[1][1] * rhs[1]
+        w = [x - a * p - b * q for x, p, q in zip(w, v0, v1)]
+        rest.append((k, w))
+
+    basis = [v0, v1] + [w for _, w in rest]
+    home = [i0, j0] + [k for k, _ in rest]
+    new_degrees = tuple(alphabet.degrees[h] for h in home)
+    new_names = tuple(alphabet.names[h] for h in home)
+    B = basis
+    letter_map = mat_transpose(mat_inverse(B))
+    for row, vec in enumerate(letter_map):
+        for col, val in enumerate(vec):
+            if val != 0 and alphabet.degrees[col] != new_degrees[row]:
+                raise IntegrityError("basis change would mix letters of different degrees")
+    new_alphabet = Alphabet(new_degrees, new_names)
+
+    Bt = mat_transpose(B)
+    G = mat_mul(mat_mul(B, g), Bt)
+    if G[0][1] != 1:
+        raise IntegrityError("plane normalization failed to make pairing(v0, v1) = 1")
+    for k in range(2, n):
+        if G[0][k] != 0 or G[1][k] != 0 or G[k][0] != 0 or G[k][1] != 0:
+            raise IntegrityError("plane split left a residual pairing with letters >= 2")
+
+    # relation sum G_ij x_i x_j = 0 solved for the (0,1) slot
+    f_terms = {}
+    for i in range(n):
+        for j in range(n):
+            if (i, j) == (0, 1) or G[i][j] == 0:
+                continue
+            f_terms[(i, j)] = -G[i][j]
+    f_alg = TensorElement(new_alphabet, f_terms)
+    tail_terms = {}
+    for i in range(2, n):
+        for j in range(i + 1, n):
+            if G[i][j] != 0:
+                tail_terms[(i, j)] = tail_terms.get((i, j), Fraction(0)) - G[i][j]
+                tail_terms[(j, i)] = tail_terms.get((j, i), Fraction(0)) + G[i][j]
+    lie_tail = TensorElement(new_alphabet, tail_terms)
+    return RationalPlaneSplit(
+        alphabet=new_alphabet,
+        basis_change=tuple(tuple(row) for row in B),
+        letter_map=tuple(tuple(row) for row in letter_map),
+        matrix=tuple(tuple(row) for row in G),
+        symmetry=rel.symmetry,
+        f_alg=f_alg,
+        lie_tail=lie_tail,
+    )
 
 
 def is_zero(element):

@@ -2,13 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from looptop.algebra import (
     Alphabet,
     IntersectionRelation,
-    NormalizedRelation,
     TensorElement,
     default_manifold_matrix,
     normalize_relation,
@@ -17,7 +16,7 @@ from looptop.algebra import (
 from looptop.errors import IntegrityError, UnsupportedSpaceError, ValidationError
 from looptop.rewriting import irreducible_counts
 from looptop.spaces import ConnectedSum, Manifold, TwoCellComplex
-from oracles import is_zero, lie_tensor, relation_tensor, render, single_letter
+from oracles import is_zero, lie_tensor, rational_plane_split, relation_tensor, render, single_letter
 
 
 def skew(rows):
@@ -112,14 +111,14 @@ class TestRelationFromSpace:
 class TestNormalizeRelation:
     def test_symplectic_already_normal(self):
         ab = Alphabet.uniform(2, 1)
-        nr = normalize_relation(ab, skew([[0, 1], [-1, 0]]))
+        nr = rational_plane_split(ab, skew([[0, 1], [-1, 0]]))
         assert nr.basis_change == ((1, 0), (0, 1))
         assert nr.f_alg.terms == {(1, 0): Fraction(1)}
         assert is_zero(nr.lie_tail)
 
     def test_diagonal_form(self):
         ab = Alphabet.uniform(2, 1)
-        nr = normalize_relation(ab, symmetric([[1, 0], [0, 1]]))
+        nr = rational_plane_split(ab, symmetric([[1, 0], [0, 1]]))
         assert nr.basis_change == ((1, 0), (1, 1))
         assert nr.matrix == ((1, 1), (1, 2))
         assert nr.f_alg.terms == {
@@ -131,7 +130,7 @@ class TestNormalizeRelation:
 
     def test_connected_sum_tail(self):
         ab, rel = relation_from_space(ConnectedSum(((2, 3), (2, 3)), (1, 1)))
-        nr = normalize_relation(ab, rel)
+        nr = rational_plane_split(ab, rel)
         identity = tuple(tuple(Fraction(1 if i == j else 0) for j in range(4)) for i in range(4))
         assert nr.basis_change == identity
         assert nr.forbidden_pair == (0, 1)
@@ -145,7 +144,7 @@ class TestNormalizeRelation:
             skew(default_manifold_matrix(3, 4)),
         ):
             ab = Alphabet.uniform(rel.size, 1)
-            nr = normalize_relation(ab, rel)
+            nr = rational_plane_split(ab, rel)
             assert (0, 1) not in nr.f_alg.terms
             assert all(
                 not any(w[i] == 0 and w[i + 1] == 1 for i in range(len(w) - 1))
@@ -154,7 +153,7 @@ class TestNormalizeRelation:
 
     def test_plane_rows_cleared(self):
         rel = symmetric([[1, 2, 3], [2, 1, 0], [3, 0, 2]])
-        nr = normalize_relation(Alphabet.uniform(3, 1), rel)
+        nr = rational_plane_split(Alphabet.uniform(3, 1), rel)
         G = nr.matrix
         assert G[0][1] == 1
         for k in range(2, 3):
@@ -165,7 +164,7 @@ class TestNormalizeRelation:
         # the transformed matrix
         rel = symmetric([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
         ab = Alphabet.uniform(3, 1)
-        nr = normalize_relation(ab, rel)
+        nr = rational_plane_split(ab, rel)
         new_rel = IntersectionRelation(nr.matrix, nr.symmetry)
         bracket_form = lie_tensor(new_rel, nr.alphabet)
         x0, x1 = single_letter(nr.alphabet, 0), single_letter(nr.alphabet, 1)
@@ -184,7 +183,7 @@ class TestNormalizeRelation:
             skew(default_manifold_matrix(3, 4)),
         ):
             ab = Alphabet.uniform(rel.size, 1)
-            nr = normalize_relation(ab, rel)
+            nr = rational_plane_split(ab, rel)
             letters = []
             for row in nr.letter_map:
                 letters.append(
@@ -201,7 +200,7 @@ class TestNormalizeRelation:
     def test_zero_diagonal_tricky_symmetric(self):
         # all 2x2 principal minors singular yet rank 3
         rel = symmetric([[1, 1, 1], [1, 1, -1], [1, -1, 1]])
-        nr = normalize_relation(Alphabet.uniform(3, 1), rel)
+        nr = rational_plane_split(Alphabet.uniform(3, 1), rel)
         assert nr.matrix[0][1] == 1
 
     def test_degree_mixing_guard(self):
@@ -225,15 +224,15 @@ def random_unimodular(rng, size):
     return m
 
 
-def _ideal_rank(nr, weight):
+def _ideal_rank(split, weight):
     """Fresh elimination of the weight-w two-sided ideal span of the relation."""
     from itertools import product
 
     from oracles import rank_sparse_rational
 
-    rel_terms = dict(nr.f_alg.scale(-1).terms)
+    rel_terms = dict(split.f_alg.scale(-1).terms)
     rel_terms[(0, 1)] = rel_terms.get((0, 1), Fraction(0)) + 1
-    r = nr.alphabet.size
+    r = split.alphabet.size
     rows = []
     for pos in range(weight - 1):
         for ctx in product(range(r), repeat=weight - 2):
@@ -275,7 +274,7 @@ class TestNormalizePostconditionsRandomized:
         if rel is None:
             return
         ab = Alphabet.uniform(size, 1)
-        nr = normalize_relation(ab, rel)
+        nr = rational_plane_split(ab, rel)
         G = nr.matrix
         assert G[0][1] == 1
         for k in range(2, size):
@@ -294,6 +293,136 @@ class TestNormalizePostconditionsRandomized:
                 if G[i][j] != 0:
                     expanded = expanded + (letters[i] * letters[j]).scale(G[i][j])
         assert expanded.terms == relation_tensor(rel, ab).terms
+
+
+def _outcome(normalize, alphabet, rel):
+    """The letter order a normalization returns, or the class of its refusal."""
+    try:
+        return normalize(alphabet, rel).alphabet
+    except ValidationError as exc:  # UnsupportedSpaceError among them
+        return type(exc)
+    except IntegrityError:
+        return IntegrityError
+
+
+def _form(size, upper, want_symmetric):
+    """The symmetric or skew relation with upper triangle `upper`, row by row."""
+    m = [[0] * size for _ in range(size)]
+    slots = [(i, j) for i in range(size) for j in range(i, size)]
+    for (i, j), v in zip(slots, upper):
+        if want_symmetric:
+            m[i][j] = m[j][i] = v
+        elif i != j:
+            m[i][j], m[j][i] = v, -v
+    return symmetric(m) if want_symmetric else skew(m)
+
+
+@st.composite
+def relations(draw, size=None):
+    size = size or draw(st.integers(min_value=2, max_value=6))
+    slots = size * (size + 1) // 2
+    upper = draw(st.lists(st.integers(min_value=-3, max_value=3), min_size=slots, max_size=slots))
+    return _form(size, upper, draw(st.booleans()))
+
+
+@st.composite
+def signed_square_sums(draw):
+    """sum_k s_k v_k v_k^T, s_k = +-1, with every v_k = c * u_k for one integer
+    vector c and sign vectors u_k: then g_ij^2 = g_ii g_jj whenever
+    |sum_k s_k u_ki u_kj| = |sum_k s_k|, so all coordinate planes are often
+    singular at rank >= 2."""
+    size = draw(st.integers(min_value=2, max_value=5))
+    c = draw(st.lists(st.sampled_from((1, -1, 2, 3, 0)), min_size=size, max_size=size))
+    terms = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from((1, -1)),
+                st.lists(st.sampled_from((1, -1)), min_size=size, max_size=size),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return symmetric(
+        [
+            [sum(s * u[i] * c[i] * u[j] * c[j] for s, u in terms) for j in range(size)]
+            for i in range(size)
+        ]
+    )
+
+
+def _takes_projection_branch(rel):
+    """Every coordinate plane is singular, yet the form has rank >= 2."""
+    g, n = rel.matrix, rel.size
+    singular = all(g[i][i] * g[j][j] == g[i][j] ** 2 for i in range(n) for j in range(i + 1, n))
+    return singular and rel.rank() >= 2
+
+
+@st.composite
+def graded_relations(draw):
+    """A relation on letters of degrees 1..3; half of them are made
+    homogeneous by dropping every g_ij off one weight deg_i + deg_j."""
+    size = draw(st.integers(min_value=2, max_value=5))
+    degrees = tuple(draw(st.lists(st.integers(min_value=1, max_value=3), min_size=size, max_size=size)))
+    rel = draw(relations(size))
+    if draw(st.booleans()):
+        weight = draw(st.sampled_from(sorted({a + b for a in degrees for b in degrees})))
+        kept = [
+            [v if degrees[i] + degrees[j] == weight else 0 for j, v in enumerate(row)]
+            for i, row in enumerate(rel.matrix)
+        ]
+        rel = IntersectionRelation(kept, rel.symmetry)
+    return Alphabet(degrees, tuple(f"x{i}" for i in range(size))), rel
+
+
+def _homogeneous(alphabet, rel):
+    d = alphabet.degrees
+    return len({d[i] + d[j] for i, row in enumerate(rel.matrix) for j, v in enumerate(row) if v}) <= 1
+
+
+class TestLetterOrderMatchesTheOracle:
+    """The integer plane search orders the letters, and refuses, exactly as
+    the rational plane split does."""
+
+    @given(relations())
+    @settings(max_examples=200, deadline=None)
+    def test_symmetric_and_skew_forms(self, rel):
+        ab = Alphabet.uniform(rel.size, 1)
+        got = _outcome(normalize_relation, ab, rel)
+        assert got == _outcome(rational_plane_split, ab, rel)
+        assert got is UnsupportedSpaceError or isinstance(got, Alphabet)
+
+    @given(signed_square_sums())
+    @settings(max_examples=200, deadline=None)
+    def test_signed_square_sums(self, rel):
+        ab = Alphabet.uniform(rel.size, 1)
+        assert _outcome(normalize_relation, ab, rel) == _outcome(rational_plane_split, ab, rel)
+
+    def test_signed_square_sums_reach_the_projection_branch(self):
+        rel = find(
+            signed_square_sums(),
+            _takes_projection_branch,
+            settings=settings(max_examples=2000, database=None, phases=(Phase.generate,)),
+        )
+        ab = Alphabet.uniform(rel.size, 1)
+        nr = normalize_relation(ab, rel)
+        assert nr.alphabet == rational_plane_split(ab, rel).alphabet
+
+    @given(graded_relations())
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_degrees(self, case):
+        ab, rel = case
+        got = _outcome(normalize_relation, ab, rel)
+        want = _outcome(rational_plane_split, ab, rel)
+        if _homogeneous(ab, rel):
+            assert got == want
+            assert got is UnsupportedSpaceError or isinstance(got, Alphabet)
+        elif want is UnsupportedSpaceError:
+            assert got is UnsupportedSpaceError
+        else:
+            # the rational split mixes degrees or builds an inhomogeneous rule
+            assert want in (IntegrityError, ValidationError)
+            assert got is IntegrityError
 
 
 class TestCountInvariance:
@@ -316,5 +445,6 @@ class TestCountInvariance:
         ab = Alphabet.uniform(3, 1)
         nr = normalize_relation(ab, symmetric(transformed))
         counts = irreducible_counts(nr.alphabet, nr.forbidden_pair, 4)
+        split = rational_plane_split(ab, symmetric(transformed))
         for w in (2, 3, 4):
-            assert _ideal_rank(nr, w) == 3**w - counts[w]
+            assert _ideal_rank(split, w) == 3**w - counts[w]

@@ -1,6 +1,8 @@
 import io
 import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -141,6 +143,30 @@ def test_lie_basis_walk_guard_names_the_flag_and_the_counts_command():
     assert code == 2 and not out
     assert "--max-degree" in err and "verify counts" in err
     assert "standard_lyndon_counts" not in err and "Traceback" not in err
+
+
+LONG_OUTPUT = ["hilbert", "--space", "manifold:2:3", "--max-degree", "2000"]  # about 3 MB
+
+
+def test_a_closed_pipe_ends_the_command_quietly():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = [sys.executable, "-m", "looptop.cli", *LONG_OUTPUT]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().split()[0] == b"degree"
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read()
+    assert (code, err) == (invoke(LONG_OUTPUT)[0], b"")
+
+
+def test_a_closed_pipe_keeps_a_disagreement(monkeypatch):
+    import looptop.rewriting
+
+    monkeypatch.setattr(looptop.rewriting, "irreducible_counts", lambda *args: {})
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as out:
+        assert run(LONG_OUTPUT, out=out) == 1
 
 
 def test_crosscheck_script_reports_agreement(monkeypatch, capsys):

@@ -38,6 +38,12 @@ REQUESTS = (
     ("cw", ["cw", "--n", "2", "--matrix", "0,7;7,0", "--max-dim", "6"], {}),
     ("cw-json", ["cw", "--n", "2", "--matrix", "0,7;7,0", "--max-dim", "6", "--format", "json"], {}),
     ("cw-rank3", ["cw", "--n", "2", "--matrix", "0,1,0;1,0,0;0,0,2", "--max-dim", "4"], {}),
+    # the letter order: plane (1, 2), plane (0, 2), a skew plane (0, 2), and
+    # a form whose coordinate planes are all singular (the projection branch)
+    ("cw-plane-1-2", ["cw", "--n", "2", "--matrix", "1,1,0;1,1,1;0,1,0", "--max-dim", "5"], {}),
+    ("cw-plane-0-2", ["cw", "--n", "2", "--matrix", "0,0,1;0,0,2;1,2,0", "--max-dim", "5"], {}),
+    ("cw-skew-plane-0-2", ["cw", "--n", "3", "--matrix", "0,0,1,0;0,0,0,1;-1,0,0,0;0,-1,0,0", "--max-dim", "7"], {}),
+    ("cw-projected-plane", ["cw", "--n", "2", "--matrix", "1,1,1;1,1,-1;1,-1,1", "--max-dim", "5"], {}),
     ("betti-one", ["betti-one", "--n", "4", "--m", "4"], {}),
     ("betti-one-json", ["betti-one", "--n", "8", "--m", "3", "--format", "json"], {}),
     ("betti-one-v8", ["betti-one", "--n", "4", "--m", "1"], {}),
@@ -90,6 +96,10 @@ GOLDEN = {
     "cw": (0, "e2ed01d2410965df2ae0ec24a8daccd2875993ab8cd8f7d9dabd474d098687a8", EMPTY),
     "cw-json": (0, "5022a5b30b35ea510d6b1fc21c0875f3a8146811e6d8b16e1ac22c1a04734d93", EMPTY),
     "cw-rank3": (0, "8357f3a71eae54efbe08c795c6ca96aafa6d2ddbdc02485aa017564413ea355f", EMPTY),
+    "cw-plane-1-2": (0, "2fc4d014a96d8f19941f5bdeac7ccfd8da5d50be2ff93b971c1eede53cb198e5", EMPTY),
+    "cw-plane-0-2": (0, "82e42793ec7f73b0ebe762c09cc9107045a6fde8901836eb9279a26400c0bf88", EMPTY),
+    "cw-skew-plane-0-2": (0, "683b7d3e42d51e3a5d8b42af58b6319fa240e647bc255459074aca7272f40f2f", EMPTY),
+    "cw-projected-plane": (0, "aaf90e09b323fa21d5d1659beb656065ab92a476b76cbc1aeec918a188968c25", EMPTY),
     "betti-one": (0, "3ad244d58ba8ad2ffbc2089bb3c86434694e931703c1933b9f641db975833c86", EMPTY),
     "betti-one-json": (0, "7a1ec0af17cc3f4637951c566053e27763dacc55ddc3cedf7a4a0641ec418c18", EMPTY),
     "betti-one-v8": (0, "255f5e6347ffdd0b319d9d52b9ead0aa7062d2fe6bb321d2b56dced4a334a7a4", EMPTY),

@@ -17,7 +17,7 @@ from looptop.lyndon import (
     standard_lyndon_words,
 )
 from looptop.spaces import ConnectedSum, Manifold
-from oracles import RewriteSystem, is_zero, rank_sparse_rational, reduce
+from oracles import RewriteSystem, is_zero, rank_sparse_rational, rational_plane_split, reduce
 
 
 AB2 = Alphabet.uniform(2, 1)
@@ -186,7 +186,7 @@ class TestReducedBracketIndependence:
         for space in (Manifold(2, 3), ConnectedSum(((2, 3), (2, 3)))):
             ab, rel = relation_from_space(space)
             nr = normalize_relation(ab, rel)
-            rs = RewriteSystem.from_normalized(nr)
+            rs = RewriteSystem.from_normalized(rational_plane_split(ab, rel))
             basis = lie_basis(nr, 6)
             for d, elements in basis.items():
                 rows = []

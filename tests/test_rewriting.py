@@ -15,7 +15,15 @@ from looptop.errors import IntegrityError, ValidationError
 from looptop.rewriting import hilbert_from_enumeration, irreducible_counts
 from looptop.series import connected_sum_denominator, manifold_denominator
 from looptop.spaces import ConnectedSum, Manifold
-from oracles import RewriteSystem, evaluate, irreducible_words, is_zero, rank_sparse_rational, reduce
+from oracles import (
+    RewriteSystem,
+    evaluate,
+    irreducible_words,
+    is_zero,
+    rank_sparse_rational,
+    rational_plane_split,
+    reduce,
+)
 
 
 AB2 = Alphabet.uniform(2, 1)
@@ -83,7 +91,7 @@ def _matrix_pairs_for_diag_rule(count, size=20):
     push them through the letter map.  Take Y0 with Y0^2 = -a^2 and a
     traceless Y1 with Y1^2 = +a^2.
     """
-    nr = normalize_relation(
+    split = rational_plane_split(
         AB2,
         IntersectionRelation(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))), "symmetric"),
     )
@@ -97,7 +105,7 @@ def _matrix_pairs_for_diag_rule(count, size=20):
         y1 = [[p, q], [r, -p]]
         ys = (y0, y1)
         xs = []
-        for row in nr.letter_map:
+        for row in split.letter_map:
             xs.append(
                 [
                     [sum(c * ys[k][i][j] for k, c in enumerate(row)) for j in range(2)]
@@ -141,8 +149,8 @@ class TestConnectedSumOracle:
         # relation [a1,b1] + [a2,b2] = 0: substitute matrix quadruples with
         # [A2, B2] = -[A1, B1] and compare reduce against plain evaluation
         ab, rel = relation_from_space(ConnectedSum(((2, 3), (2, 3))))
-        nr = normalize_relation(ab, rel)
-        rs = RewriteSystem.from_normalized(nr)
+        split = rational_plane_split(ab, rel)
+        rs = RewriteSystem.from_normalized(split)
         rng = random.Random(31)
         for _ in range(20):
             a1 = [[Fraction(rng.randint(-3, 3)) for _ in range(2)] for _ in range(2)]
@@ -151,7 +159,7 @@ class TestConnectedSumOracle:
             b2 = [row[:] for row in b1]
             mats = [a1, b1, a2, b2]
             for word in ((0, 1, 0), (0, 1, 1), (0, 0, 1, 3), (2, 0, 1)):
-                e = TensorElement(nr.alphabet, {word: 1})
+                e = TensorElement(split.alphabet, {word: 1})
                 red = reduce(e, rs)
                 assert evaluate(e, mats) == evaluate(red, mats), word
 
@@ -162,12 +170,13 @@ class TestFractionalRule:
         # reducer must handle fractional rule coefficients exactly
         rel = IntersectionRelation(((Fraction(2), Fraction(1)), (Fraction(1), Fraction(2))), "symmetric")
         nr = normalize_relation(AB2, rel)
-        rs = RewriteSystem.from_normalized(nr)
+        split = rational_plane_split(AB2, rel)
+        rs = RewriteSystem.from_normalized(split)
         counts = irreducible_counts(nr.alphabet, nr.forbidden_pair, 6)
         H = manifold_denominator(2, 2, 6).inverse()
         assert all(counts[d] == H[d] for d in range(1, 7))
         for word in ((0, 1, 0), (0, 0, 1), (1, 0, 1)):
-            e = TensorElement(nr.alphabet, {word: 1})
+            e = TensorElement(split.alphabet, {word: 1})
             red = reduce(e, rs)
             assert red.terms == reduce(red, rs).terms
             for w in red.terms:
