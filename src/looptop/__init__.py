@@ -1,10 +1,10 @@
 """Exact engine for sphere-summand decompositions of homotopy groups.
 
 Subpackages follow the computation pipeline: `series` (exact power-series
-counting), `algebra` (words, tensors, intersection relations), `rewriting`
-(one-relation diamond-lemma normal forms), `lyndon` (standard Lyndon Lie
-bases), `cobar` (integral chain-level oracle), `spaces` (space models and
-reports) and `cli`.
+counting), `algebra` (words, tensors, the relation's letter order),
+`rewriting` (one-relation diamond-lemma normal forms), `lyndon` (standard
+Lyndon Lie bases), `cobar` (integral chain-level oracle), `spaces` (space
+models, their forms and reports) and `cli`.
 """
 
 __version__ = "0.1.0"

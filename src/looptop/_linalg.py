@@ -1,8 +1,7 @@
-"""Exact linear algebra helpers: sparse Smith invariants, ranks, dense ops.
+"""Exact linear algebra helpers: sparse Smith invariants, the 2x2-minor gcd, dense ops.
 
 Matrices are lists of lists (dense) or lists of {index: value} dicts
-(sparse).  Everything is exact: Python ints for integral work and
-Fractions for rational work.
+(sparse).  Everything is exact integer arithmetic.
 
 `smith_invariants` is the Smith form of the cobar torsion path: sparse
 elimination without transforms (Kannan and Bachem, SIAM J. Comput. 8,
@@ -15,13 +14,12 @@ tests' reference) whose transforms are checked by multiplication.
 
 import heapq
 from collections import Counter
-from fractions import Fraction
 from math import gcd
 
 from .errors import IntegrityError
 
 
-# ---------------------------------------------------------------- dense Q ops
+# ------------------------------------------------------------------ dense ops
 
 def mat_mul(A, B):
     n, k, m = len(A), len(B), len(B[0]) if B else 0
@@ -32,27 +30,22 @@ def mat_identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def rank_rational(rows):
-    """Rank over Q of a dense matrix given as list of rows."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    ncols = len(work[0]) if work else 0
-    row_at = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row_at, len(work)) if work[r][col] != 0), None)
-        if piv is None:
-            continue
-        work[row_at], work[piv] = work[piv], work[row_at]
-        pivot = work[row_at][col]
-        for r in range(row_at + 1, len(work)):
-            if work[r][col] != 0:
-                f = work[r][col] / pivot
-                work[r] = [a - f * b for a, b in zip(work[r], work[row_at])]
-        row_at += 1
-        rank += 1
-        if row_at == len(work):
-            break
-    return rank
+def minor_gcd(rows):
+    """gcd of the 2x2 minors of an integer matrix given by its rows.
+
+    It is 0 exactly when the rank over Q is below 2, and a prime p divides
+    it exactly when the rank over F_p is below 2.  The scan stops once the
+    gcd is 1.
+    """
+    g = 0
+    for i, a in enumerate(rows):
+        for b in rows[i + 1:]:
+            for k in range(len(a)):
+                for l in range(k + 1, len(a)):
+                    g = gcd(g, a[k] * b[l] - a[l] * b[k])
+                    if g == 1:
+                        return 1
+    return g
 
 
 def det_int(A):
@@ -95,9 +88,6 @@ def smith_invariants(columns):
     if not columns:
         return []
     invariants = _divisibility_chain(_diagonalize(columns))
-    for x, y in zip(invariants, invariants[1:]):
-        if y % x != 0:
-            raise IntegrityError(f"SNF divisibility chain broken: {invariants}")
     primes = _prime_factors(invariants)
     if _RANK_PRIME not in primes:
         primes.append(_RANK_PRIME)

@@ -1,21 +1,22 @@
-"""Words over a degree-weighted alphabet, tensor elements, and relations.
+"""Words over a degree-weighted alphabet, tensor elements, and the plane search.
 
 Words are plain tuples of letter indices; lexicographic comparison is
 tuple comparison, which matches the alphabet order by construction.  A
 TensorElement is a sparse homogeneous rational combination of words.  The
-quadratic relation of a space arrives as an integral (anti)symmetric
-intersection matrix and leaves as a NormalizedRelation: its letters
-reordered so that two letters spanning a nonsingular plane of the form come
-first and the rest keep their order.  Splitting that plane off over the rationals would turn the relation
-into a rewrite rule x0 x1 -> (words without x0 x1); every count reads only
-the forbidden factor x0 x1, so the letter order is found by an integer
-search and the congruence itself is never formed.
+quadratic relation of a space arrives as its alphabet and the rows of its
+integer form, both read off the space's homology coalgebra (see
+`spaces`), and leaves as a NormalizedRelation: its letters reordered so
+that two letters spanning a nonsingular plane of the form come first and
+the rest keep their order.  Splitting that plane off over the rationals
+would turn the relation into a rewrite rule x0 x1 -> (words without
+x0 x1); every count reads only the forbidden factor x0 x1, so the letter
+order is found by an integer search and the congruence itself is never
+formed.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import rank_rational
 from .errors import IntegrityError, UnsupportedSpaceError, ValidationError
 
 
@@ -115,47 +116,13 @@ class TensorElement:
 
 
 @dataclass(frozen=True)
-class IntersectionRelation:
-    """The quadratic relation sum g_ij x_i x_j with its symmetry type."""
-
-    matrix: tuple  # rows of ints
-    symmetry: str  # "symmetric" | "skew"
-
-    def __post_init__(self):
-        if any(x != int(x) for row in self.matrix for x in row):
-            raise ValidationError("relation matrix must be integral")
-        rows = tuple(tuple(int(x) for x in row) for row in self.matrix)
-        object.__setattr__(self, "matrix", rows)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise ValidationError("relation matrix must be square")
-        if self.symmetry == "symmetric":
-            if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(n)):
-                raise ValidationError("matrix is not symmetric")
-        elif self.symmetry == "skew":
-            if any(rows[i][j] != -rows[j][i] for i in range(n) for j in range(n)):
-                raise ValidationError("matrix is not skew-symmetric")
-            if any(rows[i][i] != 0 for i in range(n)):
-                raise ValidationError("skew matrix must have zero diagonal")
-        else:
-            raise ValidationError(f"unknown symmetry {self.symmetry!r}")
-
-    @property
-    def size(self):
-        return len(self.matrix)
-
-    def rank(self):
-        return rank_rational([list(row) for row in self.matrix])
-
-
-@dataclass(frozen=True)
 class NormalizedRelation:
     """The letters of a relation in normal order: the plane letters, then the rest.
 
-    The plane letters (i0, j0) span a nonsingular plane of the form g: for a
-    skew form the first g_ij != 0; for a symmetric form the first coordinate
-    plane with g_ii g_jj != g_ij^2, or else the first i with g_ii != 0 and
-    the first j1 != i that has some j2 outside {i, j1} with
+    The plane letters (i0, j0) span a nonsingular plane of the form g: the
+    first coordinate plane with g_ii g_jj != g_ij g_ji (on a skew form, the
+    first g_ij != 0), or else the first i with g_ii != 0 and the first
+    j1 != i that has some j2 outside {i, j1} with
     g_ii g_j1j2 != g_ij1 g_ij2.  The other letters keep their order.  With
     the plane split off, the relation reads x0 x1 = (words without x0 x1),
     so x0 x1 is the one forbidden factor of the irreducible words.
@@ -168,49 +135,8 @@ class NormalizedRelation:
         return (0, 1)
 
 
-def _hyperbolic_block():
-    return [[0, 1], [1, 0]]
-
-
-def _symplectic_block():
-    return [[0, 1], [-1, 0]]
-
-
-def _block_diag(blocks):
-    n = sum(len(b) for b in blocks)
-    out = [[0] * n for _ in range(n)]
-    at = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, v in enumerate(row):
-                out[at + i][at + j] = v
-        at += len(b)
-    return out
-
-
-def default_manifold_matrix(n, r):
-    """A unimodular matrix of the parity forced by n.
-
-    n odd needs a skew form, so r must be even: direct sum of symplectic
-    blocks.  n even: hyperbolic blocks, plus a diagonal <1> if r is odd.
-    The decomposition depends only on (n, r), so any unimodular
-    representative serves.
-    """
-    if n % 2 == 1:
-        if r % 2 == 1:
-            raise ValidationError(
-                f"no skew unimodular form of odd rank {r}: an (n-1)-connected 2n-manifold "
-                f"with n odd has even middle Betti number"
-            )
-        return _block_diag([_symplectic_block()] * (r // 2))
-    blocks = [_hyperbolic_block()] * (r // 2)
-    if r % 2 == 1:
-        blocks.append([[1]])
-    return _block_diag(blocks)
-
-
 def relation_from_space(space):
-    """Alphabet and intersection relation of a validated space model.
+    """Alphabet and integer form of the quadratic relation of a space model.
 
     The family answers through `space.relation()`; Betti-one models and
     forms of rational rank below 2 raise UnsupportedSpaceError.
@@ -218,19 +144,22 @@ def relation_from_space(space):
     return space.relation()
 
 
-def _plane_letters(g, symmetry):
-    """The first letters (i0, j0) spanning a nonsingular plane of g, or None."""
+def _plane_letters(g):
+    """The first letters (i0, j0) spanning a nonsingular plane of g, or None.
+
+    A coordinate plane is nonsingular when g_ii g_jj != g_ij g_ji; on a skew
+    form that is g_ij != 0.
+    """
     n = len(g)
     coordinate = ((i, j) for i in range(n) for j in range(i + 1, n))
-    if symmetry == "skew":
-        return next(((i, j) for i, j in coordinate if g[i][j]), None)
-    plane = next(((i, j) for i, j in coordinate if g[i][i] * g[j][j] != g[i][j] ** 2), None)
+    plane = next(((i, j) for i, j in coordinate if g[i][i] * g[j][j] != g[i][j] * g[j][i]), None)
     if plane is not None:
         return plane
-    # every coordinate plane is singular, so the projection of each other
-    # letter j off an anisotropic letter i pairs to zero with itself, and i
-    # spans a plane with j1 exactly when the projections of j1 and some j2
-    # pair to g_j1j2 - g_ij1 g_ij2 / g_ii != 0
+    # every coordinate plane is singular, so the form is not skew unless it
+    # is zero; the projection of each other letter j off an anisotropic
+    # letter i pairs to zero with itself, and i spans a plane with j1
+    # exactly when the projections of j1 and some j2 pair to
+    # g_j1j2 - g_ij1 g_ij2 / g_ii != 0
     i = next((i for i in range(n) if g[i][i]), None)
     if i is None:
         return None
@@ -241,23 +170,25 @@ def _plane_letters(g, symmetry):
     return None
 
 
-def normalize_relation(alphabet, rel):
-    """The NormalizedRelation of `rel`, by an integer search for its plane.
+def normalize_relation(alphabet, form):
+    """The NormalizedRelation of the relation sum g_ij x_i x_j, g = `form`.
 
-    A plane exists exactly when the form has rank >= 2, so a form of lower
-    rank is refused.  A relation whose nonzero g_ij do not all have the same
-    degree deg_i + deg_j is not homogeneous, which no space model produces.
+    The form is given by its rows and is symmetric or skew.  Its plane is
+    found by an integer search; a plane exists exactly when the form has
+    rank >= 2, so a form of lower rank is refused.  A relation whose
+    nonzero g_ij do not all have the same degree deg_i + deg_j is not
+    homogeneous, which no space model produces.
     """
-    if rel.size != alphabet.size:
+    if len(form) != alphabet.size:
         raise ValidationError("alphabet and relation size differ")
-    plane = _plane_letters(rel.matrix, rel.symmetry)
+    plane = _plane_letters(form)
     if plane is None:
         raise UnsupportedSpaceError("normalization needs rank >= 2")
     degrees = alphabet.degrees
-    weights = {degrees[i] + degrees[j] for i, row in enumerate(rel.matrix) for j, v in enumerate(row) if v}
+    weights = {degrees[i] + degrees[j] for i, row in enumerate(form) for j, v in enumerate(row) if v}
     if len(weights) > 1:
         raise IntegrityError(f"relation mixes the degrees {sorted(weights)}: it is not homogeneous")
-    order = [*plane, *(k for k in range(rel.size) if k not in plane)]
+    order = [*plane, *(k for k in range(alphabet.size) if k not in plane)]
     return NormalizedRelation(
         Alphabet(tuple(degrees[k] for k in order), tuple(alphabet.names[k] for k in order))
     )

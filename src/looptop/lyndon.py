@@ -57,18 +57,18 @@ def generate_lyndon(alphabet, max_degree):
 
 
 def standard_factorization(word):
-    """Split l = l1 l2 with l2 the longest proper Lyndon suffix."""
+    """Split l = l1 l2 with l2 the longest proper Lyndon suffix.
+
+    The last letter is a Lyndon suffix, so one is always found, and the
+    left factor l1 is then Lyndon too (Lothaire, *Combinatorics on Words*,
+    Prop. 5.1.3).
+    """
     if len(word) < 2:
         raise ValidationError("standard factorization needs length >= 2")
     if not is_lyndon(word):
         raise ValidationError(f"{word} is not a Lyndon word")
-    for i in range(1, len(word)):
-        if is_lyndon(word[i:]):
-            left, right = word[:i], word[i:]
-            if not is_lyndon(left):
-                raise IntegrityError(f"standard factorization produced a non-Lyndon prefix for {word}")
-            return left, right
-    raise IntegrityError(f"no Lyndon suffix found for {word}")
+    i = next(i for i in range(1, len(word)) if is_lyndon(word[i:]))
+    return word[:i], word[i:]
 
 
 def bracket_expand(word, alphabet, _memo=None):

@@ -8,12 +8,16 @@ Betti-number-one manifolds parametrized by the attaching data m.
 Each family's class makes every per-family decision itself: `label`,
 `to_json()`, `denominator(order)` (the inverse of the loop-homology
 Hilbert series), `coalgebra()` (the integral homology coalgebra),
-`relation()` (alphabet and quadratic relation), `torsion_primes()`,
-`bigraded_series(order)`, `classify()`, `moore()` and `report(max_dim)`.
+`torsion_primes()`, `classify()`, `moore()` and `report(max_dim)`.
 The first three families share the one-relator quadratic pipeline, whose
 denominator is 1 - sum_i t^(|a_i|-1) + t^(|top|-2), and each of them
-counts its sphere summands in `sphere_counts(max_dim)`; Betti-one models
-have no quadratic relation and answer from closed forms.
+counts its sphere summands in `sphere_counts(max_dim)`.  Their integer
+form is stated once, in the top cell's reduced diagonal, and
+`relation()` (alphabet and form of the quadratic relation) and
+`bigraded_series(order)` read it off the coalgebra; only a two-cell
+complex of rank below 2 and a manifold of Betti number 1 refuse a
+relation.  Betti-one models have no quadratic relation and answer from
+closed forms.
 """
 
 import math
@@ -21,7 +25,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import det_int, rank_rational, smith_normal_form
+from ._linalg import det_int, minor_gcd, smith_normal_form
 from .cobar import FiniteCoalgebra
 from .errors import IntegrityError, UnsupportedSpaceError, ValidationError
 from .series import (
@@ -53,20 +57,34 @@ def _as_int_matrix(matrix, what="matrix"):
 
 
 def _check_parity(matrix, n, what="matrix"):
-    size = len(matrix)
+    """Symmetric for even n; skew for odd n, which includes a zero diagonal."""
     if n % 2 == 0:
-        for i in range(size):
-            for j in range(size):
-                if matrix[i][j] != matrix[j][i]:
-                    raise ValidationError(f"{what} must be symmetric when n is even")
+        sign, kind = 1, "symmetric when n is even"
     else:
-        for i in range(size):
-            for j in range(size):
-                if matrix[i][j] != -matrix[j][i]:
-                    raise ValidationError(f"{what} must be skew-symmetric when n is odd")
-        for i in range(size):
-            if matrix[i][i] != 0:
-                raise ValidationError(f"{what} must have zero diagonal when n is odd")
+        sign, kind = -1, "skew-symmetric when n is odd"
+    if any(v != sign * matrix[j][i] for i, row in enumerate(matrix) for j, v in enumerate(row)):
+        raise ValidationError(f"{what} must be {kind}")
+
+
+def default_manifold_matrix(n, r):
+    """A unimodular form of the parity forced by n.
+
+    n odd needs a skew form, so r must be even: a direct sum of symplectic
+    blocks [[0, 1], [-1, 0]].  n even: hyperbolic blocks [[0, 1], [1, 0]],
+    plus a diagonal <1> if r is odd.  The decomposition depends only on
+    (n, r), so any unimodular representative serves.
+    """
+    if n % 2 == 1 and r % 2 == 1:
+        raise ValidationError(
+            f"no skew unimodular form of odd rank {r}: an (n-1)-connected 2n-manifold "
+            f"with n odd has even middle Betti number"
+        )
+    form = [[0] * r for _ in range(r)]
+    for k in range(0, r - 1, 2):
+        form[k][k + 1], form[k + 1][k] = 1, (-1) ** n
+    if r % 2 == 1:
+        form[r - 1][r - 1] = 1
+    return form
 
 
 def _bigraded_quotient(numerator, denominator, order):
@@ -87,10 +105,34 @@ def _bigraded_quotient(numerator, denominator, order):
 
 
 class _OneRelator:
-    """Shared by the one-relator quadratic families."""
+    """Shared by the one-relator quadratic families.
+
+    The homology coalgebra is where each family states its form: the top
+    cell's reduced diagonal is sum g_ij a_i (x) a_j over the other
+    generators a_i.
+    """
 
     def torsion_primes(self):
         return frozenset()
+
+    def relation(self):
+        """Alphabet and integer form (its rows) of the quadratic relation.
+
+        The letters are the generators other than the top cell, one degree
+        lower and under the same names; the form is read off the top cell's
+        reduced diagonal.
+        """
+        # algebra is imported on first use, here and below, to keep it out
+        # of the start-up of commands that never build a relation
+        from .algebra import Alphabet
+
+        coalgebra = self.coalgebra()
+        *letters, _top = coalgebra.generators
+        form = [[0] * len(letters) for _ in letters]
+        for i, j, g in coalgebra.diagonal(len(letters)):
+            form[i][j] = g
+        names, degrees = zip(*letters)
+        return Alphabet(tuple(d - 1 for d in degrees), names), tuple(map(tuple, form))
 
     def bigraded_series(self, order):
         """Loop-homology ranks by (word length, degree), through degree `order`.
@@ -115,17 +157,11 @@ class _FormSpace(_OneRelator):
         return manifold_denominator(self.n, self.r, order)
 
     def coalgebra(self):
-        gens = tuple((f"a{i + 1}", self.n) for i in range(self.r)) + (("top", 2 * self.n),)
+        from .algebra import _sub
+
+        gens = tuple((_sub("α", i + 1), self.n) for i in range(self.r)) + (("top", 2 * self.n),)
         terms = tuple((i, j, g) for i, row in enumerate(self.form) for j, g in enumerate(row) if g)
         return FiniteCoalgebra(gens, {self.r: terms})
-
-    def relation(self):
-        # algebra is imported on first use, here and below, to keep it out
-        # of the start-up of commands that never build a relation
-        from .algebra import Alphabet, IntersectionRelation
-
-        symmetry = "skew" if self.n % 2 else "symmetric"
-        return Alphabet.uniform(self.r, self.n - 1), IntersectionRelation(self.form, symmetry)
 
     def sphere_counts(self, max_dim):
         return sphere_summand_counts(self.n, self.r, max_dim)
@@ -171,8 +207,6 @@ class Manifold(_FormSpace):
 
     @property
     def form(self):
-        from .algebra import default_manifold_matrix
-
         return self.matrix if self.matrix is not None else default_manifold_matrix(self.n, self.r)
 
     @property
@@ -270,10 +304,12 @@ class ConnectedSum(_OneRelator):
         return connected_sum_denominator(self.factors, order)
 
     def coalgebra(self):
+        from .algebra import _sub
+
         gens = []
         for k, (p, q) in enumerate(self.factors, start=1):
-            gens.append((f"a{k}", p))
-            gens.append((f"b{k}", q))
+            gens.append((_sub("α", k), p))
+            gens.append((_sub("β", k), q))
         gens.append(("top", self.total_dimension))
         wrap = (-1) ** self.total_dimension
         terms = []
@@ -281,20 +317,6 @@ class ConnectedSum(_OneRelator):
             terms.append((2 * k, 2 * k + 1, sign))
             terms.append((2 * k + 1, 2 * k, sign * wrap))
         return FiniteCoalgebra(tuple(gens), {len(gens) - 1: tuple(terms)})
-
-    def relation(self):
-        from .algebra import Alphabet, IntersectionRelation, _sub
-
-        degrees, names = [], []
-        for k, (p, q) in enumerate(self.factors, start=1):
-            degrees += [p - 1, q - 1]
-            names += [_sub("α", k), _sub("β", k)]
-        size = 2 * self.r
-        m = [[0] * size for _ in range(size)]
-        for k, sign in enumerate(self.signs):
-            m[2 * k][2 * k + 1] = sign
-            m[2 * k + 1][2 * k] = -sign
-        return Alphabet(tuple(degrees), tuple(names)), IntersectionRelation(m, "skew")
 
     def classify(self):
         return "elliptic" if self.r == 1 else "hyperbolic"
@@ -342,10 +364,9 @@ class TwoCellComplex(_FormSpace):
         return {"type": "two-cell", "n": self.n, "matrix": [list(row) for row in self.matrix]}
 
     def relation(self):
-        alphabet, rel = super().relation()
-        if rel.rank() < 2:
+        if not minor_gcd(self.matrix):
             raise UnsupportedSpaceError("two-cell decomposition needs rank(Q over Q) >= 2")
-        return alphabet, rel
+        return super().relation()
 
     def torsion_primes(self):
         """The bad primes of the form: it is reported after inverting them."""
@@ -354,7 +375,7 @@ class TwoCellComplex(_FormSpace):
     def classify(self):
         if self.r >= 3:
             return "hyperbolic"
-        if rank_rational([list(row) for row in self.matrix]) < 2:
+        if not minor_gcd(self.matrix):
             raise UnsupportedSpaceError(
                 "rational classification of a two-cell complex with r <= 2 and a "
                 "degenerate form is out of reach here"
@@ -502,17 +523,9 @@ def factorize(n):
     return sorted(out)
 
 
-def bad_primes(matrix):
-    """Primes where the form drops below rank 2: divisors of the 2x2-minor gcd."""
-    m = _as_int_matrix(matrix, "form")
-    size = len(m)
-    g = 0
-    for i in range(size):
-        for j in range(i + 1, size):
-            for k in range(size):
-                for l in range(k + 1, size):
-                    minor = m[i][k] * m[j][l] - m[i][l] * m[j][k]
-                    g = math.gcd(g, minor)
+def bad_primes(form):
+    """Primes where the integer form drops below rank 2: divisors of the 2x2-minor gcd."""
+    g = minor_gcd(form)
     if g == 0:
         raise UnsupportedSpaceError(
             "form has rank < 2 over the rationals; every prime would be bad"

@@ -3,10 +3,10 @@
 The rewriting reducer (normal forms modulo one quadratic relation, with
 strongly connected clusters of reducible words solved exactly), explicit
 irreducible-word enumeration, matrix evaluation of tensor elements, the
-rational plane split of an intersection relation (the congruence whose
+rational plane split of a quadratic relation (the congruence whose
 plane fixes the engine's letter order, with its rewrite rule and Lie
 tail), the Betti number of a finite cover, the closed-form rational ranks, the
-tuple-word build of the cobar complex, sparse rank over Q, and the
+tuple-word build of the cobar complex, dense and sparse rank over Q, and the
 `Fraction` series logarithm and exponential with the log + Moebius Lie
 ranks, and the small helpers only tests read: tensor elements as text, the
 relation as a tensor, a dimension table as a list, the smoothability
@@ -375,6 +375,11 @@ def reference_cobar(coalgebra, cutoff):
     return spots, diffs
 
 
+def rank_rational(rows):
+    """Rank over Q of a dense matrix given by its rows."""
+    return rank_sparse_rational([dict(enumerate(row)) for row in rows])
+
+
 def rank_sparse_rational(rows):
     """Rank over Q; rows are dicts {col: Fraction-like}."""
     pivots = {}
@@ -480,7 +485,7 @@ def mat_inverse(A):
 
 @dataclass(frozen=True)
 class RationalPlaneSplit:
-    """Plane-split normal form of an intersection relation, over the rationals.
+    """Plane-split normal form of a quadratic relation, over the rationals.
 
     basis_change holds the congruence B with B g B^T = matrix, so entry
     (0,1) of the transformed pairing is 1 and rows/columns 0,1 vanish
@@ -497,7 +502,6 @@ class RationalPlaneSplit:
     basis_change: tuple  # rows: the plane-split basis in old coordinates
     letter_map: tuple  # rows: new letters as combinations of old letters
     matrix: tuple  # transformed pairing = relation coefficient matrix
-    symmetry: str
     f_alg: TensorElement
     lie_tail: TensorElement
 
@@ -511,12 +515,21 @@ def _pair(matrix, u, v):
     return sum(u[i] * matrix[i][j] * v[j] for i in range(n) for j in range(n))
 
 
-def _find_plane(rel):
+def _is_skew(g):
+    """Whether the form g is skew; refuses a form that is neither skew nor symmetric."""
+    n = len(g)
+    if all(g[i][j] == -g[j][i] for i in range(n) for j in range(n)):
+        return True
+    if all(g[i][j] == g[j][i] for i in range(n) for j in range(n)):
+        return False
+    raise ValidationError("form is neither symmetric nor skew-symmetric")
+
+
+def _find_plane(g):
     """Indices / vectors spanning a nonsingular plane, plus dropped basis slots."""
-    g = [list(row) for row in rel.matrix]
     n = len(g)
     e = lambda i: [Fraction(1) if k == i else Fraction(0) for k in range(n)]
-    if rel.symmetry == "skew":
+    if _is_skew(g):
         for i in range(n):
             for j in range(i + 1, n):
                 if g[i][j] != 0:
@@ -552,22 +565,23 @@ def _find_plane(rel):
     raise UnsupportedSpaceError("symmetric form with zero diagonal and singular planes has rank < 2")
 
 
-def rational_plane_split(alphabet, rel):
+def rational_plane_split(alphabet, form):
     """Nonsingular-plane-split normal form over the rationals.
 
-    Finds a plane with pairing(v0, v1) = 1, orthogonalizes the remaining
-    basis vectors against it, and reorders letters so the plane occupies
-    positions 0 and 1.  The resulting rewrite sends x0 x1 to f_alg (which
-    contains no x0 x1 term) and the eliminated bracket to a tail supported
-    on letters >= 2.
+    `form` holds the rows of a symmetric or skew form; which of the two it
+    is is read off the form itself.  Finds a plane with pairing(v0, v1) = 1,
+    orthogonalizes the remaining basis vectors against it, and reorders
+    letters so the plane occupies positions 0 and 1.  The resulting rewrite
+    sends x0 x1 to f_alg (which contains no x0 x1 term) and the eliminated
+    bracket to a tail supported on letters >= 2.
     """
-    if rel.size != alphabet.size:
+    n = len(form)
+    if n != alphabet.size:
         raise ValidationError("alphabet and relation size differ")
-    if rel.size < 2 or rel.rank() < 2:
+    if n < 2 or rank_rational(form) < 2:
         raise UnsupportedSpaceError("normalization needs rank >= 2")
-    g = [list(row) for row in rel.matrix]
-    n = rel.size
-    v0, v1, (i0, j0) = _find_plane(rel)
+    g = [list(row) for row in form]
+    v0, v1, (i0, j0) = _find_plane(g)
     beta = _pair(g, v0, v1)
     if beta == 0:
         v1 = [a + b for a, b in zip(v0, v1)]
@@ -626,7 +640,6 @@ def rational_plane_split(alphabet, rel):
         basis_change=tuple(tuple(row) for row in B),
         letter_map=tuple(tuple(row) for row in letter_map),
         matrix=tuple(tuple(row) for row in G),
-        symmetry=rel.symmetry,
         f_alg=f_alg,
         lie_tail=lie_tail,
     )
@@ -660,22 +673,22 @@ def single_letter(alphabet, i):
     return TensorElement(alphabet, {(i,): Fraction(1)})
 
 
-def relation_tensor(rel, alphabet):
-    """The relation sum g_ij x_i x_j of an `IntersectionRelation` as a tensor element."""
+def relation_tensor(form, alphabet):
+    """The relation sum g_ij x_i x_j of a form, given by its rows, as a tensor element."""
     terms = {}
-    for i, row in enumerate(rel.matrix):
+    for i, row in enumerate(form):
         for j, g in enumerate(row):
             if g != 0:
                 terms[(i, j)] = g
     return TensorElement(alphabet, terms)
 
 
-def lie_tensor(rel, alphabet):
+def lie_tensor(form, alphabet):
     """Upper-triangle bracket combination sum_{i<j} g_ij [x_i, x_j]."""
     out = TensorElement(alphabet, {})
-    for i in range(rel.size):
-        for j in range(i + 1, rel.size):
-            g = rel.matrix[i][j]
+    for i in range(len(form)):
+        for j in range(i + 1, len(form)):
+            g = form[i][j]
             if g != 0:
                 out = out + single_letter(alphabet, i).commutator(single_letter(alphabet, j)).scale(g)
     return out

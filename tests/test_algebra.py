@@ -5,26 +5,19 @@ import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
-from looptop.algebra import (
-    Alphabet,
-    IntersectionRelation,
-    TensorElement,
-    default_manifold_matrix,
-    normalize_relation,
-    relation_from_space,
-)
+from looptop.algebra import Alphabet, TensorElement, normalize_relation, relation_from_space
 from looptop.errors import IntegrityError, UnsupportedSpaceError, ValidationError
 from looptop.rewriting import irreducible_counts
-from looptop.spaces import ConnectedSum, Manifold, TwoCellComplex
-from oracles import is_zero, lie_tensor, rational_plane_split, relation_tensor, render, single_letter
-
-
-def skew(rows):
-    return IntersectionRelation(tuple(tuple(Fraction(x) for x in r) for r in rows), "skew")
-
-
-def symmetric(rows):
-    return IntersectionRelation(tuple(tuple(Fraction(x) for x in r) for r in rows), "symmetric")
+from looptop.spaces import ConnectedSum, Manifold, TwoCellComplex, default_manifold_matrix
+from oracles import (
+    is_zero,
+    lie_tensor,
+    rank_rational,
+    rational_plane_split,
+    relation_tensor,
+    render,
+    single_letter,
+)
 
 
 class TestTensorElement:
@@ -50,18 +43,19 @@ class TestTensorElement:
         assert "α₁α₂" in render(e) and "2·α₂α₁" in render(e)
 
 
-class TestIntersectionRelation:
+class TestFormChecks:
     def test_symmetry_validation(self):
         with pytest.raises(ValidationError):
-            symmetric([[0, 1], [2, 0]])
+            TwoCellComplex(2, ((0, 1), (2, 0)))
         with pytest.raises(ValidationError):
-            skew([[0, 1], [1, 0]])
+            TwoCellComplex(3, ((0, 1), (1, 0)))
         with pytest.raises(ValidationError):
-            skew([[1, 1], [-1, 0]])
+            TwoCellComplex(3, ((1, 1), (-1, 0)))
 
     def test_rank(self):
-        assert symmetric([[1, 0], [0, 1]]).rank() == 2
-        assert symmetric([[1, 1], [1, 1]]).rank() == 1
+        assert relation_from_space(TwoCellComplex(2, ((1, 0), (0, 1))))[1] == ((1, 0), (0, 1))
+        with pytest.raises(UnsupportedSpaceError, match="rank"):
+            relation_from_space(TwoCellComplex(2, ((1, 1), (1, 1))))
 
 
 class TestDefaultMatrices:
@@ -80,24 +74,31 @@ class TestRelationFromSpace:
     def test_manifold_default(self):
         ab, rel = relation_from_space(Manifold(2, 2))
         assert ab.degrees == (1, 1)
-        assert rel.symmetry == "symmetric"
-        assert rel.matrix == ((0, 1), (1, 0))
+        assert ab.names == ("α₁", "α₂")
+        assert rel == ((0, 1), (1, 0))
 
     def test_manifold_explicit_hyperbolic_skew(self):
         ab, rel = relation_from_space(Manifold(3, 2, ((0, 1), (-1, 0))))
         assert ab.degrees == (2, 2)
-        assert rel.symmetry == "skew"
+        assert rel == ((0, 1), (-1, 0))
 
     def test_connected_sum_letters_and_blocks(self):
         ab, rel = relation_from_space(ConnectedSum(((2, 3), (2, 3)), (1, 1)))
         assert ab.degrees == (1, 2, 1, 2)
-        assert rel.symmetry == "skew"
-        assert rel.matrix[0][1] == 1 and rel.matrix[1][0] == -1
-        assert rel.matrix[2][3] == 1 and rel.matrix[0][2] == 0
+        assert ab.names == ("α₁", "β₁", "α₂", "β₂")
+        assert rel[0][1] == 1 and rel[1][0] == -1
+        assert rel[2][3] == 1 and rel[0][2] == 0
+
+    def test_connected_sum_of_even_dimension_reads_a_symmetric_form(self):
+        # the top cell's diagonal is a (x) b + (-1)^(p+q) b (x) a
+        ab, rel = relation_from_space(ConnectedSum(((2, 4), (3, 3)), (1, -1)))
+        assert ab.degrees == (1, 3, 2, 2)
+        assert rel[0][1] == rel[1][0] == 1 and rel[2][3] == rel[3][2] == -1
+        assert normalize_relation(ab, rel).alphabet == ab
 
     def test_two_cell_matrix_verbatim(self):
         ab, rel = relation_from_space(TwoCellComplex(2, ((0, 7), (7, 0))))
-        assert rel.matrix == ((0, 7), (7, 0))
+        assert rel == ((0, 7), (7, 0))
 
     def test_two_cell_low_rank_rejected(self):
         with pytest.raises(UnsupportedSpaceError):
@@ -111,14 +112,14 @@ class TestRelationFromSpace:
 class TestNormalizeRelation:
     def test_symplectic_already_normal(self):
         ab = Alphabet.uniform(2, 1)
-        nr = rational_plane_split(ab, skew([[0, 1], [-1, 0]]))
+        nr = rational_plane_split(ab, [[0, 1], [-1, 0]])
         assert nr.basis_change == ((1, 0), (0, 1))
         assert nr.f_alg.terms == {(1, 0): Fraction(1)}
         assert is_zero(nr.lie_tail)
 
     def test_diagonal_form(self):
         ab = Alphabet.uniform(2, 1)
-        nr = rational_plane_split(ab, symmetric([[1, 0], [0, 1]]))
+        nr = rational_plane_split(ab, [[1, 0], [0, 1]])
         assert nr.basis_change == ((1, 0), (1, 1))
         assert nr.matrix == ((1, 1), (1, 2))
         assert nr.f_alg.terms == {
@@ -138,12 +139,12 @@ class TestNormalizeRelation:
 
     def test_f_alg_never_contains_forbidden_word(self):
         for rel in (
-            symmetric([[1, 0], [0, 1]]),
-            symmetric([[0, 1], [1, 0]]),
-            symmetric(default_manifold_matrix(2, 3)),
-            skew(default_manifold_matrix(3, 4)),
+            [[1, 0], [0, 1]],
+            [[0, 1], [1, 0]],
+            default_manifold_matrix(2, 3),
+            default_manifold_matrix(3, 4),
         ):
-            ab = Alphabet.uniform(rel.size, 1)
+            ab = Alphabet.uniform(len(rel), 1)
             nr = rational_plane_split(ab, rel)
             assert (0, 1) not in nr.f_alg.terms
             assert all(
@@ -152,7 +153,7 @@ class TestNormalizeRelation:
             )
 
     def test_plane_rows_cleared(self):
-        rel = symmetric([[1, 2, 3], [2, 1, 0], [3, 0, 2]])
+        rel = [[1, 2, 3], [2, 1, 0], [3, 0, 2]]
         nr = rational_plane_split(Alphabet.uniform(3, 1), rel)
         G = nr.matrix
         assert G[0][1] == 1
@@ -162,27 +163,26 @@ class TestNormalizeRelation:
     def test_lie_tail_reconstructs_bracket_relation(self):
         # [x0, x1] - lie_tail must equal the upper-triangle bracket form of
         # the transformed matrix
-        rel = symmetric([[1, 0, 1], [0, 1, 1], [1, 1, 0]])
+        rel = [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
         ab = Alphabet.uniform(3, 1)
         nr = rational_plane_split(ab, rel)
-        new_rel = IntersectionRelation(nr.matrix, nr.symmetry)
-        bracket_form = lie_tensor(new_rel, nr.alphabet)
+        bracket_form = lie_tensor(nr.matrix, nr.alphabet)
         x0, x1 = single_letter(nr.alphabet, 0), single_letter(nr.alphabet, 1)
         assert (x0.commutator(x1) - nr.lie_tail).terms == bracket_form.terms
 
     def test_rank_one_rejected(self):
         with pytest.raises(UnsupportedSpaceError):
-            normalize_relation(Alphabet.uniform(2, 1), symmetric([[1, 1], [1, 1]]))
+            normalize_relation(Alphabet.uniform(2, 1), [[1, 1], [1, 1]])
 
     def test_letter_map_preserves_the_relation_tensor(self):
         # expanding the normalized relation through letter_map must recover
         # the original relation exactly, coefficient by coefficient
         for rel in (
-            symmetric([[1, 0], [0, 1]]),
-            symmetric([[1, 2, 3], [2, 1, 0], [3, 0, 2]]),
-            skew(default_manifold_matrix(3, 4)),
+            [[1, 0], [0, 1]],
+            [[1, 2, 3], [2, 1, 0], [3, 0, 2]],
+            default_manifold_matrix(3, 4),
         ):
-            ab = Alphabet.uniform(rel.size, 1)
+            ab = Alphabet.uniform(len(rel), 1)
             nr = rational_plane_split(ab, rel)
             letters = []
             for row in nr.letter_map:
@@ -190,7 +190,7 @@ class TestNormalizeRelation:
                     TensorElement(ab, {(a,): c for a, c in enumerate(row) if c != 0})
                 )
             expanded = TensorElement(ab, {})
-            n = rel.size
+            n = len(rel)
             for i in range(n):
                 for j in range(n):
                     if nr.matrix[i][j] != 0:
@@ -199,7 +199,7 @@ class TestNormalizeRelation:
 
     def test_zero_diagonal_tricky_symmetric(self):
         # all 2x2 principal minors singular yet rank 3
-        rel = symmetric([[1, 1, 1], [1, 1, -1], [1, -1, 1]])
+        rel = [[1, 1, 1], [1, 1, -1], [1, -1, 1]]
         nr = rational_plane_split(Alphabet.uniform(3, 1), rel)
         assert nr.matrix[0][1] == 1
 
@@ -207,7 +207,7 @@ class TestNormalizeRelation:
         # an orthogonal pairing on letters of different degrees forces the
         # plane fix v1 = v0 + v1, which would mix degrees
         ab = Alphabet((1, 2), ("a", "b"))
-        rel = symmetric([[1, 0], [0, 1]])
+        rel = [[1, 0], [0, 1]]
         with pytest.raises(IntegrityError):
             normalize_relation(ab, rel)
 
@@ -255,9 +255,8 @@ def _random_relation(rng, size, want_symmetric):
                     m[i][j] = m[j][i] = v
                 elif i != j:
                     m[i][j], m[j][i] = v, -v
-        rel = symmetric(m) if want_symmetric else skew(m)
-        if rel.rank() >= 2:
-            return rel
+        if rank_rational(m) >= 2:
+            return m
     return None
 
 
@@ -314,7 +313,7 @@ def _form(size, upper, want_symmetric):
             m[i][j] = m[j][i] = v
         elif i != j:
             m[i][j], m[j][i] = v, -v
-    return symmetric(m) if want_symmetric else skew(m)
+    return m
 
 
 @st.composite
@@ -343,19 +342,17 @@ def signed_square_sums(draw):
             max_size=4,
         )
     )
-    return symmetric(
-        [
-            [sum(s * u[i] * c[i] * u[j] * c[j] for s, u in terms) for j in range(size)]
-            for i in range(size)
-        ]
-    )
+    return [
+        [sum(s * u[i] * c[i] * u[j] * c[j] for s, u in terms) for j in range(size)]
+        for i in range(size)
+    ]
 
 
 def _takes_projection_branch(rel):
     """Every coordinate plane is singular, yet the form has rank >= 2."""
-    g, n = rel.matrix, rel.size
-    singular = all(g[i][i] * g[j][j] == g[i][j] ** 2 for i in range(n) for j in range(i + 1, n))
-    return singular and rel.rank() >= 2
+    n = len(rel)
+    singular = all(rel[i][i] * rel[j][j] == rel[i][j] ** 2 for i in range(n) for j in range(i + 1, n))
+    return singular and rank_rational(rel) >= 2
 
 
 @st.composite
@@ -367,17 +364,16 @@ def graded_relations(draw):
     rel = draw(relations(size))
     if draw(st.booleans()):
         weight = draw(st.sampled_from(sorted({a + b for a in degrees for b in degrees})))
-        kept = [
+        rel = [
             [v if degrees[i] + degrees[j] == weight else 0 for j, v in enumerate(row)]
-            for i, row in enumerate(rel.matrix)
+            for i, row in enumerate(rel)
         ]
-        rel = IntersectionRelation(kept, rel.symmetry)
     return Alphabet(degrees, tuple(f"x{i}" for i in range(size))), rel
 
 
 def _homogeneous(alphabet, rel):
     d = alphabet.degrees
-    return len({d[i] + d[j] for i, row in enumerate(rel.matrix) for j, v in enumerate(row) if v}) <= 1
+    return len({d[i] + d[j] for i, row in enumerate(rel) for j, v in enumerate(row) if v}) <= 1
 
 
 class TestLetterOrderMatchesTheOracle:
@@ -387,7 +383,7 @@ class TestLetterOrderMatchesTheOracle:
     @given(relations())
     @settings(max_examples=200, deadline=None)
     def test_symmetric_and_skew_forms(self, rel):
-        ab = Alphabet.uniform(rel.size, 1)
+        ab = Alphabet.uniform(len(rel), 1)
         got = _outcome(normalize_relation, ab, rel)
         assert got == _outcome(rational_plane_split, ab, rel)
         assert got is UnsupportedSpaceError or isinstance(got, Alphabet)
@@ -395,16 +391,18 @@ class TestLetterOrderMatchesTheOracle:
     @given(signed_square_sums())
     @settings(max_examples=200, deadline=None)
     def test_signed_square_sums(self, rel):
-        ab = Alphabet.uniform(rel.size, 1)
+        ab = Alphabet.uniform(len(rel), 1)
         assert _outcome(normalize_relation, ab, rel) == _outcome(rational_plane_split, ab, rel)
 
     def test_signed_square_sums_reach_the_projection_branch(self):
+        # the branch is rare: a budget of 2000 examples found none in 6 of
+        # 300 searches, 10,000 in none of 150
         rel = find(
             signed_square_sums(),
             _takes_projection_branch,
-            settings=settings(max_examples=2000, database=None, phases=(Phase.generate,)),
+            settings=settings(max_examples=10_000, database=None, phases=(Phase.generate,)),
         )
-        ab = Alphabet.uniform(rel.size, 1)
+        ab = Alphabet.uniform(len(rel), 1)
         nr = normalize_relation(ab, rel)
         assert nr.alphabet == rational_plane_split(ab, rel).alphabet
 
@@ -443,8 +441,8 @@ class TestCountInvariance:
             for i in range(3)
         ]
         ab = Alphabet.uniform(3, 1)
-        nr = normalize_relation(ab, symmetric(transformed))
+        nr = normalize_relation(ab, transformed)
         counts = irreducible_counts(nr.alphabet, nr.forbidden_pair, 4)
-        split = rational_plane_split(ab, symmetric(transformed))
+        split = rational_plane_split(ab, transformed)
         for w in (2, 3, 4):
             assert _ideal_rank(split, w) == 3**w - counts[w]

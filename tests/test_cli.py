@@ -176,6 +176,26 @@ def test_crosscheck_script_reports_agreement(monkeypatch, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "all pipelines agree"
 
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize(
+    "script, args, last_line",
+    [
+        ("crosscheck_counts.py", ["--max-n", "3", "--max-r", "4", "--max-degree", "8"], "all pipelines agree"),
+        ("cobar_audit.py", ["manifold:2:2", "cw:2:0,7;7,0", "--max-degree", "5"], None),
+    ],
+)
+def test_scripts_run_end_to_end(script, args, last_line):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / script), *args], capture_output=True, text=True, env=env, timeout=300
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    if last_line is not None:
+        assert done.stdout.splitlines()[-1] == last_line
+
+
 class TestSpecExamples:
     def test_manifold_json_counts(self):
         code, out, _ = invoke(

@@ -4,8 +4,9 @@ Each request runs in process through `looptop.cli.run`.  Its exit code and
 the sha256 of its stdout and of its stderr are pinned; stderr is also
 captured through `redirect_stderr`, so argparse"s own usage messages count.
 The corpus covers every command in both formats, the window, grammar and
-usage errors, the cell cap, the Lyndon walk guard, a cobar cutoff of 25 and
-the `--deep` flag that no longer exists.
+usage errors, the cell cap, the Lyndon walk guard, a cobar cutoff of 25,
+the `--deep` flag that no longer exists and each refusal of a form of rank
+below 2.
 
 A digest changes only with a deliberate change of output.  Run this file as
 a script (`PYTHONPATH=src python tests/test_cli_golden.py`) to print the
@@ -81,6 +82,14 @@ REQUESTS = (
     ("walk-guard", ["lie-basis", "--space", "manifold:2:3", "--max-degree", "14"], {}),
     ("cobar-degree-25", ["verify", "cobar", "--space", "betti1:8:0", "--max-degree", "25"], {}),
     ("stale-deep-flag", ["verify", "cobar", "--space", "betti1:8:0", "--max-degree", "25", "--deep"], {}),
+    # the rank-2 refusals of classify, bad primes and the relation, a
+    # degenerate form with r >= 3 that is still answered, and a connected
+    # sum of even total dimension, whose form is symmetric
+    ("moore-cw-rank-below-2", ["moore", "--space", "cw:2:0,0;0,0"], {}),
+    ("moore-cw-degenerate-rank3", ["moore", "--space", "cw:2:0,0,0;0,0,0;0,0,0"], {}),
+    ("verify-cobar-rank-below-2", ["verify", "cobar", "--space", "cw:2:0,0;0,0", "--max-degree", "4"], {}),
+    ("counts-rank-one", ["verify", "counts", "--space", "cw:2:2,0;0,0"], {}),
+    ("lie-basis-csum-even", ["lie-basis", "--space", "csum:2x4,3x3:signs=+,-", "--max-degree", "6", "--format", "json"], {}),
 )
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -137,6 +146,11 @@ GOLDEN = {
     "walk-guard": (2, EMPTY, "11eb82de5e2dd7fcfb7bd4a3819f0378a057f40dc6e76f6774db5d614c350325"),
     "cobar-degree-25": (0, "6761baa4037832478e858ca1765aa80774233974702901c9eb9db79ed6f54751", EMPTY),
     "stale-deep-flag": (2, EMPTY, "1ec064d3b0ae0b7eeee1d77838ce883405a0ad3b6b2e140e2ab0b2ed38a1b0ad"),
+    "moore-cw-rank-below-2": (2, EMPTY, "3d5c30c89f88e87e33f2e4dd1b19f7c1655fb7a3d01cbcb114052c7f2fc57635"),
+    "moore-cw-degenerate-rank3": (0, "a13d34da2591b850e7e077d629d6dc8fb5dd17d44c309a79c3e57f680de29fdf", EMPTY),
+    "verify-cobar-rank-below-2": (2, EMPTY, "d6dbc5fa254bd977bc0cd662293b4e58af10141cb765f7cfe2991bf94cbeb27c"),
+    "counts-rank-one": (2, EMPTY, "590d029e08801ac0ce2050b3743a3f3d7f559471e05f0ea6f2f9e311ead306f6"),
+    "lie-basis-csum-even": (0, "afeda5d6aae8bd0b81d22b360a3957d1fdd5abeca393758aa6b1eb3a4aaeeaeb", EMPTY),
 }
 
 

@@ -4,13 +4,7 @@ from itertools import product
 
 import pytest
 
-from looptop.algebra import (
-    Alphabet,
-    IntersectionRelation,
-    TensorElement,
-    normalize_relation,
-    relation_from_space,
-)
+from looptop.algebra import Alphabet, TensorElement, normalize_relation, relation_from_space
 from looptop.errors import IntegrityError, ValidationError
 from looptop.rewriting import hilbert_from_enumeration, irreducible_counts
 from looptop.series import connected_sum_denominator, manifold_denominator
@@ -91,10 +85,7 @@ def _matrix_pairs_for_diag_rule(count, size=20):
     push them through the letter map.  Take Y0 with Y0^2 = -a^2 and a
     traceless Y1 with Y1^2 = +a^2.
     """
-    split = rational_plane_split(
-        AB2,
-        IntersectionRelation(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))), "symmetric"),
-    )
+    split = rational_plane_split(AB2, ((1, 0), (0, 1)))
     rng = random.Random(0x5EED)
     for _ in range(count):
         a = Fraction(rng.randint(1, size), rng.randint(1, 4))
@@ -168,7 +159,7 @@ class TestFractionalRule:
     def test_non_unimodular_symmetric_form(self):
         # Q = [[2,1],[1,2]] has det 3; normalization stays rational and the
         # reducer must handle fractional rule coefficients exactly
-        rel = IntersectionRelation(((Fraction(2), Fraction(1)), (Fraction(1), Fraction(2))), "symmetric")
+        rel = ((2, 1), (1, 2))
         nr = normalize_relation(AB2, rel)
         split = rational_plane_split(AB2, rel)
         rs = RewriteSystem.from_normalized(split)

@@ -21,7 +21,36 @@ from looptop.spaces import (
     pi10_v8,
     report_to_json,
 )
-from oracles import finite_pi1_betti, smoothable
+from oracles import finite_pi1_betti, rank_rational, smoothable
+
+
+def _rank_mod(rows, p):
+    """Rank over F_p by row reduction."""
+    work = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(work[0])):
+        pivot = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if pivot is None:
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        inverse = pow(work[rank][col], -1, p)
+        for i in range(rank + 1, len(work)):
+            f = work[i][col] * inverse % p
+            work[i] = [(a - f * b) % p for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+@st.composite
+def scaled_square_forms(draw):
+    """A 2-4-square integer matrix, scaled so that small primes divide it often."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    scale = draw(st.sampled_from((1, 1, 2, 3, 7, 9, 49)))
+    entries = st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n)
+    return [[scale * x for x in row] for row in draw(st.lists(entries, min_size=n, max_size=n))]
+
+
+_PRIMES_BELOW_50 = tuple(p for p in range(2, 50) if all(p % d for d in range(2, p)))
 
 
 class TestModelValidation:
@@ -69,6 +98,18 @@ class TestBadPrimes:
     def test_rank_below_two_rejected(self):
         with pytest.raises(UnsupportedSpaceError):
             bad_primes([[2, 0], [0, 0]])
+
+    @given(scaled_square_forms())
+    @settings(max_examples=300, deadline=None)
+    def test_a_prime_is_bad_exactly_when_the_rank_mod_p_is_below_two(self, form):
+        # the 2x2-minor gcd stops at 1, which is sound only if it is d1 d2:
+        # divisible by p exactly when the rank over F_p is below 2
+        if rank_rational(form) < 2:
+            with pytest.raises(UnsupportedSpaceError):
+                bad_primes(form)
+            return
+        bad = bad_primes(form)
+        assert {p for p in _PRIMES_BELOW_50 if _rank_mod(form, p) < 2} == {p for p in bad if p < 50}
 
     def test_factorize_large_composite(self):
         # exercise the Pollard rho path beyond the trial-division bound
