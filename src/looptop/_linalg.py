@@ -1,34 +1,28 @@
-"""Exact linear algebra helpers: sparse Smith invariants, the 2x2-minor gcd, dense ops.
+"""Exact integer arithmetic: Smith invariants, minors, determinants, factorization.
 
 Matrices are lists of lists (dense) or lists of {index: value} dicts
-(sparse).  Everything is exact integer arithmetic.
+(sparse).  Everything is exact integer arithmetic, and this module
+imports no other part of the engine except its errors.
 
-`smith_invariants` is the Smith form of the cobar torsion path: sparse
-elimination without transforms (Kannan and Bachem, SIAM J. Comput. 8,
-1979; Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001), certified
-by an independent elimination over Z/p^(e+1) at every prime p of the
-answer and a rank over F_p at one more prime.  `smith_normal_form` is the
-dense form with transforms, kept for small presentations (and as the
-tests' reference) whose transforms are checked by multiplication.
+`smith_invariants` is the one Smith form: sparse elimination without
+transforms (Kannan and Bachem, SIAM J. Comput. 8, 1979; Dumas, Saunders
+and Villard, J. Symb. Comput. 32, 2001), certified by an independent
+elimination over Z/p^(e+1) at every prime p of the answer and a rank
+over F_p at one more prime.  The cobar torsion path calls it on sparse
+columns, and `smith_normal_form` on the rows of a small presentation.
+The certificate factorizes the invariants, so it is meant for matrices
+whose invariants stay small, not for determinant-sized ones.
 """
 
 import heapq
+import random
 from collections import Counter
 from math import gcd
 
-from .errors import IntegrityError
+from .errors import IntegrityError, UnsupportedSpaceError
 
 
 # ------------------------------------------------------------------ dense ops
-
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0]) if B else 0
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
-def mat_identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
 
 def minor_gcd(rows):
     """gcd of the 2x2 minors of an integer matrix given by its rows.
@@ -101,6 +95,17 @@ def smith_invariants(columns):
                 f"gives valuations {found}, the invariants {claimed}"
             )
     return invariants
+
+
+def smith_normal_form(rows):
+    """Nonzero invariant factors d1 | d2 | ... of a dense integer matrix.
+
+    The matrix is given by its rows; its columns go to `smith_invariants`,
+    so the answer carries the same certificate.
+    """
+    width = len(rows[0]) if rows else 0
+    columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(width)]
+    return smith_invariants(columns)
 
 
 _RANK_PRIME = 2**30 - 35  # the largest prime below 2^30
@@ -242,8 +247,6 @@ def _divisibility_chain(diagonal):
 
 def _prime_factors(values):
     """Sorted primes dividing any of `values`."""
-    from .spaces import factorize  # the one factorizer; spaces imports this module
-
     return sorted({p for n in set(values) for p in factorize(n)})
 
 
@@ -298,125 +301,92 @@ def _local_valuations(columns, p, k):
     return sorted(found)
 
 
-# ------------------------------------------------------------- dense SNF
+# ------------------------------------------------------------- factorization
 
-def smith_normal_form(matrix):
-    """Smith normal form with transforms.
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-    Returns (invariants, L, R) where L @ matrix @ R is diagonal with the
-    invariant factor chain d1 | d2 | ..., `invariants` lists the nonzero
-    diagonal entries, and L, R are unimodular.  The reduction pivots on a
-    smallest-magnitude nonzero entry; arithmetic is exact big-int.
-    The transforms are verified by multiplication before returning.
-    """
-    A = [list(map(int, row)) for row in matrix]
-    n = len(A)
-    m = len(A[0]) if n else 0
-    L = mat_identity(n)
-    R = mat_identity(m)
+# Pollard rho splits off a prime p in about sqrt(p) steps, so this budget
+# reaches prime factors up to about 10^9; a number whose least two prime
+# factors above the trial-division bound are both far larger (a product of
+# two 64-bit primes takes about 2^32 steps) is refused instead.
+_RHO_STEPS = 1 << 16
 
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        L[i], L[j] = L[j], L[i]
 
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in R:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        A[dst] = [a + c * b for a, b in zip(A[dst], A[src])]
-        L[dst] = [a + c * b for a, b in zip(L[dst], L[src])]
-
-    def add_col(src, dst, c):
-        for row in A:
-            row[dst] += c * row[src]
-        for row in R:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        A[i] = [-a for a in A[i]]
-        L[i] = [-a for a in L[i]]
-
-    t = 0
-    while True:
-        piv = None
-        best = None
-        for i in range(t, n):
-            for j in range(t, m):
-                a = A[i][j]
-                if a != 0 and (best is None or abs(a) < best):
-                    best = abs(a)
-                    piv = (i, j)
-        if piv is None:
-            break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
-        while True:
-            # clear row t by column operations; the least remainder becomes the pivot
-            for j in range(t + 1, m):
-                if A[t][j] != 0:
-                    add_col(t, j, -(A[t][j] // A[t][t]))
-            rest = [j for j in range(t + 1, m) if A[t][j] != 0]
-            if rest:
-                swap_cols(t, min(rest, key=lambda j: abs(A[t][j])))
-                continue
-            # row t now holds only the pivot, so row operations change column t alone
-            for i in range(t + 1, n):
-                if A[i][t] != 0:
-                    add_row(t, i, -(A[i][t] // A[t][t]))
-            rest = [i for i in range(t + 1, n) if A[i][t] != 0]
-            if not rest:
+def _is_probable_prime(n):
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _SMALL_PRIMES:  # deterministic for n < 3.3e24
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
                 break
-            swap_rows(t, min(rest, key=lambda i: abs(A[i][t])))
-        if A[t][t] < 0:
-            negate_row(t)
-        t += 1
-        if t == min(n, m):
+        else:
+            return False
+    return True
+
+
+def _pollard_rho(n, rng):
+    """A proper factor of the composite n, or None after _RHO_STEPS steps."""
+    if n % 2 == 0:
+        return 2
+    steps = 0
+    while steps < _RHO_STEPS:
+        c = rng.randrange(1, n)
+        x = y = rng.randrange(2, n)
+        d = 1
+        while d == 1 and steps < _RHO_STEPS:
+            x = (x * x + c) % n
+            y = (y * y + c) % n
+            y = (y * y + c) % n
+            d = gcd(x - y, n)
+            steps += 1
+        if 1 < d < n:
+            return d
+    return None
+
+
+def factorize(n):
+    """Sorted prime factors (with multiplicity) by trial division then Pollard rho.
+
+    A composite part that Pollard rho does not split within its step
+    budget is refused with UnsupportedSpaceError, which names it.
+    """
+    n = abs(int(n))
+    if n < 2:
+        return []
+    out = []
+    for p in range(2, 100_000):
+        if p * p > n:
             break
-
-    # enforce the divisibility chain by folding adjacent diagonal pairs
-    k = min(n, m)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(k - 1):
-            a, b = A[i][i], A[i + 1][i + 1]
-            if a != 0 and b % a != 0:
-                # col_i += col_{i+1}, then re-clear the 2x2 block
-                add_col(i + 1, i, 1)
-                while True:
-                    if A[i + 1][i] != 0:
-                        if A[i][i] == 0 or (A[i + 1][i] != 0 and abs(A[i + 1][i]) < abs(A[i][i])):
-                            swap_rows(i, i + 1)
-                        q = A[i + 1][i] // A[i][i]
-                        add_row(i, i + 1, -q)
-                        if A[i + 1][i] != 0:
-                            continue
-                    if A[i][i + 1] != 0:
-                        q = A[i][i + 1] // A[i][i]
-                        add_col(i, i + 1, -q)
-                        if A[i][i + 1] != 0:
-                            swap_cols(i, i + 1)
-                            continue
-                    break
-                if A[i][i] < 0:
-                    negate_row(i)
-                if A[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
-
-    invariants = [A[i][i] for i in range(k) if A[i][i] != 0]
-    for x, y in zip(invariants, invariants[1:]):
-        if y % x != 0:
-            raise IntegrityError(f"SNF divisibility chain broken: {invariants}")
-    check = mat_mul(mat_mul(L, [list(map(int, row)) for row in matrix]), R)
-    for i in range(n):
-        for j in range(m):
-            if i != j and A[i][j] != 0:
-                raise IntegrityError("SNF result is not diagonal")
-            if check[i][j] != A[i][j]:
-                raise IntegrityError("SNF transform verification failed")
-    return invariants, L, R
-
+        while n % p == 0:
+            out.append(p)
+            n //= p
+    if n == 1:
+        return sorted(out)
+    rng = random.Random(0xC0BA)
+    stack = [n]
+    while stack:
+        m = stack.pop()
+        if m == 1:
+            continue
+        if _is_probable_prime(m):
+            out.append(m)
+            continue
+        d = _pollard_rho(m, rng)
+        if d is None:
+            raise UnsupportedSpaceError(
+                f"cannot factor {m}: Pollard rho found no factor in {_RHO_STEPS} steps"
+            )
+        stack.append(d)
+        stack.append(m // d)
+    return sorted(out)

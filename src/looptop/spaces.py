@@ -20,12 +20,10 @@ relation.  Betti-one models have no quadratic relation and answer from
 closed forms.
 """
 
-import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._linalg import det_int, minor_gcd, smith_normal_form
+from ._linalg import det_int, factorize, minor_gcd, smith_normal_form
 from .cobar import FiniteCoalgebra
 from .errors import IntegrityError, UnsupportedSpaceError, ValidationError
 from .series import (
@@ -363,8 +361,14 @@ class TwoCellComplex(_FormSpace):
     def to_json(self):
         return {"type": "two-cell", "n": self.n, "matrix": [list(row) for row in self.matrix]}
 
+    def _rank_below_two(self):
+        """Whether the form has rank < 2 over Q: it has no nonsingular plane."""
+        from .algebra import _plane_letters
+
+        return _plane_letters(self.matrix) is None
+
     def relation(self):
-        if not minor_gcd(self.matrix):
+        if self._rank_below_two():
             raise UnsupportedSpaceError("two-cell decomposition needs rank(Q over Q) >= 2")
         return super().relation()
 
@@ -375,7 +379,7 @@ class TwoCellComplex(_FormSpace):
     def classify(self):
         if self.r >= 3:
             return "hyperbolic"
-        if not minor_gcd(self.matrix):
+        if self._rank_below_two():
             raise UnsupportedSpaceError(
                 "rational classification of a two-cell complex with r <= 2 and a "
                 "degenerate form is out of reach here"
@@ -450,78 +454,7 @@ class BettiOne:
         return betti_one_report(self.n, self.m)
 
 
-# ------------------------------------------------------------- factorization
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_probable_prime(n):
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _SMALL_PRIMES:  # deterministic for n < 3.3e24
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n, rng):
-    if n % 2 == 0:
-        return 2
-    while True:
-        c = rng.randrange(1, n)
-        x = y = rng.randrange(2, n)
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(x - y, n)
-        if d != n:
-            return d
-
-
-def factorize(n):
-    """Sorted prime factors (with multiplicity) by trial division then Pollard rho."""
-    n = abs(int(n))
-    if n < 2:
-        return []
-    out = []
-    for p in range(2, 100_000):
-        if p * p > n:
-            break
-        while n % p == 0:
-            out.append(p)
-            n //= p
-    if n == 1:
-        return sorted(out)
-    rng = random.Random(0xC0BA)
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out.append(m)
-            continue
-        d = _pollard_rho(m, rng)
-        stack.append(d)
-        stack.append(m // d)
-    return sorted(out)
-
+# ------------------------------------------------------------- bad primes
 
 def bad_primes(form):
     """Primes where the integer form drops below rank 2: divisors of the 2x2-minor gcd."""
@@ -596,12 +529,12 @@ def pi10_v8(m):
     """pi_10 of the 8-dimensional Betti-1 manifold V_{m,1}, as invariant factors.
 
     The group is (Z/24 + Z/3) modulo the relations (1, -m) and (1+2m, m);
-    the cokernel is read off the Smith form of the 4x2 presentation.
-    Returns the invariant factors > 1 (empty tuple = trivial group).
+    the cokernel is read off the certified Smith invariants of the 4x2
+    presentation.  Returns the invariant factors > 1 (empty tuple =
+    trivial group).
     """
     presentation = [[24, 0], [0, 3], [1, -m], [1 + 2 * m, m]]
-    invariants, _, _ = smith_normal_form(presentation)
-    return tuple(x for x in invariants if x > 1)
+    return tuple(x for x in smith_normal_form(presentation) if x > 1)
 
 
 def group_description(invariants):

@@ -6,8 +6,9 @@ irreducible-word enumeration, matrix evaluation of tensor elements, the
 rational plane split of a quadratic relation (the congruence whose
 plane fixes the engine's letter order, with its rewrite rule and Lie
 tail), the Betti number of a finite cover, the closed-form rational ranks, the
-tuple-word build of the cobar complex, dense and sparse rank over Q, and the
-`Fraction` series logarithm and exponential with the log + Moebius Lie
+tuple-word build of the cobar complex, dense and sparse rank over Q, the
+dense Smith normal form with transforms (the reference for the sparse
+Smith invariants), and the `Fraction` series logarithm and exponential with the log + Moebius Lie
 ranks, and the small helpers only tests read: tensor elements as text, the
 relation as a tensor, a dimension table as a list, the smoothability
 table of the Betti-one manifolds.  The engine never calls them; the tests use them to check its
@@ -28,7 +29,6 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
-from looptop._linalg import mat_mul
 from looptop.algebra import Alphabet, TensorElement
 from looptop.cobar import _desusp, _diagonal_desuspended
 from looptop.errors import IntegrityError, UnsupportedSpaceError, ValidationError
@@ -461,6 +461,15 @@ def log_moebius_ranks(denominator, N):
     return DimensionTable(dims, N)
 
 
+def mat_mul(A, B):
+    n, k, m = len(A), len(B), len(B[0]) if B else 0
+    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
+
+
+def mat_identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
 def mat_transpose(A):
     return [list(col) for col in zip(*A)]
 
@@ -481,6 +490,127 @@ def mat_inverse(A):
                 f = M[r][col]
                 M[r] = [a - f * b for a, b in zip(M[r], M[col])]
     return [row[n:] for row in M]
+
+
+def smith_form_with_transforms(matrix):
+    """Dense Smith normal form with transforms: the reference for `smith_invariants`.
+
+    Returns (invariants, L, R) where L @ matrix @ R is diagonal with the
+    invariant factor chain d1 | d2 | ..., `invariants` lists the nonzero
+    diagonal entries, and L, R are unimodular.  The reduction pivots on a
+    smallest-magnitude nonzero entry; arithmetic is exact big-int.
+    The transforms are verified by multiplication before returning.
+    """
+    A = [list(map(int, row)) for row in matrix]
+    n = len(A)
+    m = len(A[0]) if n else 0
+    L = mat_identity(n)
+    R = mat_identity(m)
+
+    def swap_rows(i, j):
+        A[i], A[j] = A[j], A[i]
+        L[i], L[j] = L[j], L[i]
+
+    def swap_cols(i, j):
+        for row in A:
+            row[i], row[j] = row[j], row[i]
+        for row in R:
+            row[i], row[j] = row[j], row[i]
+
+    def add_row(src, dst, c):
+        A[dst] = [a + c * b for a, b in zip(A[dst], A[src])]
+        L[dst] = [a + c * b for a, b in zip(L[dst], L[src])]
+
+    def add_col(src, dst, c):
+        for row in A:
+            row[dst] += c * row[src]
+        for row in R:
+            row[dst] += c * row[src]
+
+    def negate_row(i):
+        A[i] = [-a for a in A[i]]
+        L[i] = [-a for a in L[i]]
+
+    t = 0
+    while True:
+        piv = None
+        best = None
+        for i in range(t, n):
+            for j in range(t, m):
+                a = A[i][j]
+                if a != 0 and (best is None or abs(a) < best):
+                    best = abs(a)
+                    piv = (i, j)
+        if piv is None:
+            break
+        swap_rows(t, piv[0])
+        swap_cols(t, piv[1])
+        while True:
+            # clear row t by column operations; the least remainder becomes the pivot
+            for j in range(t + 1, m):
+                if A[t][j] != 0:
+                    add_col(t, j, -(A[t][j] // A[t][t]))
+            rest = [j for j in range(t + 1, m) if A[t][j] != 0]
+            if rest:
+                swap_cols(t, min(rest, key=lambda j: abs(A[t][j])))
+                continue
+            # row t now holds only the pivot, so row operations change column t alone
+            for i in range(t + 1, n):
+                if A[i][t] != 0:
+                    add_row(t, i, -(A[i][t] // A[t][t]))
+            rest = [i for i in range(t + 1, n) if A[i][t] != 0]
+            if not rest:
+                break
+            swap_rows(t, min(rest, key=lambda i: abs(A[i][t])))
+        if A[t][t] < 0:
+            negate_row(t)
+        t += 1
+        if t == min(n, m):
+            break
+
+    # enforce the divisibility chain by folding adjacent diagonal pairs
+    k = min(n, m)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(k - 1):
+            a, b = A[i][i], A[i + 1][i + 1]
+            if a != 0 and b % a != 0:
+                # col_i += col_{i+1}, then re-clear the 2x2 block
+                add_col(i + 1, i, 1)
+                while True:
+                    if A[i + 1][i] != 0:
+                        if A[i][i] == 0 or (A[i + 1][i] != 0 and abs(A[i + 1][i]) < abs(A[i][i])):
+                            swap_rows(i, i + 1)
+                        q = A[i + 1][i] // A[i][i]
+                        add_row(i, i + 1, -q)
+                        if A[i + 1][i] != 0:
+                            continue
+                    if A[i][i + 1] != 0:
+                        q = A[i][i + 1] // A[i][i]
+                        add_col(i, i + 1, -q)
+                        if A[i][i + 1] != 0:
+                            swap_cols(i, i + 1)
+                            continue
+                    break
+                if A[i][i] < 0:
+                    negate_row(i)
+                if A[i + 1][i + 1] < 0:
+                    negate_row(i + 1)
+                changed = True
+
+    invariants = [A[i][i] for i in range(k) if A[i][i] != 0]
+    for x, y in zip(invariants, invariants[1:]):
+        if y % x != 0:
+            raise IntegrityError(f"SNF divisibility chain broken: {invariants}")
+    check = mat_mul(mat_mul(L, [list(map(int, row)) for row in matrix]), R)
+    for i in range(n):
+        for j in range(m):
+            if i != j and A[i][j] != 0:
+                raise IntegrityError("SNF result is not diagonal")
+            if check[i][j] != A[i][j]:
+                raise IntegrityError("SNF transform verification failed")
+    return invariants, L, R
 
 
 @dataclass(frozen=True)

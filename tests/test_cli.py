@@ -145,6 +145,26 @@ def test_lie_basis_walk_guard_names_the_flag_and_the_counts_command():
     assert "standard_lyndon_counts" not in err and "Traceback" not in err
 
 
+# a product of two 64-bit primes; Pollard rho would need about 2^32 steps to split it
+_SEMIPRIME = 276028547407528500944244193511643060947
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cw", "--n", "2", "--matrix", f"0,{_SEMIPRIME};{_SEMIPRIME},0"],
+        ["verify", "cobar", "--space", f"cw:2:0,{_SEMIPRIME};{_SEMIPRIME},0"],
+    ],
+)
+def test_a_form_beyond_factoring_is_refused_at_once(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "looptop.cli", *argv], capture_output=True, text=True, env=env, timeout=2
+    )
+    assert done.returncode == 2 and not done.stdout
+    assert done.stderr.startswith(f"error: cannot factor {_SEMIPRIME**2}")
+
+
 LONG_OUTPUT = ["hilbert", "--space", "manifold:2:3", "--max-degree", "2000"]  # about 3 MB
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from looptop._linalg import factorize
 from looptop.errors import UnsupportedSpaceError, ValidationError
 from looptop.spaces import (
     BettiOne,
@@ -15,7 +16,6 @@ from looptop.spaces import (
     betti_one_report,
     classify_rational,
     decomposition_report,
-    factorize,
     group_description,
     moore_report,
     pi10_v8,
