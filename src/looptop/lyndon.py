@@ -8,6 +8,7 @@ quotient.  Counts are cross-checked against the power-series pipelines on
 every call that builds a basis.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -131,10 +132,12 @@ def standard_lyndon_counts(alphabet, forbidden, max_degree):
     A Lyndon word never wraps the factor x0 x1 around its end (it starts
     with its minimal letter, which rules out last = x0, first = x1), so
     standard Lyndon words correspond exactly to aperiodic necklaces whose
-    cyclic reading avoids the factor.  Closed walks avoiding the step
-    x0 -> x1 are counted by a degree-weighted transfer recursion and
-    Moebius inversion over periods divides out the rotations.  The test
-    suite checks these counts against generated standard Lyndon words.
+    cyclic reading avoids the factor.  The closed walks avoiding the step
+    x0 -> x1 are the linear words that avoid the factor, counted length by
+    length and degree by degree, less those that start with x1 and end in
+    x0; no letter pair is tested, so the cost is linear in the number of
+    letters.  Moebius inversion over periods divides out the rotations.  The
+    test suite checks these counts against generated standard Lyndon words.
     """
     walks = _closed_walk_counts(alphabet, forbidden, max_degree)
     counts = {}
@@ -158,38 +161,36 @@ def _estimated_words(alphabet, max_degree):
 
 
 def _closed_walk_counts(alphabet, forbidden, max_degree):
-    """A[(w, d)] = rooted cyclic sequences of length w, degree d, avoiding the step.
+    """A[(w, d)] = closed walks of length w and degree d avoiding the step x_a -> x_b.
 
-    A sequence (v_0 .. v_{w-1}) counts when every transition including the
-    wrap v_{w-1} -> v_0 avoids forbidden; summing over the root v_0 this is
-    the degree-refined trace of the transfer matrix power.
+    A walk v_0 .. v_{w-1} counts when no step, the wrap v_{w-1} -> v_0
+    included, is the forbidden one; summed over the root v_0 this is the
+    degree-refined trace of the transfer matrix power.  The linear words
+    avoiding the factor that end in x_j are all those one letter shorter,
+    less the ones ending in x_a when j = b; the closed walks are the linear
+    words less those that start with x_b and end in x_a.
     """
-    r = alphabet.size
+    a, b = forbidden
     degs = alphabet.degrees
+
+    def extend(rows):
+        out = defaultdict(lambda: [0] * len(degs))
+        for d, row in rows.items():
+            total = sum(row)
+            for j, g in enumerate(degs):
+                if d + g <= max_degree:
+                    out[d + g][j] = total - (row[a] if j == b else 0)
+        return out
+
+    # degree -> count per last letter of the linear words of the current
+    # length: all of them, and those that start with x_b
+    words = {g: [int(h == g) for h in degs] for g in set(degs) if g <= max_degree}
+    from_b = {degs[b]: [int(j == b) for j in range(len(degs))]}
     out = {}
-    min_deg = min(degs)
-    max_len = max_degree // min_deg
-    for start in range(r):
-        # paths[(cur, d)] = linear sequences start..cur of the current length,
-        # all internal transitions allowed, d = total degree of the letters
-        paths = {(start, degs[start]): 1}
-        for w in range(1, max_len + 1):
-            for (cur, d), cnt in paths.items():
-                if not (cur == forbidden[0] and start == forbidden[1]):
-                    key = (w, d)
-                    out[key] = out.get(key, 0) + cnt
-            nxt = {}
-            for (cur, d), cnt in paths.items():
-                for j in range(r):
-                    if cur == forbidden[0] and j == forbidden[1]:
-                        continue
-                    nd = d + degs[j]
-                    if nd <= max_degree:
-                        key = (j, nd)
-                        nxt[key] = nxt.get(key, 0) + cnt
-            paths = nxt
-            if not paths:
-                break
+    for w in range(1, max_degree // min(degs) + 1):
+        for d, row in words.items():
+            out[(w, d)] = sum(row) - (from_b[d][a] if d in from_b else 0)
+        words, from_b = extend(words), extend(from_b)
     return out
 
 

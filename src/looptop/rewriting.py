@@ -11,29 +11,21 @@ from .series import PowerSeries
 def irreducible_counts(alphabet, forbidden, up_to_degree):
     """Count of irreducible words per degree, by transfer recursion.
 
-    ways[d][j] counts words of degree d ending in letter j; appending a
-    letter is allowed unless it completes the forbidden factor.  Agrees
-    with the DFS enumeration (tested) but runs in O(D r^2).
+    ways[d][j] counts words of degree d ending in letter j.  Every letter
+    may follow every word except x_b after x_a, so ways[d][j] is the count
+    of all words of degree d - |x_j|, the empty word included, less those
+    ending in x_a when j = b.  Agrees with the DFS enumeration (tested) but
+    runs in O(D r).
     """
-    r = alphabet.size
-    ways = [[0] * r for _ in range(up_to_degree + 1)]
-    for j in range(r):
-        d = alphabet.degrees[j]
-        if d <= up_to_degree:
-            ways[d][j] += 1
+    a, b = forbidden
+    ways = [[0] * alphabet.size for _ in range(up_to_degree + 1)]
+    totals = [1] + [0] * up_to_degree
     for d in range(1, up_to_degree + 1):
-        for j in range(r):
-            dj = alphabet.degrees[j]
-            if d - dj < 1:
-                continue
-            acc = 0
-            prev = ways[d - dj]
-            for i in range(r):
-                if i == forbidden[0] and j == forbidden[1]:
-                    continue
-                acc += prev[i]
-            ways[d][j] += acc
-    return {d: sum(ways[d]) for d in range(1, up_to_degree + 1)}
+        for j, g in enumerate(alphabet.degrees):
+            if g <= d:
+                ways[d][j] = totals[d - g] - (ways[d - g][a] if j == b else 0)
+        totals[d] = sum(ways[d])
+    return {d: totals[d] for d in range(1, up_to_degree + 1)}
 
 
 def hilbert_from_enumeration(alphabet, forbidden, up_to_degree):

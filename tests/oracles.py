@@ -2,10 +2,11 @@
 
 The rewriting reducer (normal forms modulo one quadratic relation, with
 strongly connected clusters of reducible words solved exactly), explicit
-irreducible-word enumeration, matrix evaluation of tensor elements, the
-rational plane split of a quadratic relation (the congruence whose
-plane fixes the engine's letter order, with its rewrite rule and Lie
-tail), the Betti number of a finite cover, the closed-form rational ranks, the
+irreducible-word enumeration, the closed walks avoiding the factor counted
+once per start letter (the reference for the necklace walk), matrix
+evaluation of tensor elements, the rational plane split of a quadratic
+relation (the congruence whose plane fixes the engine's letter order, with
+its rewrite rule and Lie tail), the Betti number of a finite cover, the closed-form rational ranks, the
 tuple-word build of the cobar complex, dense and sparse rank over Q, the
 dense Smith normal form with transforms (the reference for the sparse
 Smith invariants), and the `Fraction` series logarithm and exponential with the log + Moebius Lie
@@ -226,8 +227,8 @@ def irreducible_words(alphabet, forbidden, up_to_degree, max_words=None):
     comes out lex-sorted.  `max_words` guards materialization (counting is
     always available through `irreducible_counts`).
     """
-    if len(forbidden) != 2 or forbidden[0] == forbidden[1]:
-        raise ValidationError("forbidden factor must be a 2-letter word with distinct letters")
+    if len(forbidden) != 2:
+        raise ValidationError("forbidden factor must be a 2-letter word")
     out = {d: [] for d in range(1, up_to_degree + 1)}
     total = 0
     r = alphabet.size
@@ -249,6 +250,43 @@ def irreducible_words(alphabet, forbidden, up_to_degree, max_words=None):
                 stack.append((word + (i,), d))
     for d in out:
         out[d].sort()
+    return out
+
+
+def closed_walks_by_start(alphabet, forbidden, max_degree):
+    """A[(w, d)] = rooted cyclic sequences of length w, degree d, avoiding the step.
+
+    A sequence (v_0 .. v_{w-1}) counts when every transition including the
+    wrap v_{w-1} -> v_0 avoids forbidden; one walk per root v_0, testing
+    every letter pair at every step.  Roots of degree above max_degree
+    leave a key (1, d) with d > max_degree.
+    """
+    r = alphabet.size
+    degs = alphabet.degrees
+    out = {}
+    min_deg = min(degs)
+    max_len = max_degree // min_deg
+    for start in range(r):
+        # paths[(cur, d)] = linear sequences start..cur of the current length,
+        # all internal transitions allowed, d = total degree of the letters
+        paths = {(start, degs[start]): 1}
+        for w in range(1, max_len + 1):
+            for (cur, d), cnt in paths.items():
+                if not (cur == forbidden[0] and start == forbidden[1]):
+                    key = (w, d)
+                    out[key] = out.get(key, 0) + cnt
+            nxt = {}
+            for (cur, d), cnt in paths.items():
+                for j in range(r):
+                    if cur == forbidden[0] and j == forbidden[1]:
+                        continue
+                    nd = d + degs[j]
+                    if nd <= max_degree:
+                        key = (j, nd)
+                        nxt[key] = nxt.get(key, 0) + cnt
+            paths = nxt
+            if not paths:
+                break
     return out
 
 

@@ -4,6 +4,7 @@ import os
 import runpy
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -90,6 +91,39 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "verify_loop_homology", lambda *a, **k: failing)
         code, out, _ = invoke(["verify", "cobar", "--space", "manifold:2:2"])
         assert code == 1 and "FAIL" in out
+
+    def test_necklace_check_can_fail(self, monkeypatch):
+        import looptop.lyndon as lyndon
+
+        original = lyndon._closed_walk_counts
+
+        def shifted(alphabet, forbidden, max_degree):
+            # one more closed walk of length 1 at the top degree: one more
+            # necklace there, and no other degree moves
+            walks = original(alphabet, forbidden, max_degree)
+            walks[(1, max_degree)] = walks.get((1, max_degree), 0) + 1
+            return walks
+
+        monkeypatch.setattr(lyndon, "_closed_walk_counts", shifted)
+        code, out, _ = invoke(["verify", "counts", "--space", "manifold:2:3", "--max-degree", "12"])
+        assert code == 1 and "FAIL" in out
+        # total > _WITNESS_LIMIT: the report checks by necklace counts, without witnesses
+        code, _, err = invoke(["manifold", "--n", "2", "--betti", "3", "--max-dim", "12"])
+        assert code == 1 and "integrity error: Lyndon pipeline disagrees" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["manifold", "--n", "2", "--betti", "100", "--max-dim", "25", "--format", "json"],
+        ["verify", "counts", "--space", "manifold:2:100", "--max-degree", "24"],
+    ],
+)
+def test_a_large_betti_number_answers_quickly(argv):
+    start = time.perf_counter()
+    code, out, _ = invoke(argv)
+    assert time.perf_counter() - start < 2
+    assert code == 0 and "FAIL" not in out
 
 
 @pytest.mark.parametrize("command", [["verify", "counts"], ["hilbert"]])
@@ -203,6 +237,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
     "script, args, last_line",
     [
         ("crosscheck_counts.py", ["--max-n", "3", "--max-r", "4", "--max-degree", "8"], "all pipelines agree"),
+        ("crosscheck_counts.py", ["--max-n", "3", "--max-r", "40", "--max-degree", "8"], "all pipelines agree"),
         ("cobar_audit.py", ["manifold:2:2", "cw:2:0,7;7,0", "--max-degree", "5"], None),
     ],
 )

@@ -5,8 +5,8 @@ the sha256 of its stdout and of its stderr are pinned; stderr is also
 captured through `redirect_stderr`, so argparse"s own usage messages count.
 The corpus covers every command in both formats, the window, grammar and
 usage errors, the cell cap, the Lyndon walk guard, a cobar cutoff of 25,
-the `--deep` flag that no longer exists and each refusal of a form of rank
-below 2.
+the `--deep` flag that no longer exists, each refusal of a form of rank
+below 2 and two requests at Betti number 100.
 
 A digest changes only with a deliberate change of output.  Run this file as
 a script (`PYTHONPATH=src python tests/test_cli_golden.py`) to print the
@@ -90,6 +90,9 @@ REQUESTS = (
     ("verify-cobar-rank-below-2", ["verify", "cobar", "--space", "cw:2:0,0;0,0", "--max-degree", "4"], {}),
     ("counts-rank-one", ["verify", "counts", "--space", "cw:2:2,0;0,0"], {}),
     ("lie-basis-csum-even", ["lie-basis", "--space", "csum:2x4,3x3:signs=+,-", "--max-degree", "6", "--format", "json"], {}),
+    # a large Betti number: the report checks by necklace counts, with no witnesses
+    ("manifold-betti-100", ["manifold", "--n", "2", "--betti", "100", "--max-dim", "25", "--format", "json"], {}),
+    ("counts-betti-100", ["verify", "counts", "--space", "manifold:2:100", "--max-degree", "24"], {}),
 )
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -151,6 +154,8 @@ GOLDEN = {
     "verify-cobar-rank-below-2": (2, EMPTY, "d6dbc5fa254bd977bc0cd662293b4e58af10141cb765f7cfe2991bf94cbeb27c"),
     "counts-rank-one": (2, EMPTY, "590d029e08801ac0ce2050b3743a3f3d7f559471e05f0ea6f2f9e311ead306f6"),
     "lie-basis-csum-even": (0, "afeda5d6aae8bd0b81d22b360a3957d1fdd5abeca393758aa6b1eb3a4aaeeaeb", EMPTY),
+    "manifold-betti-100": (0, "e421997ca7d687776ab61014da9d5d0a00e95958bd34bd5bbb40637d55ee8c2a", EMPTY),
+    "counts-betti-100": (0, "828707ccc562c1fa4adc41bdd9bc7975f7d6690b494b4707727a8e4778300800", EMPTY),
 }
 
 

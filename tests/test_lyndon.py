@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from looptop.algebra import Alphabet, normalize_relation, relation_from_space
 from looptop.errors import IntegrityError, ValidationError
 from looptop.lyndon import (
+    _closed_walk_counts,
     bracket_expand,
     bracket_string,
     generate_lyndon,
@@ -16,8 +17,17 @@ from looptop.lyndon import (
     standard_lyndon_counts,
     standard_lyndon_words,
 )
+from looptop.rewriting import irreducible_counts
 from looptop.spaces import ConnectedSum, Manifold
-from oracles import RewriteSystem, is_zero, rank_sparse_rational, rational_plane_split, reduce
+from oracles import (
+    RewriteSystem,
+    closed_walks_by_start,
+    irreducible_words,
+    is_zero,
+    rank_sparse_rational,
+    rational_plane_split,
+    reduce,
+)
 
 
 AB2 = Alphabet.uniform(2, 1)
@@ -171,6 +181,37 @@ class TestScalableCounts:
         counts = standard_lyndon_counts(Alphabet.uniform(6, 1), (0, 1), 12)
         for d in range(1, 13):
             assert counts.get(d, 0) == closed_form_lie_rank(2, 6, d)
+
+
+@st.composite
+def weighted_alphabets(draw):
+    """A weighted alphabet, any forbidden pair (a = b included) and a window."""
+    degrees = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=6)))
+    alphabet = Alphabet(degrees, tuple(f"x{i}" for i in range(len(degrees))))
+    pair = (draw(st.integers(0, len(degrees) - 1)), draw(st.integers(0, len(degrees) - 1)))
+    return alphabet, pair, draw(st.integers(1, 14))
+
+
+class TestStepRule:
+    """The one-step-rule word counts against the per-start walk and the enumerated words."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_alphabets())
+    def test_closed_walks_match_the_walk_per_start_letter(self, case):
+        alphabet, pair, D = case
+        want = {k: v for k, v in closed_walks_by_start(alphabet, pair, D).items() if k[1] <= D}
+        have = {k: v for k, v in _closed_walk_counts(alphabet, pair, D).items() if v}
+        assert have == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_alphabets())
+    def test_irreducible_counts_match_the_enumerated_words(self, case):
+        alphabet, pair, D = case
+        # enumerate only as deep as a few thousand words
+        r, low = alphabet.size, min(alphabet.degrees)
+        D = max(e for e in range(1, D + 1) if r ** (e // low) <= 4096)
+        words = irreducible_words(alphabet, pair, D)
+        assert irreducible_counts(alphabet, pair, D) == {d: len(words[d]) for d in range(1, D + 1)}
 
 
 def _generated_counts(alphabet, forbidden, max_degree):

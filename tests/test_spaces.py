@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from looptop._linalg import factorize
 from looptop.errors import UnsupportedSpaceError, ValidationError
+from looptop.series import pbw_match_graded
 from looptop.spaces import (
     BettiOne,
     ConnectedSum,
@@ -183,6 +185,22 @@ class TestClassification:
         assert classify_rational(TwoCellComplex(2, ((0, 1, 0), (1, 0, 0), (0, 0, 2)))) == "hyperbolic"
         with pytest.raises(UnsupportedSpaceError):
             classify_rational(TwoCellComplex(2, ((2, 0), (0, 0))))
+
+    def test_rank_two_answer_is_the_graded_pbw_scan(self):
+        # the scan over the upper half of a window that classify once ran
+        for n in range(2, 7):
+            if n % 2:
+                forms = [((0, q), (-q, 0)) for q in range(-3, 4)]
+            else:
+                forms = [((p, q), (q, s)) for p, q, s in product(range(-3, 4), repeat=3)]
+            for form in forms:
+                if form[0][0] * form[1][1] == form[0][1] * form[1][0]:
+                    continue
+                space = TwoCellComplex(n, form)
+                window = max(12, 6 * (n - 1))
+                table = pbw_match_graded(space.denominator(window).inverse(), window)
+                upper = any(table[d] for d in range(window // 2 + 1, window + 1))
+                assert space.classify() == ("hyperbolic" if upper else "elliptic"), (n, form)
 
     def test_betti_one(self):
         assert classify_rational(BettiOne(8, 3)) == "elliptic"
