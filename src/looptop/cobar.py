@@ -13,11 +13,16 @@ Words are integer codes in base k (k generators), and each spot is built
 from the spots of one letter shorter by block offsets, so the build never
 hashes or looks up a word.  Ranks are taken per slice from the top degree
 down, and the unit pivots of each differential clear columns of the next
-one (see `_profile_slice`).
+one.  The top spot of a slice, which no spot above clears, inherits its
+cleared columns from smaller slices: for a generator g with no diagonal
+terms and a reduced boundary column R of a smaller slice, g R and R g are
+cycles of the top spot, each with a unit at a known column and its other
+entries after it (see `_profile_slice`).
 """
 
 import os
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -129,6 +134,9 @@ class ChainComplex:
     manifold:2:3 about 76 bytes retained per cell against about 230; the
     README gives the peak RSS at D=10 and D=11).  `words` decodes a spot
     back to letter tuples.  Homology is complete through degree `cutoff`.
+    `_profiles` memoizes the (rank, torsion) of each spot's differential;
+    `_inherited` holds, until read, the pivot rows a slice's top spot
+    inherits (see `_profile_slice`).
     """
 
     coalgebra: FiniteCoalgebra
@@ -136,6 +144,7 @@ class ChainComplex:
     spots: dict = field(default_factory=dict)
     diffs: dict = field(default_factory=dict)
     _profiles: dict = field(default_factory=dict)
+    _inherited: dict = field(default_factory=dict)
 
     def dim(self, d):
         if d == 0:
@@ -437,13 +446,49 @@ def _profile_slice(cx, s):
     the columns that are not cleared, so dropping them all leaves the
     Z-span of the columns, hence the rank and the Smith invariants,
     unchanged (the twist, or clearing, of persistent homology: Chen and
-    Kerber 2011; Bauer, Kerber and Reininghaus 2014).  A spot that nothing
-    clears, such as the top of the slice, reduces its transpose when it
-    has fewer rows than nonzero columns: the rank and the invariants are
-    the same, but its pivots then index its columns, so it passes no
-    cleared set down.
+    Kerber 2011; Bauer, Kerber and Reininghaus 2014).
+
+    The top spot (s, t) has no spot above it, so it inherits its cleared
+    set from smaller slices.  Let g be a generator with no diagonal terms
+    and R a reduced unit-pivot column of the source spot's differential
+    d_(s-|g|-1, t-|g|+1), with pivot row i: R is a boundary, so d(R) = 0,
+    and d(g R) = d(R g) = 0 by the derivation rule, since d(g) = 0.  The
+    cycle g R lies in g's block of the top spot, which is the source's
+    target spot with its rows shifted (the build copies g's block of
+    d_(s,t) from d_(s-|g|-1, t-|g|)), and has +-1 at the block start plus
+    i.  The cycle R g has +-1 at the word (word i) g, which the top spot
+    holds since it holds every word of its weight and degree, and its
+    other words follow in code order.  Both have every other entry at a
+    larger index, so the same lemma clears both columns.  The source
+    spots are profiled first; a spot keeps its pivot rows only when some
+    top spot inherits them, as an int64 array in `cx._inherited` under
+    (that slice, |g|), and the top spot drops them once read.  A spot with
+    nothing to clear it (the top spot with no inherited rows, or a spot
+    below a transposed one) reduces its transpose when it has fewer rows
+    than nonzero columns: the rank and the invariants are the same, but its
+    pivots then index its columns, so it passes no cleared set on.
     """
-    cleared = frozenset()
+    degs = _desusp(cx.coalgebra)
+    k = len(degs)
+    plain = {g for g in range(k) if not cx.coalgebra.diagonal(g)}
+    plain_degs = {degs[g] for g in plain}
+    tops = {}
+    for ss, d in cx.spots:
+        tops[ss] = max(d, tops.get(ss, d))
+    top = tops[s]
+    for gd in plain_degs:
+        _spot_profile(cx, (s - gd - 1, top - gd + 1))
+    cleared, start, words = set(), 0, cx.spots[(s, top)]
+    for g, gd in enumerate(degs):
+        sub = cx.spots.get((s - gd - 1, top - gd), ())
+        rows = cx._inherited.get((s, gd)) if g in plain else None
+        if rows:
+            cleared.update(map(start.__add__, rows))
+            cleared.update(bisect_left(words, sub[i] * k + g) for i in rows)
+        start += len(sub)
+    for gd in plain_degs:
+        cx._inherited.pop((s, gd), None)
+
     for d in sorted((d for ss, d in cx.spots if ss == s), reverse=True):
         cols = cx.diffs[(s, d)]
         nrows = len(cx.spots.get((s, d - 1), ()))
@@ -452,6 +497,11 @@ def _profile_slice(cx, s):
             rank, torsion, _ = _sparse_rank_and_torsion(_transpose(cols, nrows))
         else:
             rank, torsion, cleared = _sparse_rank_and_torsion(cols, cleared)
+            heirs = [gd for gd in plain_degs if tops.get(s + gd + 1) == d + gd - 1]
+            if heirs and cleared:
+                rows = array("q", cleared)
+                for gd in heirs:
+                    cx._inherited[s + gd + 1, gd] = rows
         cx._profiles[(s, d)] = rank, torsion
 
 

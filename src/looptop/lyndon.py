@@ -196,16 +196,16 @@ def _closed_walk_counts(alphabet, forbidden, max_degree):
 
 def _necklace_count(alphabet, walks, degree):
     """Aperiodic necklaces of the given degree, from a closed-walk table that
-    reaches at least that degree (see _closed_walk_counts)."""
+    reaches at least that degree (see _closed_walk_counts).  The Moebius
+    sum over the common divisors e of the length and the degree runs over
+    the squarefree divisors of the degree, found once per call."""
+    terms = [(e, mu) for e in divisors(degree) if (mu := moebius_mu(e))]
     total = 0
     min_deg = min(alphabet.degrees)
     for w in range(1, degree // min_deg + 1):
         acc = 0
-        for e in divisors(w):
-            if degree % e:
-                continue
-            mu = moebius_mu(e)
-            if mu:
+        for e, mu in terms:
+            if w % e == 0:
                 acc += mu * walks.get((w // e, degree // e), 0)
         if acc % w:
             raise IntegrityError("necklace count is not divisible by the word length")

@@ -383,6 +383,26 @@ class TestPackedColumns:
         assert _sparse_rank_and_torsion(_transpose(cols, len(matrix)))[:2] == first[:2]
 
 
+# x, x^2, x^3 with |x| = 3: x has no diagonal terms, x2 and x3 have them
+CUBIC = FiniteCoalgebra(
+    (("x", 3), ("x2", 6), ("x3", 9)), {1: ((0, 0, 1),), 2: ((0, 1, 1), (1, 0, 1))}
+)
+# (S^2 x S^2) v S^4: c and e share a degree, and only c has diagonal terms
+WEDGE = FiniteCoalgebra((("a", 2), ("b", 2), ("c", 4), ("e", 4)), {2: ((0, 1, 1), (1, 0, 1))})
+
+
+def _coalgebra(text):
+    return {"cubic": CUBIC, "wedge": WEDGE}.get(text) or parse_space(text).coalgebra()
+
+
+def _top_columns(cx):
+    """The differential of each slice's top spot, by key."""
+    tops = {}
+    for s, d in cx.spots:
+        tops[s] = max(d, tops.get(s, d))
+    return {(s, d): cx.diffs[(s, d)] for s, d in tops.items()}
+
+
 class TestHomology:
     @pytest.mark.parametrize(
         "text, cutoff",
@@ -393,13 +413,60 @@ class TestHomology:
             ("cw:2:2,1;1,2", 7),
             ("cw:2:1,2;2,1", 7),
             ("betti1:4:1", 12),
+            ("manifold:2:3", 8),
+            ("cubic", 30),
+            ("wedge", 8),
         ],
     )
     def test_cleared_profile_equals_the_plain_one(self, text, cutoff):
-        # clearing and the transposed top spot change the work, not the answer
-        cx = build_cobar(parse_space(text).coalgebra(), cutoff)
+        # clearing, inherited clearing and the transposed spots change the
+        # work, not the answer
+        cx = build_cobar(_coalgebra(text), cutoff)
         for key, cols in cx.diffs.items():
             assert _spot_profile(cx, key) == _sparse_rank_and_torsion(cols)[:2], key
+
+    @pytest.mark.parametrize(
+        "text, cutoff",
+        [("manifold:2:3", 8), ("csum:2x3,2x3:signs=+,-", 8), ("cubic", 30), ("wedge", 8)],
+    )
+    def test_top_spots_inherit_cleared_columns(self, monkeypatch, text, cutoff):
+        # the largest slice first: each top spot profiles its sources itself
+        cx = build_cobar(_coalgebra(text), cutoff)
+        tops = _top_columns(cx)
+        rank, skipped = cobar._sparse_rank_and_torsion, {}
+
+        def recording(columns, skip=frozenset()):
+            for key, cols in tops.items():
+                if columns is cols:
+                    skipped[key] = len(skip)
+            return rank(columns, skip)
+
+        monkeypatch.setattr(cobar, "_sparse_rank_and_torsion", recording)
+        for key in sorted(tops, reverse=True):
+            _spot_profile(cx, key)
+        assert any(skipped.values()), skipped
+        assert not cx._inherited  # every kept set was read and dropped
+
+    def test_inherited_clearing_can_fail(self, monkeypatch):
+        # each top spot's inherited columns moved on by one column
+        space = Manifold(2, 3)
+        build, rank, tops = cobar.build_cobar, cobar._sparse_rank_and_torsion, []
+
+        def recording(coalgebra, cutoff, max_cells=None):
+            cx = build(coalgebra, cutoff, max_cells)
+            tops.extend(_top_columns(cx).values())
+            return cx
+
+        def shifted(columns, skip=frozenset()):
+            if any(columns is cols for cols in tops):
+                skip = {j + 1 for j in skip}
+            return rank(columns, skip)
+
+        monkeypatch.setattr(cobar, "build_cobar", recording)
+        monkeypatch.setattr(cobar, "_sparse_rank_and_torsion", shifted)
+        cx = cobar.build_cobar(space.coalgebra(), 8)
+        assert any(_spot_profile(cx, key) != rank(cols)[:2] for key, cols in cx.diffs.items())
+        assert not verify_loop_homology(space, 8).ok
 
     def test_m22_is_polynomial_on_two_letters(self):
         cx = build_cobar(Manifold(2, 2).coalgebra(), 7)
