@@ -265,7 +265,9 @@ def _local_valuations(columns, p, k):
     Elimination modulo p^k: the pivot is an entry of least p-valuation a,
     so every entry of its row and column is a multiple of p^a and the unit
     part of the pivot is invertible.  Entries of valuation >= k are zero.
-    An entry v is ranked by gcd(v, p^k) = p^(valuation of v).
+    An entry v is ranked by gcd(v, p^k) = p^(valuation of v).  With k = 1
+    (a rank over F_p) every nonzero entry is a unit, so the pivot is the
+    column's first entry, which is also what the scan by size would find.
     """
     m = p**k
     cols, rows = _sparse_copy(columns, lambda v: v % m)
@@ -273,7 +275,12 @@ def _local_valuations(columns, p, k):
     def scale_of(v):
         return gcd(v, m)
 
-    queue = _PivotQueue(_pivot_key(j, col, scale_of) for j, col in cols.items())
+    def key(j, col):
+        if k == 1:
+            return 1, len(col), j, next(iter(col))
+        return _pivot_key(j, col, scale_of)
+
+    queue = _PivotQueue(key(j, col) for j, col in cols.items())
     found = []
     while queue:
         scale, _, j, r = queue.pop()
@@ -293,7 +300,7 @@ def _local_valuations(columns, p, k):
                     del col[i]
                     rows[i].discard(t)
             if col:
-                queue.push(_pivot_key(t, col, scale_of))
+                queue.push(key(t, col))
             else:
                 del cols[t]
                 queue.drop(t)

@@ -13,11 +13,12 @@ Words are integer codes in base k (k generators), and each spot is built
 from the spots of one letter shorter by block offsets, so the build never
 hashes or looks up a word.  Ranks are taken per slice from the top degree
 down, and the unit pivots of each differential clear columns of the next
-one.  The top spot of a slice, which no spot above clears, inherits its
-cleared columns from smaller slices: for a generator g with no diagonal
-terms and a reduced boundary column R of a smaller slice, g R and R g are
-cycles of the top spot, each with a unit at a known column and its other
-entries after it (see `_profile_slice`).
+one; a column whose leading entry is a unit on a row with no pivot yet is
+its own reduced form and stays packed.  The top spot of a slice, which no
+spot above clears, inherits its cleared columns from smaller slices: for a
+generator g with no diagonal terms and a reduced boundary column R of a
+smaller slice, g R and R g are cycles of the top spot, each with a unit at
+a known column and its other entries after it (see `_profile_slice`).
 """
 
 import os
@@ -131,12 +132,13 @@ class ChainComplex:
     diffs[(s, d)] holds the differential into (s, d-1) as `PackedColumns`,
     one column per word: a spot costs one offset per word and one row index
     and one value per nonzero entry, not one dict per word (for
-    manifold:2:3 about 76 bytes retained per cell against about 230; the
-    README gives the peak RSS at D=10 and D=11).  `words` decodes a spot
-    back to letter tuples.  Homology is complete through degree `cutoff`.
-    `_profiles` memoizes the (rank, torsion) of each spot's differential;
-    `_inherited` holds, until read, the pivot rows a slice's top spot
-    inherits (see `_profile_slice`).
+    manifold:2:3 about 76 bytes retained per cell against about 230).  The
+    rank reads the same store and keeps its emergent pivots there, as
+    column indices (the README gives the peak RSS at D=10 and D=11).
+    `words` decodes a spot back to letter tuples.  Homology is complete
+    through degree `cutoff`.  `_profiles` memoizes the (rank, torsion) of
+    each spot's differential; `_inherited` holds, until read, the pivot rows
+    a slice's top spot inherits (see `_profile_slice`).
     """
 
     coalgebra: FiniteCoalgebra
@@ -314,6 +316,24 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
 
 
 def _assert_d_squared_zero(cx):
+    """Raise IntegrityError unless d*d = 0 on every word of the complex.
+
+    Every spot's image must land in a spot of the complex.  d*d is then
+    computed on the columns of the words g u whose first letter g has
+    diagonal terms, and on those only.  Let g have none.  Then d(g) = 0,
+    and the derivation rule gives d(g u) = (-1)^|g| g d(u) and
+    d*d(g u) = g d*d(u): the build writes g's block of d_(s,d) as the
+    column of u in d_(s-|g|-1, d-|g|) with its rows shifted and its values
+    times (-1)^|g|.  So d*d vanishes on g u exactly when it vanishes on the
+    shorter word u, whose column this check visits in that source spot, or
+    which is the empty word (a word of one letter with no diagonal terms has
+    an empty column).  By induction on the word length, d*d vanishes on
+    every word.  The argument takes the block copy itself on trust; a fault
+    there can still show in the check of the spot above, whose image this
+    block's columns map on, or in the ranks and the bigraded audit.
+    """
+    k = len(cx.coalgebra.generators)
+    mixed = [g for g in range(k) if cx.coalgebra.diagonal(g)]
     for (s, d), cols in cx.diffs.items():
         lower = cx.diffs.get((s, d - 1))
         if lower is None:
@@ -324,19 +344,23 @@ def _assert_d_squared_zero(cx):
             continue  # d_(s,d-1) is zero, so d*d vanishes on the whole spot
         ptr, rows, vals = cols.ptr, cols.rows, cols.vals
         lptr, lrows, lvals = lower.ptr, lower.rows, lower.vals
-        for j, (a, b) in enumerate(zip(ptr, ptr[1:])):
-            acc = {}
-            for row, v in zip(rows[a:b], vals[a:b]):
-                a2, b2 = lptr[row], lptr[row + 1]
-                for row2, v2 in zip(lrows[a2:b2], lvals[a2:b2]):
-                    nv = acc.get(row2, 0) + v * v2
-                    if nv:
-                        acc[row2] = nv
-                    else:
-                        acc.pop(row2, None)
-            if acc:
-                word = cx.words((s, d))[j]
-                raise IntegrityError(f"d*d != 0 on word {word}: sign convention broken")
+        words, lead = cx.spots[(s, d)], k ** (s - d - 1)
+        for g in mixed:  # the words of g's block have codes in [g lead, (g + 1) lead)
+            first = bisect_left(words, g * lead)
+            last = bisect_left(words, (g + 1) * lead, first)
+            for j, a, b in zip(range(first, last), ptr[first:last], ptr[first + 1:last + 1]):
+                acc = {}
+                for row, v in zip(rows[a:b], vals[a:b]):
+                    a2, b2 = lptr[row], lptr[row + 1]
+                    for row2, v2 in zip(lrows[a2:b2], lvals[a2:b2]):
+                        nv = acc.get(row2, 0) + v * v2
+                        if nv:
+                            acc[row2] = nv
+                        else:
+                            acc.pop(row2, None)
+                if acc:
+                    word = cx.words((s, d))[j]
+                    raise IntegrityError(f"d*d != 0 on word {word}: sign convention broken")
 
 
 def _sparse_rank_and_torsion(columns, skip=frozenset()):
@@ -350,15 +374,27 @@ def _sparse_rank_and_torsion(columns, skip=frozenset()):
     operations), and their sparse Smith invariants, which
     `smith_invariants` certifies independently, finish the computation
     exactly.  With no survivor (the unimodular case) nothing more runs.
-    `columns` is a `PackedColumns`; each column is unpacked into a fresh
-    dict, so the store is never changed, and columns whose index is in
-    `skip` are left out without being unpacked.  The third value is the
-    set of rows that hold a unit pivot of a reduced column.
-    """
-    pivots = {}
-    aside = []
 
-    def eliminate(vec, j, p):
+    `columns` is a `PackedColumns`, and the store is never changed.  A
+    column's leading row and its value are read from the packed arrays
+    first.  When that row holds no pivot yet and the value is +-1, the
+    column is its own reduced form (an emergent pivot, as in Ripser:
+    Bauer, J. Appl. Comput. Topol. 5, 2021), so it is kept as its index
+    and unpacked into a dict only once, the first time another column
+    eliminates against it.  Every other column is unpacked into a fresh
+    dict and reduced.  Columns whose index is in `skip` are left out
+    without being read.  The third value is the set of rows that hold a
+    unit pivot of a reduced column.
+    """
+    pivots = {}  # row -> reduced column: a dict, or the index of a packed column
+    aside = []
+    ptr, rows, vals = columns.ptr, columns.rows, columns.vals
+
+    def eliminate(vec, j):
+        p = pivots[j]
+        if p.__class__ is int:  # an emergent pivot, unpacked on its first use
+            a, b = ptr[p], ptr[p + 1]
+            p = pivots[j] = dict(zip(rows[a:b], vals[a:b]))
         f = vec[j] * p[j]  # p[j] is +-1
         for k, v in p.items():
             nv = vec.get(k, 0) - f * v
@@ -370,17 +406,20 @@ def _sparse_rank_and_torsion(columns, skip=frozenset()):
     def reduce_col(vec):
         while vec:
             j = min(vec)
-            p = pivots.get(j)
-            if p is None:
+            if j not in pivots:
                 return vec, j
-            eliminate(vec, j, p)
+            eliminate(vec, j)
         return vec, None
 
-    ptr, rows, vals = columns.ptr, columns.rows, columns.vals
     for i, (a, b) in enumerate(zip(ptr, ptr[1:])):
         if a == b or i in skip:
             continue
-        vec, j = reduce_col(dict(zip(rows[a:b], vals[a:b])))
+        col_rows = rows[a:b]
+        j = min(col_rows)
+        if j not in pivots and vals[a + col_rows.index(j)] in (1, -1):
+            pivots[j] = i
+            continue
+        vec, j = reduce_col(dict(zip(col_rows, vals[a:b])))
         if j is None:
             continue
         if vec[j] in (1, -1):
@@ -407,8 +446,7 @@ def _sparse_rank_and_torsion(columns, skip=frozenset()):
         # a pivot only adds rows below its own leading row, so this ends
         hits = [k for k in vec if k in pivots]
         while hits:
-            j = min(hits)
-            eliminate(vec, j, pivots[j])
+            eliminate(vec, min(hits))
             hits = [k for k in vec if k in pivots]
     invariants = smith_invariants(aside)
     torsion = [x for x in invariants if x > 1]

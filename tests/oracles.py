@@ -7,7 +7,8 @@ once per start letter (the reference for the necklace walk), matrix
 evaluation of tensor elements, the rational plane split of a quadratic
 relation (the congruence whose plane fixes the engine's letter order, with
 its rewrite rule and Lie tail), the Betti number of a finite cover, the closed-form rational ranks, the
-tuple-word build of the cobar complex, dense and sparse rank over Q, the
+tuple-word build of the cobar complex, the unit-pivot rows of a left-looking
+reduction that unpacks every column, dense and sparse rank over Q, the
 dense Smith normal form with transforms (the reference for the sparse
 Smith invariants), and the `Fraction` series logarithm and exponential with the log + Moebius Lie
 ranks, and the small helpers only tests read: tensor elements as text, the
@@ -411,6 +412,37 @@ def reference_cobar(coalgebra, cutoff):
             cols.append(col)
         diffs[(s, d)] = cols
     return spots, diffs
+
+
+def unit_pivot_rows(columns, skip=frozenset()):
+    """Rows of the unit pivots of the left-looking reduction of `columns`.
+
+    The reference for the pivot rows of `cobar._sparse_rank_and_torsion`:
+    every column ({row: value} dict) whose index is not in `skip` is copied
+    and reduced in order against the unit pivots found so far, and a column
+    whose leading entry is not +-1 is set aside and reduced again after
+    every pass that adds a pivot.
+    """
+    pivots = {}
+    todo = [dict(col) for i, col in enumerate(columns) if col and i not in skip]
+    promoted = True
+    while promoted:
+        promoted, still = False, []
+        for vec in todo:
+            while vec and min(vec) in pivots:
+                p = pivots[min(vec)]
+                f = vec[min(vec)] * p[min(vec)]
+                for k, v in p.items():
+                    vec[k] = vec.get(k, 0) - f * v
+                    if not vec[k]:
+                        del vec[k]
+            if vec and vec[min(vec)] in (1, -1):
+                pivots[min(vec)] = vec
+                promoted = True
+            elif vec:
+                still.append(vec)
+        todo = still
+    return set(pivots)
 
 
 def rank_rational(rows):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from bisect import bisect_left
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,7 @@ from looptop.cobar import (
 from looptop.errors import IntegrityError, ValidationError, WindowError
 from looptop.spaces import BettiOne, ConnectedSum, Manifold, TwoCellComplex
 
-from oracles import mat_mul, reference_cobar, smith_form_with_transforms
+from oracles import mat_mul, reference_cobar, smith_form_with_transforms, unit_pivot_rows
 
 
 class TestCoalgebraOf:
@@ -118,6 +119,28 @@ def small_integer_matrices(draw):
         for row in matrix:
             row[j] = 0
     return matrix
+
+
+@st.composite
+def columns_sharing_leads(draw):
+    """Up to 12 sparse columns over at most 8 rows, with leading entries
+    that are often not units and rows in any order; each column after the
+    first few repeats the leading row of an earlier one, so it eliminates
+    against that column when the earlier one is a pivot."""
+    n = draw(st.integers(1, 8))
+    entry = st.sampled_from([1, -1, 1, -1, 2, -2, 3, -9])
+
+    def column(below=-1):
+        rows = sorted(r for r in draw(st.sets(st.integers(0, n - 1), max_size=4)) if r > below)
+        rows = draw(st.permutations(rows))
+        return {r: draw(entry) for r in rows}
+
+    cols = [column() for _ in range(draw(st.integers(1, 5)))]
+    for _ in range(draw(st.integers(0, 7))):
+        base = cols[draw(st.integers(0, len(cols) - 1))]
+        lead = min(base, default=-1)
+        cols.append({**column(lead), **({lead: draw(entry)} if base else {})})
+    return cols
 
 
 class TestSmithInvariants:
@@ -326,6 +349,26 @@ class TestBuildCobar:
         cells = sum(len(words) for words in cx.spots.values())
         assert retained <= 110 * cells, retained / cells
 
+    def test_rank_keeps_emergent_pivots_packed(self, monkeypatch):
+        # one {row: value} dict per reduced column peaked at about 300 B per column
+        cx = build_cobar(Manifold(2, 3).coalgebra(), 8)
+        nonzero = [key for key, cols in cx.diffs.items() if cols.rows]
+        key = max(nonzero, key=lambda key: len(cx.spots[key]))
+        rank, peaks = cobar._sparse_rank_and_torsion, {}
+
+        def traced(columns, skip=frozenset()):
+            tracemalloc.start()
+            try:
+                return rank(columns, skip)
+            finally:
+                peaks[id(columns)] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cobar, "_sparse_rank_and_torsion", traced)
+        _spot_profile(cx, key)
+        cols = cx.diffs[key]
+        assert peaks[id(cols)] <= 200 * len(cols), peaks[id(cols)] / len(cols)
+
     def test_d_squared_zero_check_can_fail(self, monkeypatch):
         # Every family's diagonal has primitive components, so d*d vanishes on
         # the generators whatever the diagonal's signs.  On x, x^2, x^3 with
@@ -343,6 +386,28 @@ class TestBuildCobar:
         build_cobar(ConnectedSum(((2, 3), (2, 3))).coalgebra(), 8)
         with pytest.raises(IntegrityError, match=r"d\*d != 0 on word \(2,\)"):
             build_cobar(cubic, 9)
+
+    @pytest.mark.parametrize("key", [(10, 7), (12, 8), (16, 9)])
+    def test_block_copy_fault_is_caught(self, monkeypatch, key):
+        # The d*d check reads no column of a block whose generator has no
+        # diagonal terms.  Here the build's copy of a_1's block of one spot
+        # has every row moved on by one, and `verify cobar` must still exit 1
+        # (through the d*d check of the spot above, the ranks or the audit).
+        check = cobar._assert_d_squared_zero
+
+        def shifted(cx):
+            s, d = key
+            cols, k = cx.diffs[key], len(cx.coalgebra.generators)
+            end = bisect_left(cx.spots[key], k ** (s - d - 1))  # a_1 is generator 0
+            nrows = len(cx.spots[(s, d - 1)])
+            for i in range(cols.ptr[end]):
+                cols.rows[i] = (cols.rows[i] + 1) % nrows
+            check(cx)
+
+        argv = ["verify", "cobar", "--space", "manifold:2:3", "--max-degree", "8"]
+        assert run(argv, out=io.StringIO(), err=io.StringIO()) == 0
+        monkeypatch.setattr(cobar, "_assert_d_squared_zero", shifted)
+        assert run(argv, out=io.StringIO(), err=io.StringIO()) == 1
 
     def test_d_squared_zero_across_models(self):
         # the assertion runs inside build_cobar for every complex
@@ -381,6 +446,30 @@ class TestPackedColumns:
         invariants = smith_form_with_transforms(matrix)[0]
         assert first[:2] == (len(invariants), [x for x in invariants if x > 1])
         assert _sparse_rank_and_torsion(_transpose(cols, len(matrix)))[:2] == first[:2]
+
+    @given(columns_sharing_leads(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_emergent_pivots_match_the_unpacked_reduction(self, columns, data):
+        skip = data.draw(st.sets(st.integers(0, len(columns) - 1)))
+        cols = packed(columns)
+        before = (array("q", cols.ptr), array("q", cols.rows), list(cols.vals))
+        rank, torsion, pivot_rows = _sparse_rank_and_torsion(cols, skip)
+        assert (cols.ptr, cols.rows, cols.vals) == before
+        assert pivot_rows == unit_pivot_rows(columns, skip)
+        kept = [col for i, col in enumerate(columns) if i not in skip]
+        matrix = [[col.get(i, 0) for col in kept] for i in range(8)] if kept else []
+        invariants = smith_form_with_transforms(matrix)[0]
+        assert (rank, torsion) == (len(invariants), [x for x in invariants if x > 1])
+
+    def test_emergent_pivots_are_unpacked_where_they_are_used(self):
+        # column 1 (row 0) is first used in the promotion loop, column 3 (row 4)
+        # in the main loop, column 5 (row 6) in the clearing of the set-aside
+        # column 2, which leaves Z/3
+        columns = [{0: 2, 1: 1}, {2: 1, 0: 1}, {6: 1, 3: 3}, {4: 1}, {5: 1, 4: -1}, {6: 1}]
+        cols = packed(columns)
+        assert _sparse_rank_and_torsion(cols) == (6, [3], {0, 1, 4, 5, 6})
+        assert unit_pivot_rows(columns) == {0, 1, 4, 5, 6}
+        assert _sparse_rank_and_torsion(cols, {2}) == (5, [], {0, 1, 4, 5, 6})
 
 
 # x, x^2, x^3 with |x| = 3: x has no diagonal terms, x2 and x3 have them
