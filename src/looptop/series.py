@@ -219,23 +219,6 @@ def manifold_denominator(n, r, order):
     return PowerSeries(tuple(coeffs))
 
 
-def connected_sum_denominator(factors, order):
-    """1 - sum_i (t^(p_i-1) + t^(q_i-1)) + t^(n-2) for factor list [(p_i, q_i)]."""
-    if not factors:
-        raise ValidationError("need at least one sphere-product factor")
-    n = factors[0][0] + factors[0][1]
-    coeffs = [1] + [0] * order
-    for p, q in factors:
-        if p + q != n:
-            raise ValidationError("all factors must have the same total dimension")
-        for e in (p - 1, q - 1):
-            if e <= order:
-                coeffs[e] -= 1
-    if n - 2 <= order:
-        coeffs[n - 2] += 1
-    return PowerSeries(tuple(coeffs))
-
-
 def _witt_inner_sum(r, k):
     # sum over a + 2b = k of (-1)^b C(a+b, b) r^a / (a+b)
     acc = Fraction(0)

@@ -6,18 +6,18 @@ two-cell complexes (a wedge of r n-spheres with one 2n-cell), and the
 Betti-number-one manifolds parametrized by the attaching data m.
 
 Each family's class makes every per-family decision itself: `label`,
-`to_json()`, `denominator(order)` (the inverse of the loop-homology
-Hilbert series), `coalgebra()` (the integral homology coalgebra),
-`torsion_primes()`, `classify()`, `moore()` and `report(max_dim)`.
-The first three families share the one-relator quadratic pipeline, whose
-denominator is 1 - sum_i t^(|a_i|-1) + t^(|top|-2), and each of them
-counts its sphere summands in `sphere_counts(max_dim)`.  Their integer
-form is stated once, in the top cell's reduced diagonal, and
-`relation()` (alphabet and form of the quadratic relation) and
-`bigraded_series(order)` read it off the coalgebra; only a two-cell
-complex of rank below 2 and a manifold of Betti number 1 refuse a
-relation.  Betti-one models have no quadratic relation and answer from
-closed forms.
+`to_json()`, `series_fraction()` (the loop-homology Hilbert series as a
+bigraded fraction), `coalgebra()` (the integral homology coalgebra),
+`classify()`, `moore()` and `report(max_dim)`.  A shared base reads the
+fraction: `bigraded_series(order)` by (word length, degree) and
+`denominator(order)`, its inverse at x = 1.  The base has no torsion
+primes; only a two-cell complex overrides `torsion_primes()`.  The first
+three families share the one-relator quadratic pipeline and count their
+sphere summands in `sphere_counts(max_dim)`.  Their integer form is
+stated once, in the top cell's reduced diagonal, and `relation()` and
+`series_fraction()` read it off the coalgebra; a two-cell complex of rank
+below 2 refuses a relation.  Betti-one models, and manifolds of Betti
+number 1, have no quadratic relation and answer from closed forms.
 """
 
 from dataclasses import dataclass
@@ -29,9 +29,7 @@ from .errors import IntegrityError, UnsupportedSpaceError, ValidationError
 from .series import (
     GrowthRate,
     PowerSeries,
-    connected_sum_denominator,
     growth_rate,
-    manifold_denominator,
     pbw_match_graded,  # kept only as a benchmark span site
     sphere_counts_from_denominator,
     sphere_summand_counts,
@@ -102,16 +100,44 @@ def _bigraded_quotient(numerator, denominator, order):
     return {key: c for key, c in out.items() if c}
 
 
-class _OneRelator:
+def _at_x_one(bigraded, order):
+    """A bigraded dict summed over word length, as a `PowerSeries` through t^order."""
+    coeffs = [0] * (order + 1)
+    for (_, t), c in bigraded.items():
+        if t <= order:
+            coeffs[t] += c
+    return PowerSeries(tuple(coeffs))
+
+
+class _Family:
+    """Shared by the four families.
+
+    Each family states its loop-homology Hilbert series once, in
+    `series_fraction()`: a (numerator, denominator) pair of dicts
+    {(word length, degree): coefficient}, each with constant term 1.
+    """
+
+    def torsion_primes(self):
+        return frozenset()
+
+    def bigraded_series(self, order):
+        """Loop-homology ranks by (word length, degree), through degree `order`."""
+        return _bigraded_quotient(*self.series_fraction(), order)
+
+    def denominator(self, order):
+        """The inverse of the loop-homology Hilbert series through t^order:
+        the fraction at x = 1, turned upside down."""
+        numerator, denominator = (_at_x_one(part, order) for part in self.series_fraction())
+        return denominator * numerator.inverse()
+
+
+class _OneRelator(_Family):
     """Shared by the one-relator quadratic families.
 
     The homology coalgebra is where each family states its form: the top
     cell's reduced diagonal is sum g_ij a_i (x) a_j over the other
     generators a_i.
     """
-
-    def torsion_primes(self):
-        return frozenset()
 
     def relation(self):
         """Alphabet and integer form (its rows) of the quadratic relation.
@@ -132,27 +158,24 @@ class _OneRelator:
         names, degrees = zip(*letters)
         return Alphabet(tuple(d - 1 for d in degrees), names), tuple(map(tuple, form))
 
-    def bigraded_series(self, order):
-        """Loop-homology ranks by (word length, degree), through degree `order`.
+    def series_fraction(self):
+        """1 / (1 - sum_g x t^(|g|-1) + x^2 t^(|top|-2)), read off the coalgebra.
 
-        The expansion of 1 / (1 - sum_g x t^(|g|-1) + x^2 t^(|top|-2)) over
-        the primitive generators g of the homology coalgebra; x counts word
-        length (Koszul concentration of an inert quadratic relation).
+        g runs over the primitive generators of the homology coalgebra; x
+        counts word length (Koszul concentration of an inert quadratic
+        relation).
         """
         coalgebra = self.coalgebra()
         denominator = {(0, 0): 1}
         for gi, (_, deg) in enumerate(coalgebra.generators):
             key, c = ((2, deg - 2), 1) if coalgebra.diagonal(gi) else ((1, deg - 1), -1)
             denominator[key] = denominator.get(key, 0) + c
-        return _bigraded_quotient({(0, 0): 1}, denominator, order)
+        return {(0, 0): 1}, denominator
 
 
 class _FormSpace(_OneRelator):
     """Shared by manifolds and two-cell complexes: r n-spheres with one
     2n-cell attached along the integral form `self.form`."""
-
-    def denominator(self, order):
-        return manifold_denominator(self.n, self.r, order)
 
     def coalgebra(self):
         from .algebra import _sub
@@ -219,20 +242,15 @@ class Manifold(_FormSpace):
             "matrix": [list(row) for row in self.matrix] if self.matrix is not None else None,
         }
 
-    def denominator(self, order):
+    def series_fraction(self):
         if self.r == 1:
-            return BettiOne(self.n).denominator(order)
-        return super().denominator(order)
+            return BettiOne(self.n).series_fraction()
+        return super().series_fraction()
 
     def relation(self):
         if self.r == 1:
             return BettiOne(self.n).relation()
         return super().relation()
-
-    def bigraded_series(self, order):
-        if self.r == 1:
-            return BettiOne(self.n).bigraded_series(order)
-        return super().bigraded_series(order)
 
     def classify(self):
         return "elliptic" if self.r <= 2 else "hyperbolic"
@@ -297,9 +315,6 @@ class ConnectedSum(_OneRelator):
             "factors": [list(f) for f in self.factors],
             "signs": list(self.signs),
         }
-
-    def denominator(self, order):
-        return connected_sum_denominator(self.factors, order)
 
     def coalgebra(self):
         from .algebra import _sub
@@ -393,7 +408,7 @@ class TwoCellComplex(_FormSpace):
 
 
 @dataclass(frozen=True)
-class BettiOne:
+class BettiOne(_Family):
     """Betti-number-one manifold: CP^2 (n=2) or V_{m,1} in dimensions 8 and 16.
 
     The homology coalgebra e_2n -> e_n (x) e_n gives no quadratic relation;
@@ -420,11 +435,10 @@ class BettiOne:
     def to_json(self):
         return {"type": "betti-one", "n": self.n, "m": self.m}
 
-    def denominator(self, order):
-        """(1 - t^(3n-2)) / (1 + t^(n-1))."""
-        periodic = PowerSeries.of([1] + [0] * (3 * self.n - 3) + [-1], order)
-        exterior = PowerSeries.of([1] + [0] * (self.n - 2) + [1], order)
-        return periodic * exterior.inverse()
+    def series_fraction(self):
+        """(1 + x t^(n-1)) / (1 - x^2 t^(3n-2)); x counts word length."""
+        n = self.n
+        return {(0, 0): 1, (1, n - 1): 1}, {(0, 0): 1, (2, 3 * n - 2): -1}
 
     def coalgebra(self):
         n = self.n
@@ -432,14 +446,6 @@ class BettiOne:
 
     def relation(self):
         raise UnsupportedSpaceError("Betti number 1 is handled by the Betti-1 pipeline")
-
-    def torsion_primes(self):
-        return frozenset()
-
-    def bigraded_series(self, order):
-        """(1 + x t^(n-1)) / (1 - x^2 t^(3n-2)); x counts word length."""
-        n = self.n
-        return _bigraded_quotient({(0, 0): 1, (1, n - 1): 1}, {(0, 0): 1, (2, 3 * n - 2): -1}, order)
 
     def classify(self):
         return "elliptic"
@@ -544,10 +550,10 @@ def classify_rational(space):
     """'elliptic' or 'hyperbolic'.
 
     Manifolds: elliptic iff r <= 2.  Connected sums: elliptic iff a single
-    sphere product.  Two-cell complexes: hyperbolic for r >= 3; for r <= 2
-    with a rank-2 form the graded ranks are scanned through degree
-    max(12, 6(n-1)) (their support is finite exactly in the elliptic
-    case).  Betti-1 models are elliptic.
+    sphere product.  Two-cell complexes: hyperbolic for r >= 3; a rank-2
+    form is elliptic with no scan, since its loop homology is
+    1/(1 - t^(n-1))^2 whatever the form, and a form of rank below 2 is
+    refused.  Betti-1 models are elliptic.
     """
     return space.classify()
 

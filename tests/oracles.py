@@ -6,15 +6,19 @@ irreducible-word enumeration, the closed walks avoiding the factor counted
 once per start letter (the reference for the necklace walk), matrix
 evaluation of tensor elements, the rational plane split of a quadratic
 relation (the congruence whose plane fixes the engine's letter order, with
-its rewrite rule and Lie tail), the Betti number of a finite cover, the closed-form rational ranks, the
-tuple-word build of the cobar complex, the unit-pivot rows of a left-looking
-reduction that unpacks every column, dense and sparse rank over Q, the
-dense Smith normal form with transforms (the reference for the sparse
-Smith invariants), and the `Fraction` series logarithm and exponential with the log + Moebius Lie
-ranks, and the small helpers only tests read: tensor elements as text, the
-relation as a tensor, a dimension table as a list, the smoothability
-table of the Betti-one manifolds.  The engine never calls them; the tests use them to check its
-answers by an independent route.
+its rewrite rule and Lie tail), the Betti number of a finite cover, the
+closed-form rational ranks, the closed-form loop-homology denominators of
+a connected sum and of a Betti-one manifold (with the engine's
+`manifold_denominator`, the references for each family's series
+fraction), the tuple-word build of the cobar complex, the unit-pivot rows of a
+left-looking reduction that unpacks every column, dense and sparse rank
+over Q, the dense Smith normal form with transforms (the reference for the
+sparse Smith invariants), and the `Fraction` series logarithm and
+exponential with the log + Moebius Lie ranks, and the small helpers only
+tests read: tensor elements as text, the relation as a tensor, a dimension
+table as a list, the smoothability table of the Betti-one manifolds.  The
+engine never calls them; the tests use them to check its answers by an
+independent route.
 
 The rewrite rule eliminates the single forbidden factor x0 x1.  For skew
 relations repeated substitution terminates on its own, but a symmetric
@@ -36,6 +40,7 @@ from looptop.cobar import _desusp, _diagonal_desuspended
 from looptop.errors import IntegrityError, UnsupportedSpaceError, ValidationError
 from looptop.series import (
     DimensionTable,
+    PowerSeries,
     _require_nonneg_int,
     _witt_inner_sum,
     divisors,
@@ -360,6 +365,31 @@ def rational_ranks_closed_form(n, r, N):
             f"{table.dims} vs {matched.dims}"
         )
     return table
+
+
+def connected_sum_denominator(factors, order):
+    """1 - sum_i (t^(p_i-1) + t^(q_i-1)) + t^(n-2) for factor list [(p_i, q_i)]."""
+    if not factors:
+        raise ValidationError("need at least one sphere-product factor")
+    n = factors[0][0] + factors[0][1]
+    coeffs = [1] + [0] * order
+    for p, q in factors:
+        if p + q != n:
+            raise ValidationError("all factors must have the same total dimension")
+        for e in (p - 1, q - 1):
+            if e <= order:
+                coeffs[e] -= 1
+    if n - 2 <= order:
+        coeffs[n - 2] += 1
+    return PowerSeries(tuple(coeffs))
+
+
+def betti_one_denominator(n, order):
+    """(1 - t^(3n-2)) / (1 + t^(n-1)), the inverse loop-homology series of a
+    Betti-one manifold: Lambda[x_(n-1)] (x) Z[y_(3n-2)]."""
+    periodic = PowerSeries.of([1] + [0] * (3 * n - 3) + [-1], order)
+    exterior = PowerSeries.of([1] + [0] * (n - 2) + [1], order)
+    return periodic * exterior.inverse()
 
 
 def reference_cobar(coalgebra, cutoff):

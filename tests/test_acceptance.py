@@ -14,7 +14,6 @@ from looptop.lyndon import standard_lyndon_counts
 from looptop.rewriting import irreducible_counts
 from looptop.series import (
     closed_form_lie_rank,
-    connected_sum_denominator,
     growth_rate,
     lie_ranks_from_denominator,
     manifold_denominator,
@@ -34,7 +33,7 @@ from looptop.spaces import (
     report_to_json,
 )
 
-from oracles import as_list, closed_form_rational_rank, smoothable
+from oracles import as_list, closed_form_rational_rank, connected_sum_denominator, smoothable
 
 N_RANGE = (2, 3, 4, 5)
 R_RANGE = (2, 3, 4, 5, 6)

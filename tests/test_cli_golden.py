@@ -6,7 +6,8 @@ captured through `redirect_stderr`, so argparse"s own usage messages count.
 The corpus covers every command in both formats, the window, grammar and
 usage errors, the cell cap, the Lyndon walk guard, a cobar cutoff of 25,
 the `--deep` flag that no longer exists, each refusal of a form of rank
-below 2 and two requests at Betti number 100.
+below 2, two requests at Betti number 100, and the loop-homology series of
+every family through the cobar audit or `hilbert`.
 
 A digest changes only with a deliberate change of output.  Run this file as
 a script (`PYTHONPATH=src python tests/test_cli_golden.py`) to print the
@@ -93,6 +94,13 @@ REQUESTS = (
     # a large Betti number: the report checks by necklace counts, with no witnesses
     ("manifold-betti-100", ["manifold", "--n", "2", "--betti", "100", "--max-dim", "25", "--format", "json"], {}),
     ("counts-betti-100", ["verify", "counts", "--space", "manifold:2:100", "--max-degree", "24"], {}),
+    # the series of each family through the cobar audit and `hilbert`: a
+    # manifold of Betti number 1, a Betti-one model, a connected sum with
+    # signs, and a connected sum of even total dimension
+    ("verify-cobar-manifold-betti1", ["verify", "cobar", "--space", "manifold:2:1", "--max-degree", "12"], {}),
+    ("verify-cobar-betti1-json", ["verify", "cobar", "--space", "betti1:4:5", "--max-degree", "14", "--format", "json"], {}),
+    ("verify-cobar-csum-signs", ["verify", "cobar", "--space", "csum:2x3,3x2:signs=+,-", "--max-degree", "8"], {}),
+    ("hilbert-csum-even-json", ["hilbert", "--space", "csum:2x4,3x3", "--max-degree", "12", "--format", "json"], {}),
 )
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -156,6 +164,10 @@ GOLDEN = {
     "lie-basis-csum-even": (0, "afeda5d6aae8bd0b81d22b360a3957d1fdd5abeca393758aa6b1eb3a4aaeeaeb", EMPTY),
     "manifold-betti-100": (0, "e421997ca7d687776ab61014da9d5d0a00e95958bd34bd5bbb40637d55ee8c2a", EMPTY),
     "counts-betti-100": (0, "828707ccc562c1fa4adc41bdd9bc7975f7d6690b494b4707727a8e4778300800", EMPTY),
+    "verify-cobar-manifold-betti1": (0, "0f8a9605b7d8384a6982d37ad87c2dc0cf9aa746f449b4b79141620310a72a89", EMPTY),
+    "verify-cobar-betti1-json": (0, "2f6fa2b06de92c09c42ada6f1e7ddf042ac7b374d65949173617ccc2ec9a5b68", EMPTY),
+    "verify-cobar-csum-signs": (0, "efd8e69f4fcc849f291a994026662d6db38a3fed612d1e2951d4e358a55bedbb", EMPTY),
+    "hilbert-csum-even-json": (0, "1dfe69b2356d813626bbe5a368b9977e2c51d0877c897573030b1b2aa58e3670", EMPTY),
 }
 
 

@@ -7,10 +7,11 @@ import pytest
 from looptop.algebra import Alphabet, TensorElement, normalize_relation, relation_from_space
 from looptop.errors import IntegrityError, ValidationError
 from looptop.rewriting import hilbert_from_enumeration, irreducible_counts
-from looptop.series import connected_sum_denominator, manifold_denominator
+from looptop.series import manifold_denominator
 from looptop.spaces import ConnectedSum, Manifold
 from oracles import (
     RewriteSystem,
+    connected_sum_denominator,
     evaluate,
     irreducible_words,
     is_zero,

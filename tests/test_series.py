@@ -10,7 +10,6 @@ from looptop.series import (
     PowerSeries,
     _power_sums,
     closed_form_lie_rank,
-    connected_sum_denominator,
     divisors,
     growth_rate,
     lie_ranks_from_denominator,
@@ -24,6 +23,7 @@ from looptop.series import (
 from oracles import (
     as_list,
     closed_form_rational_rank,
+    connected_sum_denominator,
     log_moebius_ranks,
     rational_ranks_closed_form,
     series_exp,

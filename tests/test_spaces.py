@@ -1,5 +1,6 @@
 import json
 import random
+from functools import partial
 from itertools import product
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from looptop._linalg import factorize
 from looptop.errors import UnsupportedSpaceError, ValidationError
-from looptop.series import pbw_match_graded
+from looptop.series import PowerSeries, manifold_denominator, pbw_match_graded
 from looptop.spaces import (
     BettiOne,
     ConnectedSum,
@@ -23,7 +24,13 @@ from looptop.spaces import (
     pi10_v8,
     report_to_json,
 )
-from oracles import finite_pi1_betti, rank_rational, smoothable
+from oracles import (
+    betti_one_denominator,
+    connected_sum_denominator,
+    finite_pi1_betti,
+    rank_rational,
+    smoothable,
+)
 
 
 def _rank_mod(rows, p):
@@ -169,6 +176,105 @@ class TestBettiOneArithmetic:
         assert finite_pi1_betti(1, 7) == 7
         assert finite_pi1_betti(2, 1) == 4
         assert finite_pi1_betti(5, 0) == 8
+
+
+def _series_mismatches(space, closed, order):
+    """The comparisons a family's series fails through t^order: its
+    denominator against the closed form `closed(order)`, and its bigraded
+    series summed over word length against that denominator's inverse."""
+    denominator = space.denominator(order)
+    summed = [0] * (order + 1)
+    for (_, d), c in space.bigraded_series(order).items():
+        summed[d] += c
+    failed = []
+    if denominator != closed(order):
+        failed.append("denominator")
+    if PowerSeries(tuple(summed)) != denominator.inverse():
+        failed.append("bigraded series")
+    return failed
+
+
+def _manifold_closed(n, r):
+    return partial(betti_one_denominator, n) if r == 1 else partial(manifold_denominator, n, r)
+
+
+SERIES_ORDER = 24  # past the top term t^22 of the largest Betti-one model
+
+SERIES_CASES = (
+    [
+        (f"manifold:{n}:{r}", Manifold(n, r), _manifold_closed(n, r))
+        for n in (2, 3, 4, 5)
+        for r in (1, 2, 3, 4)
+        if (r > 1 or n in (2, 4)) and not (n % 2 and r % 2)
+    ]
+    + [
+        (
+            "csum:" + ",".join(f"{p}x{q}" for p, q in factors)
+            + ":signs=" + ",".join("+" if s > 0 else "-" for s in signs),
+            ConnectedSum(factors, signs),
+            partial(connected_sum_denominator, factors),
+        )
+        for factors, signs in (
+            (((3, 3),), (1,)),
+            (((2, 3), (3, 2)), (1, -1)),
+            (((2, 4), (3, 3)), (1, 1)),
+            (((2, 5), (3, 4), (4, 3)), (1, -1, 1)),
+            (((4, 4), (2, 6)), (-1, 1)),
+        )
+    ]
+    + [
+        (
+            f"cw:{n}:" + ";".join(",".join(map(str, row)) for row in form),
+            TwoCellComplex(n, form),
+            _manifold_closed(n, len(form)),
+        )
+        for n, form in (
+            (2, ((0, 1), (1, 0))),
+            (2, ((0, 3), (3, 0))),
+            (2, ((2, 1), (1, 5))),
+            (3, ((0, 1), (-1, 0))),
+            (3, ((0, 2), (-2, 0))),
+            (2, ((0, 1, 0), (1, 0, 0), (0, 0, 2))),
+            (4, ((1, 0, 0), (0, 1, 0), (0, 0, -1))),
+        )
+    ]
+    + [
+        (f"betti1:{n}:{m}", BettiOne(n, m), partial(betti_one_denominator, n))
+        for n, m in ((2, 0), (4, 5), (8, 3))
+    ]
+)
+
+
+class TestSeriesFraction:
+    @pytest.mark.parametrize(
+        "space, closed", [case[1:] for case in SERIES_CASES], ids=[case[0] for case in SERIES_CASES]
+    )
+    def test_matches_the_closed_form(self, space, closed):
+        assert _series_mismatches(space, closed, SERIES_ORDER) == []
+
+    def test_a_fraction_without_the_top_term_fails(self):
+        class NoTopTerm(Manifold):
+            def series_fraction(self):
+                numerator, denominator = super().series_fraction()
+                return numerator, {key: c for key, c in denominator.items() if key[0] != 2}
+
+        closed = _manifold_closed(2, 3)
+        assert _series_mismatches(NoTopTerm(2, 3), closed, SERIES_ORDER) == ["denominator"]
+
+    def test_a_bigraded_series_off_the_denominator_fails(self):
+        class DropsWordLengthTwo(Manifold):
+            def bigraded_series(self, order):
+                return {key: c for key, c in super().bigraded_series(order).items() if key[0] != 2}
+
+        closed = _manifold_closed(2, 3)
+        assert _series_mismatches(DropsWordLengthTwo(2, 3), closed, SERIES_ORDER) == ["bigraded series"]
+
+    def test_zero_form_reads_the_free_series(self):
+        # the top cell of a zero form is primitive, so both statements give the
+        # free series on two letters of degree 1 and one of degree 3; every
+        # command refuses this form before it reads the series
+        free = partial(PowerSeries.of, [1, -2, 0, -1])
+        assert _series_mismatches(TwoCellComplex(2, ((0, 0), (0, 0))), free, 10) == []
 
 
 class TestClassification:
