@@ -6,17 +6,17 @@ imports no other part of the engine except its errors.
 
 `smith_invariants` is the one Smith form: sparse elimination without
 transforms (Kannan and Bachem, SIAM J. Comput. 8, 1979; Dumas, Saunders
-and Villard, J. Symb. Comput. 32, 2001), certified by an independent
-elimination over Z/p^(e+1) at every prime p of the answer and a rank
-over F_p at one more prime.  The cobar torsion path calls it on sparse
-columns, and `smith_normal_form` on the rows of a small presentation.
-The certificate factorizes the invariants, so it is meant for matrices
+and Villard, J. Symb. Comput. 32, 2001) to a diagonal.  Its p-valuations,
+certified by an independent elimination over Z/p^(e+1) at every prime p
+of the diagonal and a rank over F_p at one more prime, give the invariants
+prime by prime.  The cobar torsion path calls it on sparse columns, and
+`smith_normal_form` on the rows of a small presentation.
+The certificate factorizes the diagonal, so it is meant for matrices
 whose invariants stay small, not for determinant-sized ones.
 """
 
 import heapq
 import random
-from collections import Counter
 from math import gcd
 
 from .errors import IntegrityError, UnsupportedSpaceError
@@ -69,24 +69,26 @@ def smith_invariants(columns):
     """Nonzero invariant factors d1 | d2 | ... of a sparse integer matrix.
 
     `columns` are {row: value} dicts.  `_diagonalize` reduces a copy to a
-    diagonal, which is folded into the divisibility chain by gcd/lcm; no
-    transform is kept.  The answer is then certified independently: at
-    every prime p dividing an invariant, with e the largest p-valuation
-    among them, elimination over Z/p^(e+1) must find exactly the multiset
-    of p-valuations of the invariants, count included.  The same check at
-    one large prime that divides none of them is a rank over F_p, which
-    catches a lost invariant whose valuations lie above every e.  Any
-    mismatch raises IntegrityError.
+    diagonal; no transform is kept.  The diagonal has the Smith form's
+    multiset of p-valuations at every prime p, and it is certified
+    independently: at every prime p dividing an entry, with e the largest
+    p-valuation among them, elimination over Z/p^(e+1) must find exactly
+    that multiset, count included.  The same check at one large prime that
+    divides no entry is a rank over F_p, which catches a lost invariant
+    whose valuations lie above every e.  Any mismatch raises
+    IntegrityError.  Invariant i is then the product over p of p to the
+    i-th smallest p-valuation, so each divides the next.
     """
     columns = [col for col in columns if any(col.values())]
     if not columns:
         return []
-    invariants = _divisibility_chain(_diagonalize(columns))
-    primes = _prime_factors(invariants)
+    diagonal = _diagonalize(columns)
+    primes = _prime_factors(diagonal)
     if _RANK_PRIME not in primes:
         primes.append(_RANK_PRIME)
+    invariants = [1] * len(diagonal)
     for p in primes:
-        claimed = sorted(_valuation(x, p) for x in invariants)
+        claimed = sorted(_valuation(x, p) for x in diagonal)
         k = max(claimed, default=0) + 1
         found = _local_valuations(columns, p, k)
         if found != claimed:
@@ -94,6 +96,7 @@ def smith_invariants(columns):
                 f"Smith form certificate failed at p={p}: elimination over Z/{p}^{k} "
                 f"gives valuations {found}, the invariants {claimed}"
             )
+        invariants = [x * p**v for x, v in zip(invariants, claimed)]
     return invariants
 
 
@@ -225,24 +228,6 @@ def _pivot_key(j, col, size):
     """(size, column length, j, row) of the entry of least size in column j."""
     r = min(col, key=lambda i: size(col[i]))
     return size(col[r]), len(col), j, r
-
-
-def _divisibility_chain(diagonal):
-    """Invariant factors from a diagonal: fold gcd/lcm until a chain.
-
-    Any two entries a < b with a not dividing b become gcd(a, b) and
-    lcm(a, b), which keeps every p-valuation multiset; once all distinct
-    values divide one another, the sorted entries form the chain.
-    """
-    count = Counter(diagonal)
-    while True:
-        pair = next(((a, b) for a in count for b in count if a < b and b % a), None)
-        if pair is None:
-            return sorted(count.elements())
-        a, b = pair
-        g = gcd(a, b)
-        count -= Counter(pair)
-        count.update((g, a // g * b))
 
 
 def _prime_factors(values):

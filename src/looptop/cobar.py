@@ -11,14 +11,15 @@ reach a degree <= D, which is what homology through degree D needs.
 
 Words are integer codes in base k (k generators), and each spot is built
 from the spots of one letter shorter by block offsets, so the build never
-hashes or looks up a word.  Ranks are taken per slice from the top degree
-down, and the unit pivots of each differential clear columns of the next
-one; a column whose leading entry is a unit on a row with no pivot yet is
-its own reduced form and stays packed.  The top spot of a slice, which no
-spot above clears, inherits its cleared columns from smaller slices: for a
-generator g with no diagonal terms and a reduced boundary column R of a
-smaller slice, g R and R g are cycles of the top spot, each with a unit at
-a known column and its other entries after it (see `_profile_slice`).
+hashes or looks up a word.  Ranks are taken in one pass over the slices
+in ascending s, each from its top degree down, and the unit pivots of each
+differential clear columns of the next one; a column whose leading entry
+is a unit on a row with no pivot yet is its own reduced form and stays
+packed.  The top spot of a slice, which no spot above clears, inherits its
+cleared columns from smaller slices, already ranked: for a generator g
+with no diagonal terms and a reduced boundary column R of a smaller slice,
+g R and R g are cycles of the top spot, each with a unit at a known column
+and its other entries after it (see `_profiles`).
 """
 
 import os
@@ -26,6 +27,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 from ._linalg import smith_invariants
@@ -136,17 +138,19 @@ class ChainComplex:
     rank reads the same store and keeps its emergent pivots there, as
     column indices (the README gives the peak RSS at D=10 and D=11).
     `words` decodes a spot back to letter tuples.  Homology is complete
-    through degree `cutoff`.  `_profiles` memoizes the (rank, torsion) of
-    each spot's differential; `_inherited` holds, until read, the pivot rows
-    a slice's top spot inherits (see `_profile_slice`).
+    through degree `cutoff`.  `profiles` maps each spot to the (rank,
+    torsion) of its differential, all ranked in one pass on first read
+    (see `_profiles`).
     """
 
     coalgebra: FiniteCoalgebra
     cutoff: int
     spots: dict = field(default_factory=dict)
     diffs: dict = field(default_factory=dict)
-    _profiles: dict = field(default_factory=dict)
-    _inherited: dict = field(default_factory=dict)
+
+    @cached_property
+    def profiles(self):
+        return _profiles(self)
 
     def dim(self, d):
         if d == 0:
@@ -384,13 +388,18 @@ def _sparse_rank_and_torsion(columns, skip=frozenset()):
     eliminates against it.  Every other column is unpacked into a fresh
     dict and reduced.  Columns whose index is in `skip` are left out
     without being read.  The third value is the set of rows that hold a
-    unit pivot of a reduced column.
+    unit pivot of a reduced column.  A reduced unit pivot clears its row
+    and adds entries only below it, so the rows a column is eliminated on
+    strictly increase; a pivot that breaks this raises IntegrityError.
     """
     pivots = {}  # row -> reduced column: a dict, or the index of a packed column
     aside = []
     ptr, rows, vals = columns.ptr, columns.rows, columns.vals
 
-    def eliminate(vec, j):
+    def eliminate(vec, j, last):
+        """Eliminate vec on row j, the row after `last`; returns j."""
+        if j <= last:
+            raise IntegrityError(f"reduction on row {j} makes no progress: a pivot is not reduced")
         p = pivots[j]
         if p.__class__ is int:  # an emergent pivot, unpacked on its first use
             a, b = ptr[p], ptr[p + 1]
@@ -402,13 +411,15 @@ def _sparse_rank_and_torsion(columns, skip=frozenset()):
                 vec[k] = nv
             else:
                 del vec[k]  # nv = 0 only where vec held f * v
+        return j
 
     def reduce_col(vec):
+        last = -1
         while vec:
             j = min(vec)
             if j not in pivots:
                 return vec, j
-            eliminate(vec, j)
+            last = eliminate(vec, j, last)
         return vec, None
 
     for i, (a, b) in enumerate(zip(ptr, ptr[1:])):
@@ -443,10 +454,10 @@ def _sparse_rank_and_torsion(columns, skip=frozenset()):
     if not aside:
         return len(pivots), [], set(pivots)
     for vec in aside:
-        # a pivot only adds rows below its own leading row, so this ends
+        last = -1
         hits = [k for k in vec if k in pivots]
         while hits:
-            eliminate(vec, min(hits))
+            last = eliminate(vec, min(hits), last)
             hits = [k for k in vec if k in pivots]
     invariants = smith_invariants(aside)
     torsion = [x for x in invariants if x > 1]
@@ -471,20 +482,21 @@ def _transpose(columns, nrows):
     return PackedColumns(out_ptr, out_rows, list(map(columns.vals.__getitem__, order)))
 
 
-def _profile_slice(cx, s):
-    """(rank, torsion) of every differential of slice s, with clearing.
+def _profiles(cx):
+    """{spot: (rank, torsion)} of every differential, ranked with clearing.
 
-    The spots are reduced from the top degree down.  The unit-pivot rows
-    of the reduced columns of d_(s,d+1) are columns of d_(s,d) that need
-    no work: each reduced column R is a Z-combination of boundaries, so
-    d(R) = 0 by d*d = 0 (asserted in the build), and since R has +-1 at its
-    pivot row i and every other entry at a larger row, column i of d_(s,d)
-    is a Z-combination of columns with larger index.  Taking the cleared
-    rows from the largest down, each cleared column lies in the Z-span of
-    the columns that are not cleared, so dropping them all leaves the
-    Z-span of the columns, hence the rank and the Smith invariants,
-    unchanged (the twist, or clearing, of persistent homology: Chen and
-    Kerber 2011; Bauer, Kerber and Reininghaus 2014).
+    The slices are ranked in ascending s, and each slice from its top
+    degree down.  The unit-pivot rows of the reduced columns of d_(s,d+1)
+    are columns of d_(s,d) that need no work: each reduced column R is a
+    Z-combination of boundaries, so d(R) = 0 by d*d = 0 (asserted in the
+    build), and since R has +-1 at its pivot row i and every other entry at
+    a larger row, column i of d_(s,d) is a Z-combination of columns with
+    larger index.  Taking the cleared rows from the largest down, each
+    cleared column lies in the Z-span of the columns that are not cleared,
+    so dropping them all leaves the Z-span of the columns, hence the rank
+    and the Smith invariants, unchanged (the twist, or clearing, of
+    persistent homology: Chen and Kerber 2011; Bauer, Kerber and
+    Reininghaus 2014).
 
     The top spot (s, t) has no spot above it, so it inherits its cleared
     set from smaller slices.  Let g be a generator with no diagonal terms
@@ -497,66 +509,59 @@ def _profile_slice(cx, s):
     i.  The cycle R g has +-1 at the word (word i) g, which the top spot
     holds since it holds every word of its weight and degree, and its
     other words follow in code order.  Both have every other entry at a
-    larger index, so the same lemma clears both columns.  The source
-    spots are profiled first; a spot keeps its pivot rows only when some
-    top spot inherits them, as an int64 array in `cx._inherited` under
-    (that slice, |g|), and the top spot drops them once read.  A spot with
-    nothing to clear it (the top spot with no inherited rows, or a spot
-    below a transposed one) reduces its transpose when it has fewer rows
-    than nonzero columns: the rank and the invariants are the same, but its
-    pivots then index its columns, so it passes no cleared set on.
+    larger index, so the same lemma clears both columns.  The source lies
+    in a smaller slice, so it is ranked first; it keeps its pivot rows
+    only when some top spot inherits them, as an int64 array under (that
+    slice, |g|) in a dict local to this pass, and the top spot pops them
+    when it reads them.  A spot with nothing to clear it (the top spot with
+    no inherited rows, or a spot below a transposed one) reduces its
+    transpose when it has fewer rows than nonzero columns: the rank and the
+    invariants are the same, but its pivots then index its columns, so it
+    passes no cleared set on.
     """
     degs = _desusp(cx.coalgebra)
     k = len(degs)
     plain = {g for g in range(k) if not cx.coalgebra.diagonal(g)}
     plain_degs = {degs[g] for g in plain}
-    tops = {}
-    for ss, d in cx.spots:
-        tops[ss] = max(d, tops.get(ss, d))
-    top = tops[s]
-    for gd in plain_degs:
-        _spot_profile(cx, (s - gd - 1, top - gd + 1))
-    cleared, start, words = set(), 0, cx.spots[(s, top)]
-    for g, gd in enumerate(degs):
-        sub = cx.spots.get((s - gd - 1, top - gd), ())
-        rows = cx._inherited.get((s, gd)) if g in plain else None
-        if rows:
-            cleared.update(map(start.__add__, rows))
-            cleared.update(bisect_left(words, sub[i] * k + g) for i in rows)
-        start += len(sub)
-    for gd in plain_degs:
-        cx._inherited.pop((s, gd), None)
+    slices = {}  # s -> the degrees of its spots, the top first
+    for s, d in sorted(cx.spots, key=lambda key: (key[0], -key[1])):
+        slices.setdefault(s, []).append(d)
+    tops = {s: degrees[0] for s, degrees in slices.items()}
+    profiles, inherited = {}, {}
+    for s, degrees in slices.items():
+        top = tops[s]
+        heir_rows = {gd: inherited.pop((s, gd), None) for gd in plain_degs}
+        cleared, start, words = set(), 0, cx.spots[(s, top)]
+        for g, gd in enumerate(degs):
+            sub = cx.spots.get((s - gd - 1, top - gd), ())
+            rows = heir_rows[gd] if g in plain else None
+            if rows:
+                cleared.update(map(start.__add__, rows))
+                cleared.update(bisect_left(words, sub[i] * k + g) for i in rows)
+            start += len(sub)
 
-    for d in sorted((d for ss, d in cx.spots if ss == s), reverse=True):
-        cols = cx.diffs[(s, d)]
-        nrows = len(cx.spots.get((s, d - 1), ()))
-        # ptr never decreases, so its distinct values less one count the nonzero columns
-        if not cleared and nrows < len(set(cols.ptr)) - 1:
-            rank, torsion, _ = _sparse_rank_and_torsion(_transpose(cols, nrows))
-        else:
-            rank, torsion, cleared = _sparse_rank_and_torsion(cols, cleared)
-            heirs = [gd for gd in plain_degs if tops.get(s + gd + 1) == d + gd - 1]
-            if heirs and cleared:
-                rows = array("q", cleared)
-                for gd in heirs:
-                    cx._inherited[s + gd + 1, gd] = rows
-        cx._profiles[(s, d)] = rank, torsion
-
-
-def _spot_profile(cx, key):
-    """Memoized (rank, torsion) of the differential columns leaving `key`."""
-    if key not in cx.spots:
-        return 0, []
-    if key not in cx._profiles:
-        _profile_slice(cx, key[0])
-    return cx._profiles[key]
+        for d in degrees:
+            cols = cx.diffs[(s, d)]
+            nrows = len(cx.spots.get((s, d - 1), ()))
+            # ptr never decreases, so its distinct values less one count the nonzero columns
+            if not cleared and nrows < len(set(cols.ptr)) - 1:
+                rank, torsion, _ = _sparse_rank_and_torsion(_transpose(cols, nrows))
+            else:
+                rank, torsion, cleared = _sparse_rank_and_torsion(cols, cleared)
+                heirs = [gd for gd in plain_degs if tops.get(s + gd + 1) == d + gd - 1]
+                if heirs and cleared:
+                    rows = array("q", cleared)
+                    for gd in heirs:
+                        inherited[s + gd + 1, gd] = rows
+            profiles[(s, d)] = rank, torsion
+    return profiles
 
 
 def _spot_homology(cx, key):
     """(free rank, torsion list) of the homology at one spot (s, d)."""
     s, d = key
-    rank_in, torsion = _spot_profile(cx, (s, d + 1))
-    rank = len(cx.spots[key]) - _spot_profile(cx, key)[0] - rank_in
+    rank_in, torsion = cx.profiles.get((s, d + 1), (0, []))
+    rank = len(cx.spots[key]) - cx.profiles[key][0] - rank_in
     if rank < 0:
         raise IntegrityError(f"negative homology rank at slice {s}, degree {d}")
     return rank, torsion
@@ -656,8 +661,8 @@ def _euler_audit(cx, predicted):
     span site.  `predicted` maps (word length, degree) to the rank the
     family's bigraded series gives.  At every spot (s, d) with
     1 <= d <= cutoff the rank dim - rank_out - rank_in must equal
-    predicted[(s - d, d)], and no predicted rank may lack its spot.  Run
-    after the homology rows, it reads only rank profiles they memoised.
+    predicted[(s - d, d)], and no predicted rank may lack its spot.  It
+    reads the complex's rank table, which the homology rows already filled.
     """
     found = {}
     for s, d in cx.spots:

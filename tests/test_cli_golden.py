@@ -6,8 +6,9 @@ captured through `redirect_stderr`, so argparse"s own usage messages count.
 The corpus covers every command in both formats, the window, grammar and
 usage errors, the cell cap, the Lyndon walk guard, a cobar cutoff of 25,
 the `--deep` flag that no longer exists, each refusal of a form of rank
-below 2, two requests at Betti number 100, and the loop-homology series of
-every family through the cobar audit or `hilbert`.
+below 2, two requests at Betti number 100, the loop-homology series of
+every family through the cobar audit or `hilbert`, and the cobar torsion
+path (promoted pivots and transposed spots, invariants 2 and 30, Z/9).
 
 A digest changes only with a deliberate change of output.  Run this file as
 a script (`PYTHONPATH=src python tests/test_cli_golden.py`) to print the
@@ -101,6 +102,10 @@ REQUESTS = (
     ("verify-cobar-betti1-json", ["verify", "cobar", "--space", "betti1:4:5", "--max-degree", "14", "--format", "json"], {}),
     ("verify-cobar-csum-signs", ["verify", "cobar", "--space", "csum:2x3,3x2:signs=+,-", "--max-degree", "8"], {}),
     ("hilbert-csum-even-json", ["hilbert", "--space", "csum:2x4,3x3", "--max-degree", "12", "--format", "json"], {}),
+    # the torsion path: promotions and transposed spots, three primes, Z/9
+    ("verify-cobar-torsion-promoted-json", ["verify", "cobar", "--space", "cw:2:2,1;1,5", "--max-degree", "8", "--format", "json"], {}),
+    ("verify-cobar-three-primes", ["verify", "cobar", "--space", "cw:2:6,0;0,10", "--max-degree", "7"], {}),
+    ("verify-cobar-z9", ["verify", "cobar", "--space", "cw:2:0,9;9,0", "--max-degree", "7"], {}),
 )
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -168,6 +173,9 @@ GOLDEN = {
     "verify-cobar-betti1-json": (0, "2f6fa2b06de92c09c42ada6f1e7ddf042ac7b374d65949173617ccc2ec9a5b68", EMPTY),
     "verify-cobar-csum-signs": (0, "efd8e69f4fcc849f291a994026662d6db38a3fed612d1e2951d4e358a55bedbb", EMPTY),
     "hilbert-csum-even-json": (0, "1dfe69b2356d813626bbe5a368b9977e2c51d0877c897573030b1b2aa58e3670", EMPTY),
+    "verify-cobar-torsion-promoted-json": (0, "610b22efd54ee5145ccd35aa2a98891023468b9a60511fa4eb9194caa69428d4", EMPTY),
+    "verify-cobar-three-primes": (0, "04b965436f2c7765b75c821b885b493ad966fa1e83dc03019de18a69a3b113ea", EMPTY),
+    "verify-cobar-z9": (0, "e09e95b6dfa5db508380251df444e6912ccc84c316fe8bc5f7abcbc6b403ae04", EMPTY),
 }
 
 
