@@ -218,6 +218,12 @@ def _necklace_count(alphabet, walks, degree):
 _WALK_LIMIT = 2_000_000
 
 
+def basis_walk_fits(alphabet, max_degree):
+    """Whether `lie_basis` may materialize a basis to max_degree: its walk
+    over the free alphabet's Lyndon words stays within _WALK_LIMIT."""
+    return _estimated_words(alphabet, max_degree) <= _WALK_LIMIT
+
+
 def lie_basis(nr, max_degree, series_counts=None):
     """Standard-Lyndon Lie basis of the one-relator quotient, by degree.
 
@@ -226,12 +232,12 @@ def lie_basis(nr, max_degree, series_counts=None):
     PBW-matched dimensions of the irreducible-word Hilbert series (or an
     explicitly supplied table); any mismatch flags convention drift and
     raises IntegrityError.  Generation walks every Lyndon word of the free
-    alphabet, so a guard refuses windows whose walk would exceed
-    _WALK_LIMIT even when the surviving basis is small; counts remain
-    available at any size through standard_lyndon_counts.
+    alphabet, so windows that fail `basis_walk_fits` are refused even when
+    the surviving basis is small; counts remain available at any size
+    through standard_lyndon_counts.
     """
-    walk = _estimated_words(nr.alphabet, max_degree)
-    if walk > _WALK_LIMIT:
+    if not basis_walk_fits(nr.alphabet, max_degree):
+        walk = _estimated_words(nr.alphabet, max_degree)
         raise ValidationError(
             f"materializing the Lie basis to degree {max_degree} needs a walk over "
             f"roughly {walk:.1e} words; lower --max-degree, or use verify counts "

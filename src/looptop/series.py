@@ -207,18 +207,6 @@ def _graded_factor(d, m, N):
     return _polynomial_factor(d, m, N)
 
 
-def manifold_denominator(n, r, order):
-    """1 - r t^(n-1) + t^(2n-2), the loop-homology Hilbert denominator."""
-    if n < 2:
-        raise ValidationError("n must be >= 2")
-    coeffs = [1] + [0] * order
-    if n - 1 <= order:
-        coeffs[n - 1] -= r
-    if 2 * n - 2 <= order:
-        coeffs[2 * n - 2] += 1
-    return PowerSeries(tuple(coeffs))
-
-
 def _witt_inner_sum(r, k):
     # sum over a + 2b = k of (-1)^b C(a+b, b) r^a / (a+b)
     acc = Fraction(0)
@@ -287,47 +275,6 @@ def lie_ranks_from_denominator(denominator, N):
         if rank:
             dims[m] = rank
     return DimensionTable(dims, N)
-
-
-def sphere_summand_counts(n, r, max_dim):
-    """Number of pi_* S^l summands, keyed by sphere dimension l <= max_dim.
-
-    Supported only on l = d(n-1)+1.  Computed by the closed form and
-    cross-checked against the log/Moebius-inversion pipeline; disagreement
-    raises IntegrityError.
-    """
-    if n < 2:
-        raise ValidationError("n must be >= 2")
-    if r < 2:
-        raise ValidationError("r must be >= 2 (Betti number 1 is handled by the Betti-1 pipeline)")
-    if max_dim < 2:
-        return {}
-    N = max_dim - 1  # sphere dim l corresponds to Lie degree l-1
-    table = lie_ranks_from_denominator(manifold_denominator(n, r, N), N)
-    counts = {}
-    for degree in range(1, N + 1):
-        closed = closed_form_lie_rank(n, r, degree)
-        if closed != table[degree]:
-            raise IntegrityError(
-                f"sphere count pipelines disagree at degree {degree} (n={n}, r={r}): "
-                f"closed {closed} vs inversion {table[degree]}"
-            )
-        if closed:
-            counts[degree + 1] = closed
-    return counts
-
-
-def sphere_counts_from_denominator(denominator, max_dim):
-    """Sphere-summand counts for an arbitrary loop-homology denominator.
-
-    Used for connected sums: count of pi_* S^j equals the Lie rank at
-    degree j-1 obtained by Moebius inversion of the log coefficients.
-    """
-    if max_dim < 2:
-        return {}
-    N = max_dim - 1
-    table = lie_ranks_from_denominator(denominator.truncate(N), N)
-    return {d + 1: table[d] for d in range(1, N + 1) if table[d]}
 
 
 @dataclass(frozen=True)

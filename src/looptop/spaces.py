@@ -13,7 +13,9 @@ fraction: `bigraded_series(order)` by (word length, degree) and
 `denominator(order)`, its inverse at x = 1.  The base has no torsion
 primes; only a two-cell complex overrides `torsion_primes()`.  The first
 three families share the one-relator quadratic pipeline and count their
-sphere summands in `sphere_counts(max_dim)`.  Their integer form is
+sphere summands in `sphere_counts(max_dim)`, the Moebius inversion of
+that fraction; manifolds and two-cell complexes check the count against
+the closed form for r letters and one relation.  Their integer form is
 stated once, in the top cell's reduced diagonal, and `relation()` and
 `series_fraction()` read it off the coalgebra; a two-cell complex of rank
 below 2 refuses a relation.  Betti-one models, and manifolds of Betti
@@ -26,14 +28,8 @@ from fractions import Fraction
 from ._linalg import det_int, factorize, minor_gcd, smith_normal_form
 from .cobar import FiniteCoalgebra
 from .errors import IntegrityError, UnsupportedSpaceError, ValidationError
-from .series import (
-    GrowthRate,
-    PowerSeries,
-    growth_rate,
-    pbw_match_graded,  # kept only as a benchmark span site
-    sphere_counts_from_denominator,
-    sphere_summand_counts,
-)
+from .series import GrowthRate, PowerSeries, growth_rate
+from .series import pbw_match_graded  # kept only as a benchmark span site
 
 
 def _as_int_matrix(matrix, what="matrix"):
@@ -172,6 +168,17 @@ class _OneRelator(_Family):
             denominator[key] = denominator.get(key, 0) + c
         return {(0, 0): 1}, denominator
 
+    def sphere_counts(self, max_dim):
+        """Number of pi_* S^l summands by sphere dimension l <= max_dim: the
+        Lie rank in degree l-1, by Moebius inversion of `denominator()`.
+        The inversion is looked up on `looptop.series` at call time, as in
+        `normalized_relation`."""
+        from . import series
+
+        N = max_dim - 1
+        table = series.lie_ranks_from_denominator(self.denominator(N), N)
+        return {d + 1: c for d, c in table.dims.items()}
+
 
 class _FormSpace(_OneRelator):
     """Shared by manifolds and two-cell complexes: r n-spheres with one
@@ -185,7 +192,21 @@ class _FormSpace(_OneRelator):
         return FiniteCoalgebra(gens, {self.r: terms})
 
     def sphere_counts(self, max_dim):
-        return sphere_summand_counts(self.n, self.r, max_dim)
+        """The inversion, checked in every degree against the closed form
+        for r letters and one relation, which reads no series."""
+        from . import series
+
+        if self.r < 2:
+            raise ValidationError("r must be >= 2 (Betti number 1 is handled by the Betti-1 pipeline)")
+        counts = super().sphere_counts(max_dim)
+        for degree in range(1, max_dim):
+            closed = series.closed_form_lie_rank(self.n, self.r, degree)
+            if closed != counts.get(degree + 1, 0):
+                raise IntegrityError(
+                    f"sphere count pipelines disagree at degree {degree} (n={self.n}, r={self.r}): "
+                    f"closed {closed} vs inversion {counts.get(degree + 1, 0)}"
+                )
+        return counts
 
     def report(self, max_dim):
         return _quadratic_report(self, max_dim, growth_rate(self.r) if self.r >= 3 else None)
@@ -336,9 +357,6 @@ class ConnectedSum(_OneRelator):
 
     def moore(self):
         return _MOORE_PRODUCT if self.r == 1 else _MOORE_NO_EXPONENT
-
-    def sphere_counts(self, max_dim):
-        return sphere_counts_from_denominator(self.denominator(max_dim), max_dim)
 
     def report(self, max_dim):
         return _quadratic_report(self, max_dim, None)
@@ -580,15 +598,14 @@ def normalized_relation(space):
 
 def _quadratic_report(space, max_dim, growth):
     """Shared manifold / connected-sum / two-cell decomposition pipeline."""
-    from .lyndon import _WALK_LIMIT, _estimated_words, bracket_string, lie_basis, standard_lyndon_counts
+    from .lyndon import basis_walk_fits, bracket_string, lie_basis, standard_lyndon_counts
 
     inverted = space.torsion_primes()
     counts = space.sphere_counts(max_dim)
     nr = normalized_relation(space)
     degree_counts = {l - 1: c for l, c in counts.items()}
-    total = sum(counts.values())
     witnesses = {}
-    if total <= _WITNESS_LIMIT and _estimated_words(nr.alphabet, max_dim - 1) <= _WALK_LIMIT:
+    if sum(counts.values()) <= _WITNESS_LIMIT and basis_walk_fits(nr.alphabet, max_dim - 1):
         basis = lie_basis(nr, max_dim - 1, series_counts=degree_counts)
         for d, elements in basis.items():
             witnesses[d + 1] = tuple(bracket_string(e.word, nr.alphabet) for e in elements)

@@ -8,11 +8,10 @@ evaluation of tensor elements, the rational plane split of a quadratic
 relation (the congruence whose plane fixes the engine's letter order, with
 its rewrite rule and Lie tail), the Betti number of a finite cover, the
 closed-form rational ranks, the closed-form loop-homology denominators of
-a connected sum and of a Betti-one manifold (with the engine's
-`manifold_denominator`, the references for each family's series
-fraction), the tuple-word build of the cobar complex, the unit-pivot rows of a
-left-looking reduction that unpacks every column, dense and sparse rank
-over Q, the dense Smith normal form with transforms (the reference for the
+a manifold, a connected sum and a Betti-one manifold (the references for
+each family's series fraction), the tuple-word build of the cobar
+complex, the unit-pivot rows of a left-looking reduction that unpacks
+every column, dense and sparse rank over Q, the dense Smith normal form with transforms (the reference for the
 sparse Smith invariants), and the `Fraction` series logarithm and
 exponential with the log + Moebius Lie ranks, and the small helpers only
 tests read: tensor elements as text, the relation as a tensor, a dimension
@@ -44,7 +43,6 @@ from looptop.series import (
     _require_nonneg_int,
     _witt_inner_sum,
     divisors,
-    manifold_denominator,
     moebius_mu,
     pbw_match_graded,
 )
@@ -365,6 +363,19 @@ def rational_ranks_closed_form(n, r, N):
             f"{table.dims} vs {matched.dims}"
         )
     return table
+
+
+def manifold_denominator(n, r, order):
+    """1 - r t^(n-1) + t^(2n-2), the loop-homology Hilbert denominator of an
+    (n-1)-connected 2n-manifold (or two-cell complex) of middle rank r >= 2."""
+    if n < 2:
+        raise ValidationError("n must be >= 2")
+    coeffs = [1] + [0] * order
+    if n - 1 <= order:
+        coeffs[n - 1] -= r
+    if 2 * n - 2 <= order:
+        coeffs[2 * n - 2] += 1
+    return PowerSeries(tuple(coeffs))
 
 
 def connected_sum_denominator(factors, order):

@@ -16,10 +16,8 @@ from looptop.series import (
     closed_form_lie_rank,
     growth_rate,
     lie_ranks_from_denominator,
-    manifold_denominator,
     pbw_match_graded,
     pbw_match_ungraded,
-    sphere_summand_counts,
 )
 from looptop.spaces import (
     BettiOne,
@@ -33,7 +31,13 @@ from looptop.spaces import (
     report_to_json,
 )
 
-from oracles import as_list, closed_form_rational_rank, connected_sum_denominator, smoothable
+from oracles import (
+    as_list,
+    closed_form_rational_rank,
+    connected_sum_denominator,
+    manifold_denominator,
+    smoothable,
+)
 
 N_RANGE = (2, 3, 4, 5)
 R_RANGE = (2, 3, 4, 5, 6)
@@ -58,8 +62,9 @@ def test_criterion_1_three_pipeline_agreement():
 
 
 def test_criterion_2_derived_baselines():
-    assert sphere_summand_counts(2, 3, 4) == {2: 3, 3: 2, 4: 5}
-    assert sphere_summand_counts(2, 2, 12) == {2: 2}
+    assert Manifold(2, 3).sphere_counts(4) == {2: 3, 3: 2, 4: 5}
+    assert Manifold(2, 2).sphere_counts(12) == {2: 2}
+    assert ConnectedSum(((2, 3), (2, 3))).sphere_counts(4) == {2: 2, 3: 3, 4: 5}
     csum_H = connected_sum_denominator([(2, 3), (2, 3)], 3).inverse()
     assert as_list(pbw_match_ungraded(csum_H, 3)) == [2, 3, 5]
     _passed(2, "derived numeric baselines")

@@ -111,6 +111,25 @@ class TestExitCodes:
         code, _, err = invoke(["manifold", "--n", "2", "--betti", "3", "--max-dim", "12"])
         assert code == 1 and "integrity error: Lyndon pipeline disagrees" in err
 
+    def test_a_form_series_is_checked_against_the_closed_form(self, monkeypatch):
+        import looptop.spaces as spaces
+
+        original = spaces._OneRelator.series_fraction
+
+        def without_relation(self):
+            # the relation's term x^2 t^(2n-2) dropped: the free Lie algebra's series
+            numerator, denominator = original(self)
+            del denominator[(2, 2 * self.n - 2)]
+            return numerator, denominator
+
+        monkeypatch.setattr(spaces._FormSpace, "series_fraction", without_relation)
+        for argv in (
+            ["manifold", "--n", "2", "--betti", "3", "--max-dim", "6"],
+            ["cw", "--n", "2", "--matrix", "0,7;7,0", "--max-dim", "6"],
+        ):
+            code, _, err = invoke(argv)
+            assert code == 1 and "integrity error: sphere count pipelines disagree" in err
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -7,8 +7,10 @@ The corpus covers every command in both formats, the window, grammar and
 usage errors, the cell cap, the Lyndon walk guard, a cobar cutoff of 25,
 the `--deep` flag that no longer exists, each refusal of a form of rank
 below 2, two requests at Betti number 100, the loop-homology series of
-every family through the cobar audit or `hilbert`, and the cobar torsion
-path (promoted pivots and transposed spots, invariants 2 and 30, Z/9).
+every family through the cobar audit or `hilbert`, the cobar torsion
+path (promoted pivots and transposed spots, invariants 2 and 30, Z/9), and
+the sphere counts of each one-relator family at larger windows (n = 4, a
+report past the witness limit, mixed sphere degrees, a skew torsion form).
 
 A digest changes only with a deliberate change of output.  Run this file as
 a script (`PYTHONPATH=src python tests/test_cli_golden.py`) to print the
@@ -106,6 +108,14 @@ REQUESTS = (
     ("verify-cobar-torsion-promoted-json", ["verify", "cobar", "--space", "cw:2:2,1;1,5", "--max-degree", "8", "--format", "json"], {}),
     ("verify-cobar-three-primes", ["verify", "cobar", "--space", "cw:2:6,0;0,10", "--max-degree", "7"], {}),
     ("verify-cobar-z9", ["verify", "cobar", "--space", "cw:2:0,9;9,0", "--max-degree", "7"], {}),
+    # sphere counts of each one-relator family, read off its own series: a
+    # manifold with n = 4, one whose total passes the witness limit (no
+    # witnesses, checked by necklace counts), a connected sum of mixed
+    # sphere degrees and a skew torsion form
+    ("manifold-n4-json", ["manifold", "--n", "4", "--betti", "3", "--max-dim", "16", "--format", "json"], {}),
+    ("manifold-no-witnesses-json", ["manifold", "--n", "2", "--betti", "3", "--max-dim", "12", "--format", "json"], {}),
+    ("csum-mixed-degrees-json", ["connected-sum", "--factors", "2x5,3x4", "--max-dim", "12", "--format", "json"], {}),
+    ("cw-skew-torsion-json", ["cw", "--n", "3", "--matrix", "0,2,0,0;-2,0,0,0;0,0,0,1;0,0,-1,0", "--max-dim", "11", "--format", "json"], {}),
 )
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -176,6 +186,10 @@ GOLDEN = {
     "verify-cobar-torsion-promoted-json": (0, "610b22efd54ee5145ccd35aa2a98891023468b9a60511fa4eb9194caa69428d4", EMPTY),
     "verify-cobar-three-primes": (0, "04b965436f2c7765b75c821b885b493ad966fa1e83dc03019de18a69a3b113ea", EMPTY),
     "verify-cobar-z9": (0, "e09e95b6dfa5db508380251df444e6912ccc84c316fe8bc5f7abcbc6b403ae04", EMPTY),
+    "manifold-n4-json": (0, "98ecb64351738f6a4926ae923981dff522f1a9cb2085f45b38809126870c5112", EMPTY),
+    "manifold-no-witnesses-json": (0, "e2963d1d5322b476969262470d497f6ecd150395284ee1350bf236df3644d4f5", EMPTY),
+    "csum-mixed-degrees-json": (0, "ca3a73be8e0e52128c629e4623e67ca52cd00d5a26880f0c7213d87ef671be1c", EMPTY),
+    "cw-skew-torsion-json": (0, "cd1f9b402879e1b73cba7234f07abf53e0191c35f35ec19194499779b129d59a", EMPTY),
 }
 
 

@@ -7,7 +7,6 @@ import pytest
 from looptop.algebra import Alphabet, TensorElement, normalize_relation, relation_from_space
 from looptop.errors import IntegrityError, ValidationError
 from looptop.rewriting import hilbert_from_enumeration, irreducible_counts
-from looptop.series import manifold_denominator
 from looptop.spaces import ConnectedSum, Manifold
 from oracles import (
     RewriteSystem,
@@ -15,6 +14,7 @@ from oracles import (
     evaluate,
     irreducible_words,
     is_zero,
+    manifold_denominator,
     rank_sparse_rational,
     rational_plane_split,
     reduce,

@@ -13,18 +13,17 @@ from looptop.series import (
     divisors,
     growth_rate,
     lie_ranks_from_denominator,
-    manifold_denominator,
     moebius_mu,
     pbw_match_graded,
     pbw_match_ungraded,
-    sphere_counts_from_denominator,
-    sphere_summand_counts,
 )
+from looptop.spaces import ConnectedSum, Manifold
 from oracles import (
     as_list,
     closed_form_rational_rank,
     connected_sum_denominator,
     log_moebius_ranks,
+    manifold_denominator,
     rational_ranks_closed_form,
     series_exp,
     series_log,
@@ -248,23 +247,22 @@ class TestRationalRanks:
 
 class TestSphereCounts:
     def test_simply_connected_four_manifold(self):
-        assert sphere_summand_counts(2, 3, 4) == {2: 3, 3: 2, 4: 5}
+        assert Manifold(2, 3).sphere_counts(4) == {2: 3, 3: 2, 4: 5}
 
     def test_elliptic_pair(self):
-        assert sphere_summand_counts(2, 2, 12) == {2: 2}
+        assert Manifold(2, 2).sphere_counts(12) == {2: 2}
 
     def test_support_condition(self):
-        counts = sphere_summand_counts(4, 3, 13)
+        counts = Manifold(4, 3).sphere_counts(13)
         assert set(counts) <= {4, 7, 10, 13}
         assert all(c > 0 for c in counts.values())
 
     def test_rejects_betti_one(self):
         with pytest.raises(ValidationError):
-            sphere_summand_counts(2, 1, 6)
+            Manifold(2, 1).sphere_counts(6)
 
     def test_connected_sum_counts(self):
-        den = connected_sum_denominator([(2, 3), (2, 3)], 4)
-        assert sphere_counts_from_denominator(den, 4) == {2: 2, 3: 3, 4: 5}
+        assert ConnectedSum(((2, 3), (2, 3))).sphere_counts(4) == {2: 2, 3: 3, 4: 5}
 
 
 class TestGrowthRate:

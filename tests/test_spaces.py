@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from looptop._linalg import factorize
 from looptop.errors import UnsupportedSpaceError, ValidationError
-from looptop.series import PowerSeries, manifold_denominator, pbw_match_graded
+from looptop.series import PowerSeries, pbw_match_graded
 from looptop.spaces import (
     BettiOne,
     ConnectedSum,
@@ -28,6 +28,7 @@ from oracles import (
     betti_one_denominator,
     connected_sum_denominator,
     finite_pi1_betti,
+    manifold_denominator,
     rank_rational,
     smoothable,
 )
