@@ -5,8 +5,11 @@ Builds the integral cobar complex of each requested space, computes exact
 Smith-form homology slice by slice, and prints the rank/torsion audit.  The
 header line of each space gives the verdict, the bigraded audit and the
 primes at which torsion was allowed, the time taken and the peak resident
-memory of the process so far (ru_maxrss: it never goes down, so each line
-shows the peak over its own space and every space before it).
+memory of the process so far.  The peak is VmHWM from /proc/self/status,
+which counts this process alone; where that file is absent it is
+ru_maxrss, which on Linux also carries over the peak of the process that
+launched this one.  Either never goes down, so each line shows the peak
+over its own space and every space before it.
 Useful for timing and sizing the oracle at different cutoffs.
 """
 
@@ -16,6 +19,18 @@ import time
 
 from looptop.cli import parse_space
 from looptop.cobar import verify_loop_homology
+
+
+def peak_rss_mb():
+    """Peak resident memory of this process so far, in MB."""
+    try:
+        with open("/proc/self/status") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024  # kB
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
 
 
 def main():
@@ -39,7 +54,7 @@ def main():
         status = "ok" if report.ok else "FAIL"
         bigraded = "ok" if report.bigraded_ok else "FAIL"
         primes = ",".join(str(p) for p in report.torsion_primes) or "none"
-        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+        peak_mb = peak_rss_mb()
         print(
             f"{report.space_label:28s} D={args.max_degree:<3d} {status}  bigraded={bigraded}  "
             f"torsion-primes={primes}  ({elapsed:.2f}s, peak RSS {peak_mb:.1f} MB)"

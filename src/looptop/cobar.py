@@ -9,26 +9,28 @@ linear algebra runs per slice, exactly, over the integers.  A build at
 cutoff D keeps the words of degree at most D + 1 in the slices that can
 reach a degree <= D, which is what homology through degree D needs.
 
-Words are integer codes in base k (k generators), and each spot is built
-from the spots of one letter shorter by block offsets, so the build never
-hashes or looks up a word.  Ranks are taken in one pass over the slices
-in ascending s, each from its top degree down, and the unit pivots of each
-differential clear columns of the next one; a column whose leading entry
-is a unit on a row with no pivot yet is its own reduced form and stays
-packed.  The top spot of a slice, which no spot above clears, inherits its
-cleared columns from smaller slices, already ranked: for a generator g
-with no diagonal terms and a reduced boundary column R of a smaller slice,
-g R and R g are cycles of the top spot, each with a unit at a known column
-and its other entries after it (see `_profiles`).
+No word is stored: a spot is a count of words, kept in lexicographic
+order, so each spot is the concatenation of one block per first letter,
+and the build assembles each spot's differential from the spots of one
+letter shorter by block offsets, without hashing or looking up a word.
+Ranks are taken in one pass over the slices in ascending s, each from its
+top degree down, and the unit pivots of each differential clear columns
+of the next one; a column whose leading entry is a unit on a row with no
+pivot yet is its own reduced form and stays packed.  The top spot of a
+slice, which no spot above clears, inherits its cleared columns from
+smaller slices, already ranked: for a generator g with no diagonal terms
+and a reduced boundary column R of a smaller slice, g R and R g are
+cycles of the top spot, each with a unit at a known column and its other
+entries after it (see `_profiles`).
 """
 
 import os
 from array import array
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, compress, count, islice
+from operator import ne
 
 from ._linalg import smith_invariants
 from ._linalg import smith_normal_form as _dense_snf  # kept only as a benchmark span site
@@ -101,15 +103,17 @@ class FiniteCoalgebra:
 class PackedColumns:
     """Sparse integer columns in one flat store, the compressed-column layout.
 
-    Column j holds the rows rows[ptr[j]:ptr[j+1]] with the nonzero values
-    vals[ptr[j]:ptr[j+1]].  `ptr` and `rows` are int64 arrays; `vals` is a
-    list, so a coefficient of any size fits.  Iterating gives each column
-    as a fresh {row: value} dict.
+    The matrix has `nrows` rows.  Column j holds the rows
+    rows[ptr[j]:ptr[j+1]] with the nonzero values vals[ptr[j]:ptr[j+1]].
+    `ptr` and `rows` are int64 arrays; `vals` is a list, so a coefficient
+    of any size fits.  Iterating gives each column as a fresh {row: value}
+    dict.
     """
 
-    __slots__ = ("ptr", "rows", "vals")
+    __slots__ = ("nrows", "ptr", "rows", "vals")
 
-    def __init__(self, ptr=None, rows=None, vals=None):
+    def __init__(self, nrows, ptr=None, rows=None, vals=None):
+        self.nrows = nrows
         self.ptr = array("q", [0]) if ptr is None else ptr
         self.rows = array("q") if rows is None else rows
         self.vals = [] if vals is None else vals
@@ -127,30 +131,47 @@ class PackedColumns:
 class ChainComplex:
     """Cobar chain complex, stored per slice s = degree + weight.
 
-    spots[(s, d)] is the word basis in that bidegree, in ascending order:
-    a word g_0 ... g_(w-1) over k generators is the integer code
-    sum g_j k^(w-1-j), and all words of a spot have the same length w =
-    s - d, so numeric order is the order of the letter tuples.
-    diffs[(s, d)] holds the differential into (s, d-1) as `PackedColumns`,
-    one column per word: a spot costs one offset per word and one row index
-    and one value per nonzero entry, not one dict per word (for
-    manifold:2:3 about 76 bytes retained per cell against about 230).  The
-    rank reads the same store and keeps its emergent pivots there, as
-    column indices (the README gives the peak RSS at D=10 and D=11).
-    `words` decodes a spot back to letter tuples.  Homology is complete
-    through degree `cutoff`.  `profiles` maps each spot to the (rank,
-    torsion) of its differential, all ranked in one pass on first read
-    (see `_profiles`).
+    No word is stored: sizes[w][d] counts the words of weight w and degree
+    d in the window (see `_window_sizes`), and spots[(s, d)] is range(n)
+    for the n words of weight s - d and degree d.  A spot's words are in
+    lexicographic order, letters in generator order, so spot (w, d) is one
+    block per generator g: g followed by each word of spot (w - 1, d - |g|).
+    `block_starts` gives the blocks' offsets, and `words` decodes a spot
+    block by block.  diffs[(s, d)] holds the differential into (s, d-1) as
+    `PackedColumns`, one column per word, which the rank reads in place.
+    Homology is complete through degree `cutoff`.  `profiles` maps each
+    spot to the (rank, torsion) of its differential, all ranked in one pass
+    on first read (see `_profiles`).
     """
 
     coalgebra: FiniteCoalgebra
     cutoff: int
+    sizes: list
     spots: dict = field(default_factory=dict)
     diffs: dict = field(default_factory=dict)
 
     @cached_property
     def profiles(self):
         return _profiles(self)
+
+    @cached_property
+    def degs(self):
+        """The desuspended generator degrees."""
+        return _desusp(self.coalgebra)
+
+    def count(self, w, d):
+        """The number of words of weight w and degree d, 0 past a row's end."""
+        row = self.sizes[w]
+        return row[d] if 0 <= d < len(row) else 0
+
+    def block_starts(self, w, d):
+        """Start of each generator's block in a spot of degree d whose
+        suffixes have weight w (an empty block where d < |g|), and after
+        them the spot's size."""
+        starts = [0]
+        for g in self.degs:
+            starts.append(starts[-1] + self.count(w, d - g))
+        return starts
 
     def dim(self, d):
         if d == 0:
@@ -159,16 +180,15 @@ class ChainComplex:
 
     def words(self, key):
         """The words of spot `key` as letter tuples, in basis order."""
-        k = len(self.coalgebra.generators)
-        length = key[0] - key[1]
-        out = []
-        for code in self.spots[key]:
-            letters = []
-            for _ in range(length):
-                code, g = divmod(code, k)
-                letters.append(g)
-            out.append(tuple(reversed(letters)))
-        return out
+        s, d = key
+        if s == d:
+            return [()]
+        return [
+            (g,) + u
+            for g, gd in enumerate(self.degs)
+            if self.count(s - d - 1, d - gd)
+            for u in self.words((s - gd - 1, d - gd))
+        ]
 
 
 def _desusp(coalgebra):
@@ -233,16 +253,16 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
     a slice that holds one, so homology is complete through the cutoff.
 
     The spots are counted first, so the cell cap is checked before anything
-    is built.  Then spot (w, d) (weight, degree) is the concatenation, over
-    generators g in ascending order, of the block g * k^(w-1) + W(w-1, d-|g|),
-    already sorted.  Its columns follow from the derivation rule
-    d(g u) = d(g) u + (-1)^|g| g d(u): the column of u shifted to the start
-    of g's block in the target spot, times (-1)^|g|, plus one entry per
-    term (l, r, c) of the desuspended diagonal of g, at the offset of l's
-    block, plus the offset of r's block inside it, plus the index of u.
-    A block whose generator has no diagonal terms is the sub-spot's packed
-    columns with every row shifted at once.  No word is hashed or searched
-    for.
+    is built, and no word is built at all: spot (w, d) (weight, degree) is
+    the concatenation, over generators g in ascending order, of g followed
+    by each word of spot (w-1, d-|g|), already sorted.  Its columns follow
+    from the derivation rule d(g u) = d(g) u + (-1)^|g| g d(u): the column
+    of u shifted to the start of g's block in the target spot, times
+    (-1)^|g|, plus one entry per term (l, r, c) of the desuspended diagonal
+    of g, at the offset of l's block, plus the offset of r's block inside
+    it, plus the index of u.  A block whose generator has no diagonal terms
+    is the sub-spot's packed columns with every row shifted at once.  No
+    word is hashed or searched for.
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
@@ -251,9 +271,8 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
     degs = _desusp(coalgebra)
     if any(d < 1 for d in degs):
         raise ValidationError("every generator must have degree >= 2 before desuspension")
-    sizes = _window_sizes(degs, cutoff, max_cells)
+    cx = ChainComplex(coalgebra, cutoff, _window_sizes(degs, cutoff, max_cells))
 
-    k = len(degs)
     diag = {}
     for g, terms in _diagonal_desuspended(coalgebra).items():
         merged = {}
@@ -261,41 +280,26 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
             merged[left, right] = merged.get((left, right), 0) + coeff
         diag[g] = [(lr, c) for lr, c in merged.items() if c]
 
-    def count(w, d):
-        """The number of words of weight w and degree d, 0 past a row's end."""
-        return sizes[w][d] if 0 <= d < len(sizes[w]) else 0
-
-    def block_starts(w, d):
-        """Start of each generator's block in a spot of degree d whose
-        suffixes have weight w (an empty block where d < |g|)."""
-        starts, at = [], 0
-        for g in degs:
-            starts.append(at)
-            at += count(w, d - g)
-        return starts
-
     # the empty word, a suffix only, with its one empty column
-    spots, diffs = {(0, 0): [0]}, {(0, 0): PackedColumns(array("q", [0, 0]))}
-    for w in range(1, len(sizes)):
-        lead = k ** (w - 1)
-        for d, size in enumerate(sizes[w]):
+    diffs = cx.diffs
+    diffs[0, 0] = PackedColumns(0, array("q", [0, 0]))
+    for w in range(1, len(cx.sizes)):
+        for d, size in enumerate(cx.sizes[w]):
             if not size:
                 continue
             # the target spot has weight w+1 and degree d-1: blocks g . W(w, d-1-|g|),
             # and inside the block of l the sub-blocks r . W(w-1, d-1-|l|-|r|)
-            target = block_starts(w, d - 1)
-            spot_words, cols = [], PackedColumns()
+            target = cx.block_starts(w, d - 1)
+            cols = PackedColumns(target[-1])
             ptr, rows, vals = cols.ptr, cols.rows, cols.vals
             for g, gdeg in enumerate(degs):
-                if not count(w - 1, d - gdeg):
+                if not cx.count(w - 1, d - gdeg):
                     continue
-                sub = (d - gdeg + w - 1, d - gdeg)
-                spot_words += [g * lead + u for u in spots[sub]]
-                du = diffs[sub]
+                du = diffs[d - gdeg + w - 1, d - gdeg]
                 sub_ptr, sub_rows, sub_vals = du.ptr, du.rows, du.vals
                 shift, odd = target[g], gdeg % 2
                 terms = [
-                    (target[l] + block_starts(w - 1, d - 1 - degs[l])[r], c)
+                    (target[l] + cx.block_starts(w - 1, d - 1 - degs[l])[r], c)
                     for (l, r), c in diag[g]
                 ]
                 if not terms:  # the whole block at once: rows shifted, values signed
@@ -310,11 +314,10 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
                         rows.append(at + j)
                         vals.append(c)
                     ptr.append(len(rows))
-            spots[d + w, d] = spot_words
+            cx.spots[d + w, d] = range(size)
             diffs[d + w, d] = cols
-    del spots[0, 0], diffs[0, 0]
+    del diffs[0, 0]
 
-    cx = ChainComplex(coalgebra, cutoff, spots, diffs)
     _assert_d_squared_zero(cx)
     return cx
 
@@ -348,10 +351,9 @@ def _assert_d_squared_zero(cx):
             continue  # d_(s,d-1) is zero, so d*d vanishes on the whole spot
         ptr, rows, vals = cols.ptr, cols.rows, cols.vals
         lptr, lrows, lvals = lower.ptr, lower.rows, lower.vals
-        words, lead = cx.spots[(s, d)], k ** (s - d - 1)
-        for g in mixed:  # the words of g's block have codes in [g lead, (g + 1) lead)
-            first = bisect_left(words, g * lead)
-            last = bisect_left(words, (g + 1) * lead, first)
+        starts = cx.block_starts(s - d - 1, d)
+        for g in mixed:  # g's block of the spot
+            first, last = starts[g], starts[g + 1]
             for j, a, b in zip(range(first, last), ptr[first:last], ptr[first + 1:last + 1]):
                 acc = {}
                 for row, v in zip(rows[a:b], vals[a:b]):
@@ -367,8 +369,8 @@ def _assert_d_squared_zero(cx):
                     raise IntegrityError(f"d*d != 0 on word {word}: sign convention broken")
 
 
-def _sparse_rank_and_torsion(columns, skip=frozenset()):
-    """Exact rank, torsion invariants and unit-pivot rows of a column family.
+def _sparse_rank_and_torsion(columns, skip=None):
+    """Exact rank, torsion invariants and unit-pivot owners of a column family.
 
     Left-looking elimination with unit-leading pivots: integer column
     operations are unimodular, so after full reduction the cokernel of
@@ -386,24 +388,32 @@ def _sparse_rank_and_torsion(columns, skip=frozenset()):
     Bauer, J. Appl. Comput. Topol. 5, 2021), so it is kept as its index
     and unpacked into a dict only once, the first time another column
     eliminates against it.  Every other column is unpacked into a fresh
-    dict and reduced.  Columns whose index is in `skip` are left out
-    without being read.  The third value is the set of rows that hold a
-    unit pivot of a reduced column.  A reduced unit pivot clears its row
-    and adds entries only below it, so the rows a column is eliminated on
-    strictly increase; a pivot that breaks this raises IntegrityError.
+    dict and reduced.  `skip` is a byte mask over the columns: a column
+    whose byte is nonzero is left out without being read (None leaves out
+    none).  The third value is the pivot owner of each row, an int64 array
+    over the rows: -1 where the row holds no unit pivot, the index of a
+    packed column where it holds an emergent pivot never unpacked, and -2
+    where it holds a reduced column, which a side dict keeps by row while
+    the reduction runs.  A reduced unit pivot clears its row and adds
+    entries only below it, so the rows a column is eliminated on strictly
+    increase; a pivot that breaks this raises IntegrityError.
     """
-    pivots = {}  # row -> reduced column: a dict, or the index of a packed column
-    aside = []
     ptr, rows, vals = columns.ptr, columns.rows, columns.vals
+    owner = array("q", [-1]) * columns.nrows
+    reduced = {}  # row -> reduced column as a dict, for the rows whose owner is -2
+    aside = []
+    if skip is None:
+        skip = bytes(len(columns))
 
     def eliminate(vec, j, last):
         """Eliminate vec on row j, the row after `last`; returns j."""
         if j <= last:
             raise IntegrityError(f"reduction on row {j} makes no progress: a pivot is not reduced")
-        p = pivots[j]
-        if p.__class__ is int:  # an emergent pivot, unpacked on its first use
+        p = owner[j]
+        if p >= 0:  # an emergent pivot, unpacked on its first use
             a, b = ptr[p], ptr[p + 1]
-            p = pivots[j] = dict(zip(rows[a:b], vals[a:b]))
+            reduced[j], owner[j] = dict(zip(rows[a:b], vals[a:b])), -2
+        p = reduced[j]
         f = vec[j] * p[j]  # p[j] is +-1
         for k, v in p.items():
             nv = vec.get(k, 0) - f * v
@@ -417,24 +427,24 @@ def _sparse_rank_and_torsion(columns, skip=frozenset()):
         last = -1
         while vec:
             j = min(vec)
-            if j not in pivots:
+            if owner[j] == -1:
                 return vec, j
             last = eliminate(vec, j, last)
         return vec, None
 
     for i, (a, b) in enumerate(zip(ptr, ptr[1:])):
-        if a == b or i in skip:
+        if a == b or skip[i]:
             continue
         col_rows = rows[a:b]
         j = min(col_rows)
-        if j not in pivots and vals[a + col_rows.index(j)] in (1, -1):
-            pivots[j] = i
+        if owner[j] == -1 and vals[a + col_rows.index(j)] in (1, -1):
+            owner[j] = i
             continue
         vec, j = reduce_col(dict(zip(col_rows, vals[a:b])))
         if j is None:
             continue
         if vec[j] in (1, -1):
-            pivots[j] = vec
+            reduced[j], owner[j] = vec, -2
         else:
             aside.append(vec)
     promoted = True
@@ -446,26 +456,27 @@ def _sparse_rank_and_torsion(columns, skip=frozenset()):
             if j is None:
                 continue
             if vec[j] in (1, -1):
-                pivots[j] = vec
+                reduced[j], owner[j] = vec, -2
                 promoted = True
             else:
                 still.append(vec)
         aside = still
+    pivots = len(owner) - owner.count(-1)
     if not aside:
-        return len(pivots), [], set(pivots)
+        return pivots, [], owner
     for vec in aside:
         last = -1
-        hits = [k for k in vec if k in pivots]
+        hits = [k for k in vec if owner[k] != -1]
         while hits:
             last = eliminate(vec, min(hits), last)
-            hits = [k for k in vec if k in pivots]
+            hits = [k for k in vec if owner[k] != -1]
     invariants = smith_invariants(aside)
     torsion = [x for x in invariants if x > 1]
-    return len(pivots) + len(invariants), torsion, set(pivots)
+    return pivots + len(invariants), torsion, owner
 
 
-def _transpose(columns, nrows):
-    """The transpose of `columns` (with `nrows` rows), packed the same way.
+def _transpose(columns):
+    """The transpose of `columns`, packed the same way.
 
     The entry counts per row give the new offsets, and a stable sort of
     the entries by row puts them in place, each new column in ascending
@@ -477,9 +488,35 @@ def _transpose(columns, nrows):
     order = sorted(range(len(rows)), key=rows.__getitem__)
     counts = Counter(rows)
     out_ptr = array("q", [0])
-    out_ptr.extend(accumulate(map(counts.__getitem__, range(nrows))))
+    out_ptr.extend(accumulate(map(counts.__getitem__, range(columns.nrows))))
     out_rows = array("q", map(col_of.__getitem__, order))
-    return PackedColumns(out_ptr, out_rows, list(map(columns.vals.__getitem__, order)))
+    out_vals = list(map(columns.vals.__getitem__, order))
+    return PackedColumns(len(columns), out_ptr, out_rows, out_vals)
+
+
+def _suffix_positions(cx, w, d, e, memo):
+    """Entry i: the index in spot (w, d) of u g, for u word i of spot
+    (w - 1, d - e) and g a letter of degree e, less g's index among the
+    letters of degree e.
+
+    u = h u' lies in h's block of (w - 1, d - e), and u g = h (u' g) lies
+    in h's block of (w, d), at that block's start plus the index of u' g
+    in spot (w - 1, d - |h|).  A spot of weight 1 holds the letters of its
+    degree, g among them at its letter index.  Each array is an int64
+    array, kept in `memo` under (w, d, e) with the arrays it is made from.
+    """
+    key = w, d, e
+    if key not in memo:
+        if w == 1:
+            memo[key] = array("q", [0] if d == e else [])
+        else:
+            out, starts = array("q"), cx.block_starts(w - 1, d)
+            for h, hd in enumerate(cx.degs):
+                if cx.count(w - 2, d - e - hd):
+                    inner = _suffix_positions(cx, w - 1, d - hd, e, memo)
+                    out.extend(map(starts[h].__add__, inner))
+            memo[key] = out
+    return memo[key]
 
 
 def _profiles(cx):
@@ -496,7 +533,8 @@ def _profiles(cx):
     so dropping them all leaves the Z-span of the columns, hence the rank
     and the Smith invariants, unchanged (the twist, or clearing, of
     persistent homology: Chen and Kerber 2011; Bauer, Kerber and
-    Reininghaus 2014).
+    Reininghaus 2014).  The cleared columns pass to the next rank as a byte
+    mask, read off the pivot owners of the rank above.
 
     The top spot (s, t) has no spot above it, so it inherits its cleared
     set from smaller slices.  Let g be a generator with no diagonal terms
@@ -508,7 +546,8 @@ def _profiles(cx):
     d_(s,t) from d_(s-|g|-1, t-|g|)), and has +-1 at the block start plus
     i.  The cycle R g has +-1 at the word (word i) g, which the top spot
     holds since it holds every word of its weight and degree, and its
-    other words follow in code order.  Both have every other entry at a
+    other words follow in lexicographic order; `_suffix_positions` gives
+    the index of each (word i) g.  Both have every other entry at a
     larger index, so the same lemma clears both columns.  The source lies
     in a smaller slice, so it is ranked first; it keeps its pivot rows
     only when some top spot inherits them, as an int64 array under (that
@@ -519,10 +558,12 @@ def _profiles(cx):
     invariants are the same, but its pivots then index its columns, so it
     passes no cleared set on.
     """
-    degs = _desusp(cx.coalgebra)
-    k = len(degs)
-    plain = {g for g in range(k) if not cx.coalgebra.diagonal(g)}
+    degs = cx.degs
+    plain = [g for g in range(len(degs)) if not cx.coalgebra.diagonal(g)]
     plain_degs = {degs[g] for g in plain}
+    letter = [degs[:g].count(gd) for g, gd in enumerate(degs)]  # index among its degree's letters
+    positions = {}  # (w, d, e) -> suffix positions, for this pass only
+
     slices = {}  # s -> the degrees of its spots, the top first
     for s, d in sorted(cx.spots, key=lambda key: (key[0], -key[1])):
         slices.setdefault(s, []).append(d)
@@ -531,29 +572,34 @@ def _profiles(cx):
     for s, degrees in slices.items():
         top = tops[s]
         heir_rows = {gd: inherited.pop((s, gd), None) for gd in plain_degs}
-        cleared, start, words = set(), 0, cx.spots[(s, top)]
-        for g, gd in enumerate(degs):
-            sub = cx.spots.get((s - gd - 1, top - gd), ())
-            rows = heir_rows[gd] if g in plain else None
+        cleared, below = bytearray(len(cx.spots[(s, top)])), top
+        starts = cx.block_starts(s - top - 1, top)
+        for g in plain:
+            rows = heir_rows[degs[g]]
             if rows:
-                cleared.update(map(start.__add__, rows))
-                cleared.update(bisect_left(words, sub[i] * k + g) for i in rows)
-            start += len(sub)
+                start = starts[g]
+                pos = _suffix_positions(cx, s - top, top, degs[g], positions)
+                for i in rows:  # the unit of g R, and the unit of R g
+                    cleared[start + i] = cleared[pos[i] + letter[g]] = 1
 
         for d in degrees:
             cols = cx.diffs[(s, d)]
-            nrows = len(cx.spots.get((s, d - 1), ()))
-            # ptr never decreases, so its distinct values less one count the nonzero columns
-            if not cleared and nrows < len(set(cols.ptr)) - 1:
-                rank, torsion, _ = _sparse_rank_and_torsion(_transpose(cols, nrows))
+            if d != below:  # no spot (s, d + 1) to clear this one
+                cleared = bytearray(len(cols))
+            # ptr never decreases, so a column is nonzero where it steps up
+            if 1 not in cleared and cols.nrows < sum(map(ne, cols.ptr, islice(cols.ptr, 1, None))):
+                rank, torsion, _ = _sparse_rank_and_torsion(_transpose(cols))
+                cleared = bytearray(cols.nrows)
             else:
-                rank, torsion, cleared = _sparse_rank_and_torsion(cols, cleared)
+                rank, torsion, owner = _sparse_rank_and_torsion(cols, cleared)
+                cleared = bytearray(map((-1).__ne__, owner))
                 heirs = [gd for gd in plain_degs if tops.get(s + gd + 1) == d + gd - 1]
-                if heirs and cleared:
-                    rows = array("q", cleared)
+                if heirs and 1 in cleared:
+                    rows = array("q", compress(count(), cleared))
                     for gd in heirs:
                         inherited[s + gd + 1, gd] = rows
             profiles[(s, d)] = rank, torsion
+            below = d - 1
     return profiles
 
 

@@ -8,6 +8,7 @@ quotient.  Counts are cross-checked against the power-series pipelines on
 every call that builds a basis.
 """
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -148,16 +149,33 @@ def standard_lyndon_counts(alphabet, forbidden, max_degree):
     return counts
 
 
-def _estimated_words(alphabet, max_degree):
-    r = alphabet.size
-    min_deg = min(alphabet.degrees)
-    max_len = max_degree // min_deg
-    total = 0
-    for w in range(1, max_len + 1):
-        total += r**w
-        if total > 10**9:
-            break
-    return total
+def _estimated_words_log10(alphabet, max_degree):
+    """log10 of r + r^2 + ... + r^L, the words `lie_basis` may walk over:
+    every word in the r letters of the free alphabet up to the length
+    L = max_degree // (its smallest degree); -inf when L = 0.
+
+    The sum is r (r^L - 1) / (r - 1), or L for one letter.  It is taken in
+    logarithms, so no power of r is formed at any max_degree.
+    """
+    r, length = alphabet.size, max_degree // min(alphabet.degrees)
+    if length == 0:
+        return -math.inf
+    if r == 1:
+        return math.log10(length)
+    ln_r = math.log(r)
+    ln_words = math.log(r / (r - 1)) + length * ln_r + math.log(-math.expm1(-length * ln_r))
+    return ln_words / math.log(10)
+
+
+def _scientific(log10_value):
+    """10^log10_value, at least 1, as format(_, ".1e") writes it, read
+    from the logarithm so that it holds past the float range (a value
+    halfway between two figures may round either way)."""
+    exponent = math.floor(log10_value)
+    mantissa = round(10 ** (log10_value - exponent), 1)
+    if mantissa >= 10:
+        mantissa, exponent = mantissa / 10, exponent + 1
+    return f"{mantissa:.1f}e+{exponent:02d}"
 
 
 def _closed_walk_counts(alphabet, forbidden, max_degree):
@@ -213,7 +231,7 @@ def _necklace_count(alphabet, walks, degree):
     return total
 
 
-# Largest walk over the free alphabet's Lyndon words (by _estimated_words)
+# Largest walk over the free alphabet's Lyndon words (by _estimated_words_log10)
 # that materializing a Lie basis may take.
 _WALK_LIMIT = 2_000_000
 
@@ -221,7 +239,7 @@ _WALK_LIMIT = 2_000_000
 def basis_walk_fits(alphabet, max_degree):
     """Whether `lie_basis` may materialize a basis to max_degree: its walk
     over the free alphabet's Lyndon words stays within _WALK_LIMIT."""
-    return _estimated_words(alphabet, max_degree) <= _WALK_LIMIT
+    return _estimated_words_log10(alphabet, max_degree) <= math.log10(_WALK_LIMIT)
 
 
 def lie_basis(nr, max_degree, series_counts=None):
@@ -237,10 +255,10 @@ def lie_basis(nr, max_degree, series_counts=None):
     through standard_lyndon_counts.
     """
     if not basis_walk_fits(nr.alphabet, max_degree):
-        walk = _estimated_words(nr.alphabet, max_degree)
+        walk = _scientific(_estimated_words_log10(nr.alphabet, max_degree))
         raise ValidationError(
             f"materializing the Lie basis to degree {max_degree} needs a walk over "
-            f"roughly {walk:.1e} words; lower --max-degree, or use verify counts "
+            f"roughly {walk} words; lower --max-degree, or use verify counts "
             f"for the per-degree counts"
         )
     table = standard_lyndon_words(nr.alphabet, nr.forbidden_pair, max_degree)

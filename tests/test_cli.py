@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -198,6 +199,15 @@ def test_lie_basis_walk_guard_names_the_flag_and_the_counts_command():
     assert "standard_lyndon_counts" not in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "max_degree, words", [("14", "7.2e+06"), ("40", "1.8e+19"), ("2000000", "4.8e+954242")]
+)
+def test_lie_basis_walk_guard_states_the_whole_walk(max_degree, words):
+    # 3 + 3^2 + ... + 3^L words; the figure was cut off at about 1.7e+09
+    code, _, err = invoke(["lie-basis", "--space", "manifold:2:3", "--max-degree", max_degree])
+    assert code == 2 and f"walk over roughly {words} words" in err
+
+
 # a product of two 64-bit primes; Pollard rho would need about 2^32 steps to split it
 _SEMIPRIME = 276028547407528500944244193511643060947
 
@@ -268,6 +278,24 @@ def test_scripts_run_end_to_end(script, args, last_line):
     assert (done.returncode, done.stderr) == (0, "")
     if last_line is not None:
         assert done.stdout.splitlines()[-1] == last_line
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
+def test_cobar_audit_peak_leaves_out_the_launching_process():
+    # ru_maxrss carries over the peak of the process that starts the script;
+    # this launcher writes 96 MB first, and the audit of M(2,2) needs ~20 MB
+    launcher = (
+        "import subprocess, sys; blob = bytes(range(256)) * (96 << 12); "
+        "print(subprocess.run(sys.argv[1:], capture_output=True, text=True).stdout)"
+    )
+    argv = [str(SCRIPTS / "cobar_audit.py"), "manifold:2:2", "--max-degree", "5"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    peak = float(re.search(r"peak RSS ([\d.]+) MB", done.stdout).group(1))
+    assert 0 < peak < 64, done.stdout
 
 
 class TestSpecExamples:

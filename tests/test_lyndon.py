@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,11 @@ from hypothesis import strategies as st
 from looptop.algebra import Alphabet, normalize_relation, relation_from_space
 from looptop.errors import IntegrityError, ValidationError
 from looptop.lyndon import (
+    _WALK_LIMIT,
     _closed_walk_counts,
+    _estimated_words_log10,
+    _scientific,
+    basis_walk_fits,
     bracket_expand,
     bracket_string,
     generate_lyndon,
@@ -142,6 +147,25 @@ class TestLieBasis:
         nr = normalize_relation(ab, rel)
         basis = lie_basis(nr, 12)
         assert [len(basis.get(d, [])) for d in range(1, 13)] == [0, 2] + [0] * 10
+
+    @pytest.mark.parametrize("degrees", [(1,), (1, 1), (1, 1, 1), (2, 2, 2), (1, 3, 1, 2, 1)])
+    def test_walk_estimate_is_the_whole_sum(self, degrees):
+        # r + r^2 + ... + r^L in full, however far past the walk limit
+        alphabet = Alphabet(degrees, tuple(f"x{i}" for i in range(len(degrees))))
+        r = alphabet.size
+        for max_degree in range(1, 200):
+            exact = sum(r**w for w in range(1, max_degree // min(degrees) + 1))
+            log10 = _estimated_words_log10(alphabet, max_degree)
+            assert basis_walk_fits(alphabet, max_degree) == (exact <= _WALK_LIMIT)
+            if exact:
+                assert math.isclose(log10, math.log10(exact), rel_tol=1e-12), max_degree
+            else:
+                assert log10 == -math.inf
+
+    def test_walk_figure_is_written_as_a_float_would_be(self):
+        for value in (7174452, 18236498188585393201, 999_999, 3 * 10**400 + 7):
+            want = f"{value:.1e}" if value < 10**300 else "3.0e+400"
+            assert _scientific(math.log10(value)) == want
 
     def test_count_mismatch_raises(self):
         ab, rel = relation_from_space(Manifold(2, 3))
