@@ -263,17 +263,20 @@ def _cmd_hilbert(args, out):
 
 
 def _cmd_lie_basis(args, out):
-    from .lyndon import bracket_string, lie_basis
+    from .lyndon import bracket_string, lie_basis, refuse_long_walk
 
     space = parse_space(args.space)
-    nr = spaces.normalized_relation(space)
+    D = args.max_degree
+    nr = spaces.normalized_relation(space)  # refuses models with no quadratic relation
+    refuse_long_walk(nr.alphabet, D)  # before any series is expanded
+    counts = {l - 1: c for l, c in space.sphere_counts(D + 1).items()}
     basis = [
-        (d, [bracket_string(e.word, nr.alphabet) for e in elements])
-        for d, elements in sorted(lie_basis(nr, args.max_degree).items())
+        (d, [bracket_string(w, nr.alphabet) for w in words])
+        for d, words in sorted(lie_basis(nr, D, counts).items())
     ]
     payload = {
         "space": spaces.space_to_json(space),
-        "max_degree": args.max_degree,
+        "max_degree": D,
         "basis": [{"degree": d, "count": len(brackets), "brackets": brackets} for d, brackets in basis],
     }
     table = [("degree", "count", "brackets")] + [

@@ -4,19 +4,18 @@ A Lyndon word is strictly smaller than all of its proper cyclic
 rotations.  Bracketing along the standard factorization turns the Lyndon
 words into a basis of the free Lie algebra; discarding the words that
 contain the eliminated factor x0 x1 leaves a basis of the one-relator
-quotient.  Counts are cross-checked against the power-series pipelines on
-every call that builds a basis.
+quotient.  Every basis is checked against the space's own series counts,
+and every bracket against its word.
 """
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import TensorElement
 from .errors import IntegrityError, ValidationError
-from .series import divisors, moebius_mu, pbw_match_ungraded
-from .rewriting import hilbert_from_enumeration
+from .series import divisors, moebius_mu
+from .series import pbw_match_ungraded  # kept only as a benchmark span site
 
 
 def is_lyndon(word):
@@ -98,18 +97,6 @@ def bracket_string(word, alphabet):
         return alphabet.names[word[0]]
     l1, l2 = standard_factorization(word)
     return f"[{bracket_string(l1, alphabet)},{bracket_string(l2, alphabet)}]"
-
-
-@dataclass(frozen=True)
-class LieBasisElement:
-    word: tuple
-    degree: int
-    bracket: TensorElement
-
-    def __post_init__(self):
-        lead = self.bracket.leading_word()
-        if lead != self.word or self.bracket.terms[lead] != 1:
-            raise IntegrityError(f"bracket of {self.word} lost its triangular leading term")
 
 
 def _contains_factor(word, pair):
@@ -242,39 +229,45 @@ def basis_walk_fits(alphabet, max_degree):
     return _estimated_words_log10(alphabet, max_degree) <= math.log10(_WALK_LIMIT)
 
 
-def lie_basis(nr, max_degree, series_counts=None):
-    """Standard-Lyndon Lie basis of the one-relator quotient, by degree.
-
-    Words containing the eliminated factor consecutively are dropped; the
-    survivors are bracketed.  The per-degree counts must equal the
-    PBW-matched dimensions of the irreducible-word Hilbert series (or an
-    explicitly supplied table); any mismatch flags convention drift and
-    raises IntegrityError.  Generation walks every Lyndon word of the free
-    alphabet, so windows that fail `basis_walk_fits` are refused even when
-    the surviving basis is small; counts remain available at any size
-    through standard_lyndon_counts.
-    """
-    if not basis_walk_fits(nr.alphabet, max_degree):
-        walk = _scientific(_estimated_words_log10(nr.alphabet, max_degree))
+def refuse_long_walk(alphabet, max_degree):
+    """Raise ValidationError, naming the walk, when the window fails
+    `basis_walk_fits`.  It reads no series, so a caller can refuse an
+    absurd window before it takes any counts."""
+    if not basis_walk_fits(alphabet, max_degree):
+        walk = _scientific(_estimated_words_log10(alphabet, max_degree))
         raise ValidationError(
             f"materializing the Lie basis to degree {max_degree} needs a walk over "
             f"roughly {walk} words; lower --max-degree, or use verify counts "
             f"for the per-degree counts"
         )
+
+
+def lie_basis(nr, max_degree, counts):
+    """Standard Lyndon words of the one-relator quotient, {degree: words}.
+
+    Words containing the eliminated factor consecutively are dropped.  The
+    survivors must number `counts[d]` in each degree d, the Lie ranks of
+    the space's series, and each one's standard bracket must have the word
+    itself as its leading term with coefficient 1 (Reutenauer, *Free Lie
+    Algebras*, Thm 5.1); either failure raises IntegrityError.  Generation
+    walks every Lyndon word of the free alphabet, so windows that fail
+    `basis_walk_fits` are refused even when the surviving basis is small;
+    counts remain available at any size through standard_lyndon_counts.
+    """
+    refuse_long_walk(nr.alphabet, max_degree)
     table = standard_lyndon_words(nr.alphabet, nr.forbidden_pair, max_degree)
-    if series_counts is None:
-        H = hilbert_from_enumeration(nr.alphabet, nr.forbidden_pair, max_degree)
-        series_counts = pbw_match_ungraded(H, max_degree).dims
     for d in range(1, max_degree + 1):
         have = len(table.get(d, ()))
-        want = series_counts.get(d, 0)
+        want = counts.get(d, 0)
         if have != want:
             raise IntegrityError(
                 f"Lyndon basis count {have} != series count {want} at degree {d}: "
-                "basis convention drifted from the PBW pipelines"
+                "the standard words disagree with the Moebius inversion of the series"
             )
     memo = {}
-    out = {}
-    for d, words in table.items():
-        out[d] = [LieBasisElement(w, d, bracket_expand(w, nr.alphabet, memo)) for w in words]
-    return out
+    for words in table.values():
+        for word in words:
+            bracket = bracket_expand(word, nr.alphabet, memo)
+            if bracket.leading_word() != word or bracket.terms[word] != 1:
+                raise IntegrityError(f"bracket of {word} lost its triangular leading term")
+    return table

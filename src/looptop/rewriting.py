@@ -27,8 +27,3 @@ def irreducible_counts(alphabet, forbidden, up_to_degree):
         totals[d] = sum(ways[d])
     return {d: totals[d] for d in range(1, up_to_degree + 1)}
 
-
-def hilbert_from_enumeration(alphabet, forbidden, up_to_degree):
-    """Hilbert series whose degree-d coefficient counts irreducible words."""
-    counts = irreducible_counts(alphabet, forbidden, up_to_degree)
-    return PowerSeries((1,) + tuple(counts[d] for d in range(1, up_to_degree + 1)))

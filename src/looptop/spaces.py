@@ -606,9 +606,8 @@ def _quadratic_report(space, max_dim, growth):
     degree_counts = {l - 1: c for l, c in counts.items()}
     witnesses = {}
     if sum(counts.values()) <= _WITNESS_LIMIT and basis_walk_fits(nr.alphabet, max_dim - 1):
-        basis = lie_basis(nr, max_dim - 1, series_counts=degree_counts)
-        for d, elements in basis.items():
-            witnesses[d + 1] = tuple(bracket_string(e.word, nr.alphabet) for e in elements)
+        for d, words in lie_basis(nr, max_dim - 1, degree_counts).items():
+            witnesses[d + 1] = tuple(bracket_string(w, nr.alphabet) for w in words)
     else:
         lyndon_counts = standard_lyndon_counts(nr.alphabet, nr.forbidden_pair, max_dim - 1)
         if {d: c for d, c in lyndon_counts.items() if c} != degree_counts:

@@ -51,6 +51,7 @@ spans.install(recorder)
 requests = (
     ["manifold", "--n", "2", "--betti", "3", "--max-dim", "6"],
     ["connected-sum", "--factors", "2x3,2x3", "--max-dim", "6"],
+    ["lie-basis", "--space", "manifold:2:3", "--max-degree", "5"],
 )
 for i, argv in enumerate(requests):
     recorder.request = i
@@ -69,6 +70,8 @@ def test_reports_record_the_series_spans():
         timeout=120,
     )
     assert (done.returncode, done.stderr) == (0, "")
-    manifold, connected_sum = map(set, json.loads(done.stdout))
+    manifold, connected_sum, lie_basis = map(set, json.loads(done.stdout))
     assert {"series.log_moebius", "series.closed_form"} <= manifold
     assert "series.log_moebius" in connected_sum
+    # the Lie basis is checked against the same series as the reports
+    assert {"series.log_moebius", "lyndon.basis", "lyndon.bracket_expand"} <= lie_basis

@@ -12,7 +12,7 @@ import pytest
 
 import looptop.cli as cli
 from looptop.cli import parse_matrix, parse_space, run
-from looptop.errors import ValidationError
+from looptop.errors import IntegrityError, ValidationError
 from looptop.spaces import BettiOne, ConnectedSum, Manifold, TwoCellComplex
 
 
@@ -118,18 +118,23 @@ class TestExitCodes:
         original = spaces._OneRelator.series_fraction
 
         def without_relation(self):
-            # the relation's term x^2 t^(2n-2) dropped: the free Lie algebra's series
+            # the relation's term x^2 t^k dropped: the free Lie algebra's series
             numerator, denominator = original(self)
-            del denominator[(2, 2 * self.n - 2)]
-            return numerator, denominator
+            return numerator, {key: c for key, c in denominator.items() if key[0] != 2}
 
-        monkeypatch.setattr(spaces._FormSpace, "series_fraction", without_relation)
-        for argv in (
-            ["manifold", "--n", "2", "--betti", "3", "--max-dim", "6"],
-            ["cw", "--n", "2", "--matrix", "0,7;7,0", "--max-dim", "6"],
+        monkeypatch.setattr(spaces._OneRelator, "series_fraction", without_relation)
+        closed_form = "integrity error: sphere count pipelines disagree"
+        # a connected sum has no closed form; its Lyndon words catch the series
+        basis_count = "integrity error: Lyndon basis count 5 != series count 6 at degree 3"
+        for argv, message in (
+            (["manifold", "--n", "2", "--betti", "3", "--max-dim", "6"], closed_form),
+            (["cw", "--n", "2", "--matrix", "0,7;7,0", "--max-dim", "6"], closed_form),
+            (["lie-basis", "--space", "manifold:2:3", "--max-degree", "6"], closed_form),
+            (["lie-basis", "--space", "csum:2x3,2x3", "--max-degree", "6"], basis_count),
+            (["connected-sum", "--factors", "2x3,2x3", "--max-dim", "6"], basis_count),
         ):
-            code, _, err = invoke(argv)
-            assert code == 1 and "integrity error: sphere count pipelines disagree" in err
+            code, out, err = invoke(argv)
+            assert (code, out) == (1, "") and err.startswith(message), argv
 
 
 @pytest.mark.parametrize(
@@ -146,9 +151,16 @@ def test_a_large_betti_number_answers_quickly(argv):
     assert code == 0 and "FAIL" not in out
 
 
-@pytest.mark.parametrize("command", [["verify", "counts"], ["hilbert"]])
+@pytest.mark.parametrize("command", [["verify", "counts"], ["hilbert"], ["lie-basis"]])
 @pytest.mark.parametrize("space", ["manifold:2:1", "manifold:4:1", "cw:2:1"])
-def test_betti_one_models_are_refused_by_the_quadratic_commands(command, space):
+def test_betti_one_models_are_refused_by_the_quadratic_commands(command, space, monkeypatch):
+    import looptop.spaces as spaces
+
+    def counted(self, order):
+        raise IntegrityError("a series was expanded before the relation was refused")
+
+    # every count the commands take reads the family's denominator
+    monkeypatch.setattr(spaces._Family, "denominator", counted)
     code, _, err = invoke(command + ["--space", space])
     assert code == 2
     assert err.startswith("error: ") and "integrity error" not in err
@@ -199,13 +211,27 @@ def test_lie_basis_walk_guard_names_the_flag_and_the_counts_command():
     assert "standard_lyndon_counts" not in err and "Traceback" not in err
 
 
+# the CLI under a 1 GiB address-space cap
+_CAPPED_CLI = (
+    "import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+    "from looptop.cli import main; main()"
+)
+
+
 @pytest.mark.parametrize(
     "max_degree, words", [("14", "7.2e+06"), ("40", "1.8e+19"), ("2000000", "4.8e+954242")]
 )
 def test_lie_basis_walk_guard_states_the_whole_walk(max_degree, words):
-    # 3 + 3^2 + ... + 3^L words; the figure was cut off at about 1.7e+09
-    code, _, err = invoke(["lie-basis", "--space", "manifold:2:3", "--max-degree", max_degree])
-    assert code == 2 and f"walk over roughly {words} words" in err
+    # 3 + 3^2 + ... + 3^L words; the figure was cut off at about 1.7e+09.  The
+    # refusal comes before any series is expanded.  A child process under a
+    # memory cap and a timeout runs the command, so a regression that expands
+    # the series first fails this test, not the whole run.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    argv = ["lie-basis", "--space", "manifold:2:3", "--max-degree", max_degree]
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI, *argv], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert done.returncode == 2 and f"walk over roughly {words} words" in done.stderr
 
 
 # a product of two 64-bit primes; Pollard rho would need about 2^32 steps to split it

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from looptop.algebra import Alphabet, normalize_relation, relation_from_space
+from looptop.algebra import Alphabet, TensorElement, normalize_relation, relation_from_space
 from looptop.errors import IntegrityError, ValidationError
 from looptop.lyndon import (
     _WALK_LIMIT,
@@ -122,12 +122,17 @@ class TestBracketExpand:
         assert bracket_string((0, 0, 1), AB2) == "[α₁,[α₁,α₂]]"
 
 
+def _basis(space, max_degree):
+    """`lie_basis` of the space, checked against the space's own series counts."""
+    nr = normalize_relation(*relation_from_space(space))
+    counts = {l - 1: c for l, c in space.sphere_counts(max_degree + 1).items()}
+    return lie_basis(nr, max_degree, counts)
+
+
 class TestLieBasis:
     def test_three_letter_degree_three(self):
-        ab, rel = relation_from_space(Manifold(2, 3))
-        nr = normalize_relation(ab, rel)
-        basis = lie_basis(nr, 3)
-        assert sorted(e.word for e in basis[3]) == [
+        basis = _basis(Manifold(2, 3), 3)
+        assert sorted(basis[3]) == [
             (0, 0, 2),
             (0, 2, 1),
             (0, 2, 2),
@@ -136,16 +141,12 @@ class TestLieBasis:
         ]
 
     def test_connected_sum_degrees_two_and_three(self):
-        ab, rel = relation_from_space(ConnectedSum(((2, 3), (2, 3))))
-        nr = normalize_relation(ab, rel)
-        basis = lie_basis(nr, 3)
-        assert sorted(e.word for e in basis[2]) == [(0, 2), (1,), (3,)]
-        assert sorted(e.word for e in basis[3]) == [(0, 0, 2), (0, 2, 2), (0, 3), (1, 2), (2, 3)]
+        basis = _basis(ConnectedSum(((2, 3), (2, 3))), 3)
+        assert sorted(basis[2]) == [(0, 2), (1,), (3,)]
+        assert sorted(basis[3]) == [(0, 0, 2), (0, 2, 2), (0, 3), (1, 2), (2, 3)]
 
     def test_hyperbolic_pair_has_only_the_letters(self):
-        ab, rel = relation_from_space(Manifold(3, 2))
-        nr = normalize_relation(ab, rel)
-        basis = lie_basis(nr, 12)
+        basis = _basis(Manifold(3, 2), 12)
         assert [len(basis.get(d, [])) for d in range(1, 13)] == [0, 2] + [0] * 10
 
     @pytest.mark.parametrize("degrees", [(1,), (1, 1), (1, 1, 1), (2, 2, 2), (1, 3, 1, 2, 1)])
@@ -170,8 +171,23 @@ class TestLieBasis:
     def test_count_mismatch_raises(self):
         ab, rel = relation_from_space(Manifold(2, 3))
         nr = normalize_relation(ab, rel)
-        with pytest.raises(IntegrityError):
-            lie_basis(nr, 3, series_counts={1: 3, 2: 2, 3: 4})
+        with pytest.raises(IntegrityError, match="Lyndon basis count 5 != series count 4 at degree 3"):
+            lie_basis(nr, 3, {1: 3, 2: 2, 3: 4})
+
+    def test_leading_word_check_can_fail(self, monkeypatch):
+        import looptop.lyndon as lyndon
+
+        original = lyndon.bracket_expand
+
+        def reversed_bracket(word, alphabet, memo=None):
+            # [b(l2), b(l1)] in place of [b(l1), b(l2)]: the leading word keeps
+            # its place but its coefficient becomes -1
+            b = original(word, alphabet, memo)
+            return b if len(word) == 1 else TensorElement(alphabet, {w: -c for w, c in b.terms.items()})
+
+        monkeypatch.setattr(lyndon, "bracket_expand", reversed_bracket)
+        with pytest.raises(IntegrityError, match=r"bracket of \(0, 2\) lost its triangular leading term"):
+            _basis(Manifold(2, 3), 3)
 
 
 class TestScalableCounts:
@@ -252,11 +268,10 @@ class TestReducedBracketIndependence:
             ab, rel = relation_from_space(space)
             nr = normalize_relation(ab, rel)
             rs = RewriteSystem.from_normalized(rational_plane_split(ab, rel))
-            basis = lie_basis(nr, 6)
-            for d, elements in basis.items():
+            for d, words in _basis(space, 6).items():
                 rows = []
-                for e in elements:
-                    red = reduce(e.bracket, rs)
-                    assert not is_zero(red), (space, e.word)
+                for w in words:
+                    red = reduce(bracket_expand(w, nr.alphabet), rs)
+                    assert not is_zero(red), (space, w)
                     rows.append(dict(red.terms))
-                assert rank_sparse_rational(rows) == len(elements), (space, d)
+                assert rank_sparse_rational(rows) == len(words), (space, d)

@@ -6,7 +6,7 @@ import pytest
 
 from looptop.algebra import Alphabet, TensorElement, normalize_relation, relation_from_space
 from looptop.errors import IntegrityError, ValidationError
-from looptop.rewriting import hilbert_from_enumeration, irreducible_counts
+from looptop.rewriting import irreducible_counts
 from looptop.spaces import ConnectedSum, Manifold
 from oracles import (
     RewriteSystem,
@@ -227,26 +227,30 @@ class TestIrreducibleWords:
             assert d[w] == 3 * d[w - 1] - d[w - 2]
 
 
+def _enumerated_series(alphabet, forbidden, up_to_degree):
+    """Coefficients 0..up_to_degree of the series whose degree-d term counts
+    the words of degree d that avoid the factor."""
+    counts = irreducible_counts(alphabet, forbidden, up_to_degree)
+    return (1,) + tuple(counts[d] for d in range(1, up_to_degree + 1))
+
+
 class TestHilbertBridge:
     def test_manifold_series(self):
-        H = hilbert_from_enumeration(AB3, (0, 1), 8)
         closed = manifold_denominator(2, 3, 8).inverse()
-        assert H.coefficients == closed.coefficients
+        assert _enumerated_series(AB3, (0, 1), 8) == closed.coefficients
 
     def test_connected_sum_series(self):
         ab, rel = relation_from_space(ConnectedSum(((2, 3), (2, 3))))
         nr = normalize_relation(ab, rel)
-        H = hilbert_from_enumeration(nr.alphabet, nr.forbidden_pair, 8)
         closed = connected_sum_denominator([(2, 3), (2, 3)], 8).inverse()
-        assert H.coefficients == closed.coefficients
+        assert _enumerated_series(nr.alphabet, nr.forbidden_pair, 8) == closed.coefficients
 
     def test_normalized_spaces_match_their_denominators(self):
         for n, r in ((2, 2), (2, 4), (3, 2), (4, 3)):
             ab, rel = relation_from_space(Manifold(n, r))
             nr = normalize_relation(ab, rel)
-            H = hilbert_from_enumeration(nr.alphabet, nr.forbidden_pair, 10)
             closed = manifold_denominator(n, r, 10).inverse()
-            assert H.coefficients == closed.coefficients, (n, r)
+            assert _enumerated_series(nr.alphabet, nr.forbidden_pair, 10) == closed.coefficients, (n, r)
 
 
 class TestLinearIndependenceWitness:
