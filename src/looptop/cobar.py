@@ -26,10 +26,9 @@ entries after it (see `_profiles`).
 
 import os
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, compress, count, islice
+from itertools import accumulate, compress, count, islice, repeat
 from operator import ne
 
 from ._linalg import smith_invariants
@@ -37,6 +36,7 @@ from ._linalg import smith_normal_form as _dense_snf  # kept only as a benchmark
 from .errors import IntegrityError, ValidationError, WindowError
 
 DEFAULT_MAX_CELLS = 200_000
+ROW_LIMIT = 2**31  # a row index of the store is an int32
 
 
 def _max_cells_default():
@@ -100,23 +100,37 @@ class FiniteCoalgebra:
                 )
 
 
+# x -> -x mod 256, which negates an int8 store in one C pass; it maps -128
+# to itself, so a byte store holds only values of absolute value <= 127
+_NEG = bytes(-x % 256 for x in range(256))
+
+
 class PackedColumns:
     """Sparse integer columns in one flat store, the compressed-column layout.
 
     The matrix has `nrows` rows.  Column j holds the rows
     rows[ptr[j]:ptr[j+1]] with the nonzero values vals[ptr[j]:ptr[j+1]].
-    `ptr` and `rows` are int64 arrays; `vals` is a list, so a coefficient
-    of any size fits.  Iterating gives each column as a fresh {row: value}
+    `ptr` is an int64 array and `rows` an int32 array (the build refuses a
+    window of 2^31 cells or more).  A narrow store keeps `vals` in an int8
+    array, a wide one in a list, so a coefficient of any size fits; the
+    choice is made once per complex, by `fits_a_byte`.  The store starts
+    with no column.  Iterating gives each column as a fresh {row: value}
     dict.
     """
 
     __slots__ = ("nrows", "ptr", "rows", "vals")
 
-    def __init__(self, nrows, ptr=None, rows=None, vals=None):
+    def __init__(self, nrows, narrow):
         self.nrows = nrows
-        self.ptr = array("q", [0]) if ptr is None else ptr
-        self.rows = array("q") if rows is None else rows
-        self.vals = [] if vals is None else vals
+        self.ptr = array("q", [0])
+        self.rows = array("i")
+        self.vals = array("b") if narrow else []
+
+    @staticmethod
+    def fits_a_byte(coefficients):
+        """Whether a store whose values are +-c, c in `coefficients`, can be
+        narrow: every |c| <= 127, since -(-128) does not fit in a byte."""
+        return all(-127 <= c <= 127 for c in coefficients)
 
     def __len__(self):
         return len(self.ptr) - 1
@@ -125,6 +139,15 @@ class PackedColumns:
         rows, vals = self.rows, self.vals
         for a, b in zip(self.ptr, self.ptr[1:]):
             yield dict(zip(rows[a:b], vals[a:b]))
+
+
+def _negated(vals):
+    """The values of a store times -1, in a store of the same kind."""
+    if isinstance(vals, list):
+        return [-v for v in vals]
+    out = array("b")
+    out.frombytes(vals.tobytes().translate(_NEG))
+    return out
 
 
 @dataclass
@@ -138,7 +161,8 @@ class ChainComplex:
     block per generator g: g followed by each word of spot (w - 1, d - |g|).
     `block_starts` gives the blocks' offsets, and `words` decodes a spot
     block by block.  diffs[(s, d)] holds the differential into (s, d-1) as
-    `PackedColumns`, one column per word, which the rank reads in place.
+    `PackedColumns`, one column per word, which the rank reads in place:
+    int32 rows, and int8 values when every diagonal coefficient fits a byte.
     Homology is complete through degree `cutoff`.  `profiles` maps each
     spot to the (rank, torsion) of its differential, all ranked in one pass
     on first read (see `_profiles`).
@@ -222,7 +246,9 @@ def _window_sizes(degs, cutoff, max_cells):
     word reaches, and an index past its end reads as 0.  A prefix or suffix
     of a word in the window is in the window, so each entry counts every
     word of its weight and degree.  The cap is checked row by row, so a
-    refusal costs the same at any cutoff.
+    refusal costs the same at any cutoff.  So is `ROW_LIMIT`, whatever the
+    cap: the store keeps each row index, which is below its spot's size, in
+    an int32.
     """
     top = cutoff + 1
     slice_cap = cutoff + cutoff // min(degs)
@@ -236,6 +262,11 @@ def _window_sizes(degs, cutoff, max_cells):
         if not any(row):
             return sizes
         total += sum(row)
+        if total >= ROW_LIMIT:
+            raise ValidationError(
+                f"chain complex needs {total} words or more, over the limit of "
+                f"2^31 = {ROW_LIMIT} that int32 row indices allow; lower the degree cutoff"
+            )
         if total > max_cells:
             raise ValidationError(
                 f"chain complex needs {total} words or more, over the cap of {max_cells}; "
@@ -262,7 +293,9 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
     of g, at the offset of l's block, plus the offset of r's block inside
     it, plus the index of u.  A block whose generator has no diagonal terms
     is the sub-spot's packed columns with every row shifted at once.  No
-    word is hashed or searched for.
+    word is hashed or searched for.  The values are int8 when every merged
+    coefficient of the desuspended diagonal fits `PackedColumns.fits_a_byte`,
+    and a list otherwise.
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
@@ -279,10 +312,12 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
         for left, right, coeff in terms:
             merged[left, right] = merged.get((left, right), 0) + coeff
         diag[g] = [(lr, c) for lr, c in merged.items() if c]
+    narrow = PackedColumns.fits_a_byte(c for terms in diag.values() for _, c in terms)
 
     # the empty word, a suffix only, with its one empty column
     diffs = cx.diffs
-    diffs[0, 0] = PackedColumns(0, array("q", [0, 0]))
+    diffs[0, 0] = PackedColumns(0, narrow)
+    diffs[0, 0].ptr.append(0)
     for w in range(1, len(cx.sizes)):
         for d, size in enumerate(cx.sizes[w]):
             if not size:
@@ -290,14 +325,15 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
             # the target spot has weight w+1 and degree d-1: blocks g . W(w, d-1-|g|),
             # and inside the block of l the sub-blocks r . W(w-1, d-1-|l|-|r|)
             target = cx.block_starts(w, d - 1)
-            cols = PackedColumns(target[-1])
+            cols = PackedColumns(target[-1], narrow)
             ptr, rows, vals = cols.ptr, cols.rows, cols.vals
             for g, gdeg in enumerate(degs):
                 if not cx.count(w - 1, d - gdeg):
                     continue
                 du = diffs[d - gdeg + w - 1, d - gdeg]
                 sub_ptr, sub_rows, sub_vals = du.ptr, du.rows, du.vals
-                shift, odd = target[g], gdeg % 2
+                shift = target[g]
+                signed = _negated(sub_vals) if gdeg % 2 else sub_vals
                 terms = [
                     (target[l] + cx.block_starts(w - 1, d - 1 - degs[l])[r], c)
                     for (l, r), c in diag[g]
@@ -305,11 +341,11 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
                 if not terms:  # the whole block at once: rows shifted, values signed
                     ptr.extend(map(len(rows).__add__, sub_ptr[1:]))
                     rows.extend(map(shift.__add__, sub_rows))
-                    vals.extend([-v for v in sub_vals] if odd else sub_vals)
+                    vals.extend(signed)
                     continue
                 for j, (a, b) in enumerate(zip(sub_ptr, sub_ptr[1:])):
                     rows.extend(map(shift.__add__, sub_rows[a:b]))
-                    vals.extend([-v for v in sub_vals[a:b]] if odd else sub_vals[a:b])
+                    vals.extend(signed[a:b])
                     for at, c in terms:
                         rows.append(at + j)
                         vals.append(c)
@@ -476,22 +512,28 @@ def _sparse_rank_and_torsion(columns, skip=None):
 
 
 def _transpose(columns):
-    """The transpose of `columns`, packed the same way.
+    """The transpose of `columns`, in a store of the same kind.
 
-    The entry counts per row give the new offsets, and a stable sort of
-    the entries by row puts them in place, each new column in ascending
-    order of the old columns."""
-    ptr, rows = columns.ptr, columns.rows
-    col_of = array("q")
+    A counting sort over the rows: the entry counts per row give the new
+    offsets, and one pass over the old columns in order puts each entry at
+    the next free place of its row, so each new column lists the old
+    columns in ascending order.  Beside the new store it keeps one int64
+    cursor per row, and no Python object per entry."""
+    ptr, rows, vals = columns.ptr, columns.rows, columns.vals
+    out = PackedColumns(len(columns), not isinstance(vals, list))
+    counts = array("q", [0]) * (columns.nrows + 1)
+    for i in rows:
+        counts[i + 1] += 1
+    out.ptr = array("q", accumulate(counts))
+    out.rows.extend(repeat(0, len(rows)))
+    out.vals.extend(repeat(0, len(rows)))
+    free, out_rows, out_vals = out.ptr[:-1], out.rows, out.vals
     for j, (a, b) in enumerate(zip(ptr, ptr[1:])):
-        col_of.extend([j] * (b - a))
-    order = sorted(range(len(rows)), key=rows.__getitem__)
-    counts = Counter(rows)
-    out_ptr = array("q", [0])
-    out_ptr.extend(accumulate(map(counts.__getitem__, range(columns.nrows))))
-    out_rows = array("q", map(col_of.__getitem__, order))
-    out_vals = list(map(columns.vals.__getitem__, order))
-    return PackedColumns(len(columns), out_ptr, out_rows, out_vals)
+        for i, v in zip(rows[a:b], vals[a:b]):
+            at = free[i]
+            free[i] = at + 1
+            out_rows[at], out_vals[at] = j, v
+    return out
 
 
 def _suffix_positions(cx, w, d, e, memo):

@@ -234,6 +234,23 @@ def test_lie_basis_walk_guard_states_the_whole_walk(max_degree, words):
     assert done.returncode == 2 and f"walk over roughly {words} words" in done.stderr
 
 
+def test_cobar_window_past_int32_rows_is_refused_at_once():
+    # The store keeps row indices in int32, so a window of 2^31 cells or more
+    # is refused as it is counted, whatever the cell cap; manifold:2:3 at
+    # D=22 has about 1e11.  A build that starts fails under the memory cap.
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+        LOOPTOP_MAX_CELLS="1000000000000",
+    )
+    argv = ["verify", "cobar", "--space", "manifold:2:3", "--max-degree", "22"]
+    done = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI, *argv], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert done.returncode == 2 and not done.stdout
+    assert "over the limit of 2^31 = 2147483648" in done.stderr
+
+
 # a product of two 64-bit primes; Pollard rho would need about 2^32 steps to split it
 _SEMIPRIME = 276028547407528500944244193511643060947
 

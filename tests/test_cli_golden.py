@@ -8,7 +8,10 @@ usage errors, the cell cap, the Lyndon walk guard, a cobar cutoff of 25,
 the `--deep` flag that no longer exists, each refusal of a form of rank
 below 2, two requests at Betti number 100, the loop-homology series of
 every family through the cobar audit or `hilbert`, the cobar torsion
-path (promoted pivots and transposed spots, invariants 2 and 30, Z/9), and
+path (promoted pivots and transposed spots, invariants 2 and 30, Z/9),
+the byte boundary of the cobar store (`cw:2:0,127;127,0` keeps int8 values,
+`cw:2:0,-128;-128,0` fits a byte but its negation does not, and the
+unimodular `cw:2:128,127;127,126` does not fit; each keeps a list), and
 the sphere counts of each one-relator family at larger windows (n = 4, a
 report past the witness limit, mixed sphere degrees, a skew torsion form).
 
@@ -108,6 +111,11 @@ REQUESTS = (
     ("verify-cobar-torsion-promoted-json", ["verify", "cobar", "--space", "cw:2:2,1;1,5", "--max-degree", "8", "--format", "json"], {}),
     ("verify-cobar-three-primes", ["verify", "cobar", "--space", "cw:2:6,0;0,10", "--max-degree", "7"], {}),
     ("verify-cobar-z9", ["verify", "cobar", "--space", "cw:2:0,9;9,0", "--max-degree", "7"], {}),
+    # the byte boundary of the store's values; the wide form runs at D=7,
+    # since at D=8 its Smith form takes about a minute
+    ("verify-cobar-byte-narrow-json", ["verify", "cobar", "--space", "cw:2:0,127;127,0", "--max-degree", "8", "--format", "json"], {}),
+    ("verify-cobar-byte-negation-json", ["verify", "cobar", "--space", "cw:2:0,-128;-128,0", "--max-degree", "8", "--format", "json"], {}),
+    ("verify-cobar-byte-wide-json", ["verify", "cobar", "--space", "cw:2:128,127;127,126", "--max-degree", "7", "--format", "json"], {}),
     # sphere counts of each one-relator family, read off its own series: a
     # manifold with n = 4, one whose total passes the witness limit (no
     # witnesses, checked by necklace counts), a connected sum of mixed
@@ -186,6 +194,9 @@ GOLDEN = {
     "verify-cobar-torsion-promoted-json": (0, "610b22efd54ee5145ccd35aa2a98891023468b9a60511fa4eb9194caa69428d4", EMPTY),
     "verify-cobar-three-primes": (0, "04b965436f2c7765b75c821b885b493ad966fa1e83dc03019de18a69a3b113ea", EMPTY),
     "verify-cobar-z9": (0, "e09e95b6dfa5db508380251df444e6912ccc84c316fe8bc5f7abcbc6b403ae04", EMPTY),
+    "verify-cobar-byte-narrow-json": (0, "ea369a1428fed73d8827a2f02074d446e08be595a398a1177c1ff25ca697327a", EMPTY),
+    "verify-cobar-byte-negation-json": (0, "59dba4b44cfae78c0fea5d7280b05df44fd10dd7a7035fc6f0c72b6121895a7d", EMPTY),
+    "verify-cobar-byte-wide-json": (0, "433d058d2df79538c6ce54ab54479a604bbb15dba4892280ec25e085c3c40c1d", EMPTY),
     "manifold-n4-json": (0, "98ecb64351738f6a4926ae923981dff522f1a9cb2085f45b38809126870c5112", EMPTY),
     "manifold-no-witnesses-json": (0, "e2963d1d5322b476969262470d497f6ecd150395284ee1350bf236df3644d4f5", EMPTY),
     "csum-mixed-degrees-json": (0, "ca3a73be8e0e52128c629e4623e67ca52cd00d5a26880f0c7213d87ef671be1c", EMPTY),

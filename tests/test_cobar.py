@@ -93,17 +93,25 @@ def columns_of(matrix):
     ]
 
 
-def packed(columns, nrows=None):
+def packed(columns, nrows=None, narrow=None):
     """`columns` ({row: value} dicts) in the build's packed layout, with
-    `nrows` rows or else one past the last row that holds an entry."""
+    `nrows` rows or else one past the last row that holds an entry, and
+    int8 values when `narrow` (by default, when every value fits a byte)."""
     if nrows is None:
         nrows = max((max(col) + 1 for col in columns if col), default=0)
-    ptr, rows, vals = array("q", [0]), array("q"), []
+    if narrow is None:
+        narrow = PackedColumns.fits_a_byte(v for col in columns for v in col.values())
+    out = PackedColumns(nrows, narrow)
     for col in columns:
-        rows.extend(col)
-        vals.extend(col.values())
-        ptr.append(len(rows))
-    return PackedColumns(nrows, ptr, rows, vals)
+        out.rows.extend(col)
+        out.vals.extend(col.values())
+        out.ptr.append(len(out.rows))
+    return out
+
+
+def copied(cols):
+    """A copy of a store's arrays, each of its own kind."""
+    return cols.ptr[:], cols.rows[:], cols.vals[:]
 
 
 def mask(indices, n):
@@ -326,6 +334,12 @@ class TestBuildCobar:
             ("cw:2:0,7;7,0", 7),
             ("betti1:4:1", 12),
             ("betti1:2:0", 12),
+            # the byte boundary: 127 is narrow; -128 fits a byte but its
+            # negation does not, and 128 does not fit at all, so both are wide
+            ("cw:2:0,127;127,0", 7),
+            ("cw:2:0,-128;-128,0", 7),
+            ("cw:2:128,127;127,126", 7),
+            (f"cw:2:0,{2**70};{2**70},0", 7),
         ],
     )
     def test_matches_the_tuple_word_reference(self, text, cutoff):
@@ -334,6 +348,9 @@ class TestBuildCobar:
         spots, diffs = reference_cobar(coalgebra, cutoff)
         assert {key: cx.words(key) for key in cx.spots} == spots
         assert {key: list(cols) for key, cols in cx.diffs.items()} == diffs
+        wide = text in ("cw:2:0,-128;-128,0", "cw:2:128,127;127,126", f"cw:2:0,{2**70};{2**70},0")
+        assert {type(cols.vals) for cols in cx.diffs.values()} == {list if wide else array}
+        assert all(cols.rows.typecode == "i" for cols in cx.diffs.values())
 
     @pytest.mark.parametrize(
         "text, cutoff", [("manifold:2:3", 8), ("csum:2x3,2x3:signs=+,-", 7), ("cw:2:0,9;9,0", 6)]
@@ -354,7 +371,8 @@ class TestBuildCobar:
     def test_packed_build_retains_little_per_cell(self):
         # one {row: value} dict per column retained about 230 B per cell, and
         # an integer code per word about 73 B per cell at D=9 with the
-        # columns packed; the spots as counts keep about 34
+        # columns packed; the spots as counts kept about 31 with a list of
+        # values and int64 rows, and int8 values with int32 rows keep about 16
         coalgebra = Manifold(2, 3).coalgebra()
         tracemalloc.start()
         try:
@@ -363,7 +381,7 @@ class TestBuildCobar:
         finally:
             tracemalloc.stop()
         cells = sum(len(words) for words in cx.spots.values())
-        assert retained <= 50 * cells, retained / cells
+        assert retained <= 20 * cells, retained / cells
 
     def test_rank_keeps_emergent_pivots_packed(self, monkeypatch):
         # one {row: value} dict per reduced column peaked at about 300 B per
@@ -444,10 +462,10 @@ class TestBuildCobar:
 
 
 class TestPackedColumns:
-    @given(small_integer_matrices())
+    @given(small_integer_matrices(), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_transpose_twice_is_the_identity(self, matrix):
-        cols = packed(columns_of(matrix), len(matrix))
+    def test_transpose_twice_is_the_identity(self, matrix, narrow):
+        cols = packed(columns_of(matrix), len(matrix), narrow)
         once = _transpose(cols)
         assert list(once) == columns_of([list(row) for row in zip(*matrix)])
         assert once.nrows == len(matrix[0])
@@ -456,11 +474,25 @@ class TestPackedColumns:
             cols.nrows, cols.ptr, cols.rows, cols.vals
         )
 
-    @given(small_integer_matrices())
+    def test_transpose_holds_no_object_per_entry(self):
+        # a sort of the entry indices with a count per row peaked at about 74 B
+        # per entry here (86 on the largest transposed spot of cw:2:2,1;1,5 at
+        # D=11); the counting sort makes the new store and one cursor per row
+        cx = build_cobar(TwoCellComplex(2, ((2, 1), (1, 5))).coalgebra(), 9)
+        cols = max(cx.diffs.values(), key=lambda cols: len(cols.rows))
+        tracemalloc.start()
+        try:
+            _transpose(cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * len(cols.rows), peak / len(cols.rows)
+
+    @given(small_integer_matrices(), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_ranking_is_repeatable_and_leaves_the_store_alone(self, matrix):
-        cols = packed(columns_of(matrix), len(matrix))
-        before = (array("q", cols.ptr), array("q", cols.rows), list(cols.vals))
+    def test_ranking_is_repeatable_and_leaves_the_store_alone(self, matrix, narrow):
+        cols = packed(columns_of(matrix), len(matrix), narrow)
+        before = copied(cols)
         first = _sparse_rank_and_torsion(cols)
         assert _sparse_rank_and_torsion(cols) == first
         assert (cols.ptr, cols.rows, cols.vals) == before
@@ -473,7 +505,7 @@ class TestPackedColumns:
     def test_emergent_pivots_match_the_unpacked_reduction(self, columns, data):
         skip = data.draw(st.sets(st.integers(0, len(columns) - 1)))
         cols = packed(columns, 8)
-        before = (array("q", cols.ptr), array("q", cols.rows), list(cols.vals))
+        before = copied(cols)
         rank, torsion, owner = _sparse_rank_and_torsion(cols, mask(skip, len(columns)))
         assert (cols.ptr, cols.rows, cols.vals) == before
         assert len(owner) == 8 and pivot_rows(owner) == unit_pivot_rows(columns, skip)
@@ -509,7 +541,7 @@ class TestPackedColumns:
 
         for columns in ([{0: Liar(2)}, {0: 1}], [{1: Liar(2)}, {0: 2, 1: 1}]):
             with pytest.raises(IntegrityError, match="makes no progress"):
-                _sparse_rank_and_torsion(packed(columns))
+                _sparse_rank_and_torsion(packed(columns, narrow=False))
 
 
 # x, x^2, x^3 with |x| = 3: x has no diagonal terms, x2 and x3 have them
