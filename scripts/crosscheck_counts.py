@@ -2,7 +2,8 @@
 """Run the master three-pipeline cross-check over a (n, r) grid.
 
 For each manifold family the Lie-algebra dimensions l_d are computed by
-the three pipelines: series counting (the Moebius closed form, and Moebius
+the three pipelines: series counting (the closed form, a Moebius sum over
+the Lucas numbers of x^2 - r x + 1 that reads no series, and Moebius
 inversion of the family's own loop-homology series), incremental PBW
 matching of that series, and standard-Lyndon-word counting.  Any
 disagreement would be a bug; the table makes the agreement visible.  A

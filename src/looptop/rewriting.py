@@ -5,8 +5,6 @@ factor, these are the irreducible words of the rewrite rule, and their
 count per degree gives the Hilbert series by enumeration.
 """
 
-from .series import PowerSeries
-
 
 def irreducible_counts(alphabet, forbidden, up_to_degree):
     """Count of irreducible words per degree, by transfer recursion.

@@ -4,8 +4,9 @@ Every series the engine inverts or matches has integer coefficients and
 constant term 1, so series arithmetic runs on Python ints; no floats enter
 at any point.  The module provides three independent ways of extracting
 dimension tables from a Hilbert series (Newton power sums + Moebius
-inversion, incremental PBW matching, and a closed-form double sum in exact
-rationals) which the rest of the engine cross-checks against each other.
+inversion, incremental PBW matching, and a closed-form Moebius sum over the
+Lucas numbers of the relation's quadratic) which the rest of the engine
+cross-checks against each other.
 """
 
 from dataclasses import dataclass
@@ -132,14 +133,6 @@ class DimensionTable:
         return self.dims.get(d, 0)
 
 
-def _require_nonneg_int(value, what):
-    if value.denominator != 1:
-        raise IntegrityError(f"{what} is not an integer: {value}")
-    if value < 0:
-        raise IntegrityError(f"{what} is negative: {value}")
-    return int(value)
-
-
 def _check_hilbert_input(H, N):
     if N < 1:
         raise ValidationError("N must be >= 1")
@@ -207,21 +200,25 @@ def _graded_factor(d, m, N):
     return _polynomial_factor(d, m, N)
 
 
-def _witt_inner_sum(r, k):
-    # sum over a + 2b = k of (-1)^b C(a+b, b) r^a / (a+b)
-    acc = Fraction(0)
-    for b in range(0, k // 2 + 1):
-        a = k - 2 * b
-        acc += Fraction((-1) ** b * comb(a + b, b) * r**a, a + b)
-    return acc
+def _lucas_numbers(r, k):
+    """V_0..V_k with V_0 = 2, V_1 = r and V_j = r V_(j-1) - V_(j-2), so that
+    V_j = alpha^j + beta^j for the roots alpha, beta of x^2 - r x + 1."""
+    lucas = [2, r]
+    for _ in range(k - 1):
+        lucas.append(r * lucas[-1] - lucas[-2])
+    return lucas
 
 
 def closed_form_lie_rank(n, r, degree):
     """Degree-d dimension of the one-relator Lie algebra on r letters.
 
-    Zero off multiples of n-1; on degree d(n-1) the value is the Moebius
-    double sum over divisors of d.  Integrality is enforced.
+    Zero off multiples of n-1; on degree d(n-1) the value is the necklace
+    sum (1/d) sum_{c|d} mu(c) V_(d/c) over the Lucas numbers of x^2 - r x + 1
+    (Labute, J. Algebra 14, 1970).  A sum that is negative or not a
+    multiple of d raises IntegrityError.
     """
+    if n < 2:
+        raise ValidationError("closed form requires n >= 2")
     if r < 2:
         raise ValidationError("closed form requires r >= 2")
     if degree < 1:
@@ -229,12 +226,11 @@ def closed_form_lie_rank(n, r, degree):
     if degree % (n - 1) != 0:
         return 0
     d = degree // (n - 1)
-    acc = Fraction(0)
-    for c in divisors(d):
-        mc = moebius_mu(c)
-        if mc:
-            acc += Fraction(mc, c) * _witt_inner_sum(r, d // c)
-    return _require_nonneg_int(acc, f"closed-form rank at degree {degree}")
+    lucas = _lucas_numbers(r, d)
+    total = sum(moebius_mu(c) * lucas[d // c] for c in divisors(d))
+    if total < 0 or total % d:
+        raise IntegrityError(f"closed-form rank at degree {degree} is not a nonnegative integer: {total}/{d}")
+    return total // d
 
 
 def _power_sums(a, N):

@@ -7,11 +7,13 @@ once per start letter (the reference for the necklace walk), matrix
 evaluation of tensor elements, the rational plane split of a quadratic
 relation (the congruence whose plane fixes the engine's letter order, with
 its rewrite rule and Lie tail), the Betti number of a finite cover, the
-closed-form rational ranks, the closed-form loop-homology denominators of
-a manifold, a connected sum and a Betti-one manifold (the references for
-each family's series fraction), the tuple-word build of the cobar
-complex, the unit-pivot rows of a left-looking reduction that unpacks
-every column, dense and sparse rank over Q, the dense Smith normal form with transforms (the reference for the
+rational Witt double sum of the one-relator Lie ranks (the reference for
+the engine's integer Lucas sum), the closed-form rational ranks, the
+closed-form loop-homology denominators of a manifold, a connected sum and
+a Betti-one manifold (the references for each family's series fraction),
+the tuple-word build of the cobar complex, the unit-pivot rows of a
+left-looking reduction that unpacks every column, dense and sparse rank
+over Q, the dense Smith normal form with transforms (the reference for the
 sparse Smith invariants), and the `Fraction` series logarithm and
 exponential with the log + Moebius Lie ranks, and the small helpers only
 tests read: tensor elements as text, the relation as a tensor, a dimension
@@ -33,6 +35,8 @@ words explored guards against pathological inputs.
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import comb
 
 from looptop.algebra import Alphabet, TensorElement
 from looptop.cobar import _desusp, _diagonal_desuspended
@@ -40,8 +44,6 @@ from looptop.errors import IntegrityError, UnsupportedSpaceError, ValidationErro
 from looptop.series import (
     DimensionTable,
     PowerSeries,
-    _require_nonneg_int,
-    _witt_inner_sum,
     divisors,
     moebius_mu,
     pbw_match_graded,
@@ -315,6 +317,40 @@ def finite_pi1_betti(l, r):
     if r < 0:
         raise ValidationError("the Betti number must be >= 0")
     return l * (r + 2) - 2
+
+
+def _require_nonneg_int(value, what):
+    if value.denominator != 1:
+        raise IntegrityError(f"{what} is not an integer: {value}")
+    if value < 0:
+        raise IntegrityError(f"{what} is negative: {value}")
+    return int(value)
+
+
+@lru_cache(maxsize=None)
+def _witt_inner_sum(r, k):
+    # sum over a + 2b = k of (-1)^b C(a+b, b) r^a / (a+b), which is V_k / k
+    # for the Lucas numbers V_k of x^2 - r x + 1
+    acc = Fraction(0)
+    for b in range(0, k // 2 + 1):
+        a = k - 2 * b
+        acc += Fraction((-1) ** b * comb(a + b, b) * r**a, a + b)
+    return acc
+
+
+def closed_form_witt_rank(n, r, degree):
+    """Rank of the one-relator Lie algebra on r letters at `degree`, as the
+    rational double sum sum_{c|d} mu(c)/c W(r, d/c) on degree d(n-1) (the
+    reference for the engine's integer Lucas sum)."""
+    if degree % (n - 1) != 0:
+        return 0
+    d = degree // (n - 1)
+    acc = Fraction(0)
+    for c in divisors(d):
+        mc = moebius_mu(c)
+        if mc:
+            acc += Fraction(mc, c) * _witt_inner_sum(r, d // c)
+    return _require_nonneg_int(acc, f"closed-form rank at degree {degree}")
 
 
 def closed_form_rational_rank(n, r, degree):

@@ -311,6 +311,7 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
         ("crosscheck_counts.py", ["--max-n", "3", "--max-r", "4", "--max-degree", "8"], "all pipelines agree"),
         ("cobar_audit.py", ["manifold:2:2", "cw:2:0,7;7,0", "--max-degree", "5"], None),
         ("crosscheck_counts.py", ["--max-n", "3", "--max-r", "40", "--max-degree", "8"], "all pipelines agree"),
+        ("crosscheck_counts.py", ["--max-n", "3", "--max-r", "4", "--max-degree", "200"], "all pipelines agree"),
     ],
 )
 def test_scripts_run_end_to_end(script, args, last_line):

@@ -13,7 +13,10 @@ the byte boundary of the cobar store (`cw:2:0,127;127,0` keeps int8 values,
 `cw:2:0,-128;-128,0` fits a byte but its negation does not, and the
 unimodular `cw:2:128,127;127,126` does not fit; each keeps a list), and
 the sphere counts of each one-relator family at larger windows (n = 4, a
-report past the witness limit, mixed sphere degrees, a skew torsion form).
+report past the witness limit, mixed sphere degrees, a skew torsion form),
+and the closed-form Lie rank that every form report checks at large
+windows: `manifold --n 2 --betti 3 --max-dim 300` and the odd-n skew form
+`cw --n 3 --matrix "0,1,0,0;-1,0,0,0;0,0,0,1;0,0,-1,0" --max-dim 600`.
 
 A digest changes only with a deliberate change of output.  Run this file as
 a script (`PYTHONPATH=src python tests/test_cli_golden.py`) to print the
@@ -124,6 +127,10 @@ REQUESTS = (
     ("manifold-no-witnesses-json", ["manifold", "--n", "2", "--betti", "3", "--max-dim", "12", "--format", "json"], {}),
     ("csum-mixed-degrees-json", ["connected-sum", "--factors", "2x5,3x4", "--max-dim", "12", "--format", "json"], {}),
     ("cw-skew-torsion-json", ["cw", "--n", "3", "--matrix", "0,2,0,0;-2,0,0,0;0,0,0,1;0,0,-1,0", "--max-dim", "11", "--format", "json"], {}),
+    # the closed-form Lie rank at large windows: a manifold to degree 300,
+    # and an odd-n skew form to degree 600
+    ("manifold-max-dim-300-json", ["manifold", "--n", "2", "--betti", "3", "--max-dim", "300", "--format", "json"], {}),
+    ("cw-skew-max-dim-600-json", ["cw", "--n", "3", "--matrix", "0,1,0,0;-1,0,0,0;0,0,0,1;0,0,-1,0", "--max-dim", "600", "--format", "json"], {}),
 )
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -201,6 +208,8 @@ GOLDEN = {
     "manifold-no-witnesses-json": (0, "e2963d1d5322b476969262470d497f6ecd150395284ee1350bf236df3644d4f5", EMPTY),
     "csum-mixed-degrees-json": (0, "ca3a73be8e0e52128c629e4623e67ca52cd00d5a26880f0c7213d87ef671be1c", EMPTY),
     "cw-skew-torsion-json": (0, "cd1f9b402879e1b73cba7234f07abf53e0191c35f35ec19194499779b129d59a", EMPTY),
+    "manifold-max-dim-300-json": (0, "9d5dc679a188fec5a3ba69ff651bde73370d0a2a9e0746df97533e9995c906da", EMPTY),
+    "cw-skew-max-dim-600-json": (0, "88e81ab7457a5f455e03124db46faa46ad70b7d7937f4823a9fd93264f7a86ec", EMPTY),
 }
 
 

@@ -1,3 +1,4 @@
+import io
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from looptop.errors import IntegrityError, ValidationError, WindowError
 from looptop.series import (
     DimensionTable,
     PowerSeries,
+    _lucas_numbers,
     _power_sums,
     closed_form_lie_rank,
     divisors,
@@ -19,8 +21,10 @@ from looptop.series import (
 )
 from looptop.spaces import ConnectedSum, Manifold
 from oracles import (
+    _witt_inner_sum,
     as_list,
     closed_form_rational_rank,
+    closed_form_witt_rank,
     connected_sum_denominator,
     log_moebius_ranks,
     manifold_denominator,
@@ -243,6 +247,45 @@ class TestRationalRanks:
     def test_off_support_zero(self):
         assert closed_form_rational_rank(4, 3, 5) == 0
         assert closed_form_lie_rank(4, 3, 5) == 0
+
+
+class TestLucasClosedForm:
+    def test_lucas_numbers_are_the_witt_sums(self):
+        # W(r, k) = V_k / k term by term
+        for r in range(2, 30):
+            lucas = _lucas_numbers(r, 79)
+            assert all(_witt_inner_sum(r, k) == Fraction(lucas[k], k) for k in range(1, 80)), r
+
+    def test_matches_the_rational_double_sum(self):
+        for n in range(2, 7):
+            for r in range(2, 41):
+                for degree in range(1, 121):
+                    assert closed_form_lie_rank(n, r, degree) == closed_form_witt_rank(n, r, degree), (n, r, degree)
+
+    @pytest.mark.parametrize("n", [1, 0, -1])
+    def test_refuses_n_below_two(self, n):
+        with pytest.raises(ValidationError, match="n >= 2"):
+            closed_form_lie_rank(n, 3, 4)
+
+    def test_integrality_check_can_fail(self, monkeypatch):
+        import looptop.series as engine_series
+        from looptop.cli import run
+
+        original = engine_series._lucas_numbers
+
+        def shifted(r, k):
+            # V_2 one too large: at degree 2 the Moebius sum V_2 - V_1 is odd
+            lucas = original(r, k)
+            if k >= 2:
+                lucas[2] += 1
+            return lucas
+
+        monkeypatch.setattr(engine_series, "_lucas_numbers", shifted)
+        with pytest.raises(IntegrityError, match="closed-form rank at degree 2"):
+            closed_form_lie_rank(2, 3, 2)
+        out, err = io.StringIO(), io.StringIO()
+        code = run(["manifold", "--n", "2", "--betti", "3", "--max-dim", "10"], out=out, err=err)
+        assert (code, out.getvalue()) == (1, "") and err.getvalue().startswith("integrity error: closed-form rank")
 
 
 class TestSphereCounts:
