@@ -51,22 +51,22 @@ def main():
         start = time.perf_counter()
         report = verify_loop_homology(space, args.max_degree, max_cells=args.max_cells)
         elapsed = time.perf_counter() - start
-        status = "ok" if report.ok else "FAIL"
-        bigraded = "ok" if report.bigraded_ok else "FAIL"
-        primes = ",".join(str(p) for p in report.torsion_primes) or "none"
+        status = "ok" if report["ok"] else "FAIL"
+        bigraded = "ok" if report["bigraded_ok"] else "FAIL"
+        primes = ",".join(str(p) for p in report["torsion_primes"]) or "none"
         peak_mb = peak_rss_mb()
         print(
-            f"{report.space_label:28s} D={args.max_degree:<3d} {status}  bigraded={bigraded}  "
+            f"{space.label:28s} D={args.max_degree:<3d} {status}  bigraded={bigraded}  "
             f"torsion-primes={primes}  ({elapsed:.2f}s, peak RSS {peak_mb:.1f} MB)"
         )
-        for row in report.rows:
-            torsion = ",".join(str(t) for t in row.torsion) or "-"
-            mark = "" if row.rank_ok and row.torsion_ok else "   <-- mismatch"
+        for row in report["rows"]:
+            torsion = ",".join(str(t) for t in row["torsion"]) or "-"
+            mark = "" if row["ok"] else "   <-- mismatch"
             print(
-                f"   d={row.degree:<3d} chain={row.chain_dim:<8d} rank={row.rank:<8d} "
-                f"expected={row.expected_rank:<8d} torsion={torsion}{mark}"
+                f"   d={row['degree']:<3d} chain={row['chain_dim']:<8d} rank={row['rank']:<8d} "
+                f"expected={row['expected_rank']:<8d} torsion={torsion}{mark}"
             )
-        bad += 0 if report.ok else 1
+        bad += 0 if report["ok"] else 1
     raise SystemExit(1 if bad else 0)
 
 

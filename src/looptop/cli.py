@@ -191,29 +191,11 @@ def _cmd_verify(args, out):
 
 def _verify_cobar(args, out):
     space = parse_space(args.space)
-    report = verify_loop_homology(space, args.max_degree)
-    payload = {
-        "space": spaces.space_to_json(space),
-        "max_degree": report.max_degree,
-        "torsion_primes": list(report.torsion_primes),
-        "rows": [
-            {
-                "degree": r.degree,
-                "chain_dim": r.chain_dim,
-                "rank": r.rank,
-                "expected_rank": r.expected_rank,
-                "torsion": list(r.torsion),
-                "ok": r.rank_ok and r.torsion_ok,
-            }
-            for r in report.rows
-        ],
-        "bigraded_ok": report.bigraded_ok,
-        "ok": report.ok,
-    }
-    primes = ", ".join(str(p) for p in report.torsion_primes) or "none"
+    payload = {"space": spaces.space_to_json(space), **verify_loop_homology(space, args.max_degree)}
+    primes = ", ".join(str(p) for p in payload["torsion_primes"]) or "none"
     return _emit_check(
         args, out, payload, ("degree", "chain", "rank", "expected", "torsion", "ok"),
-        [("torsion primes", primes), ("bigraded audit", _flag(report.bigraded_ok))],
+        [("torsion primes", primes), ("bigraded audit", _flag(payload["bigraded_ok"]))],
     )
 
 

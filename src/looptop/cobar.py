@@ -680,36 +680,16 @@ def homology(cx, d):
     return rank, sorted(torsion)
 
 
-@dataclass(frozen=True)
-class VerificationRow:
-    degree: int
-    chain_dim: int
-    rank: int
-    expected_rank: int
-    torsion: tuple
-    rank_ok: bool
-    torsion_ok: bool
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    space_label: str
-    max_degree: int
-    rows: tuple
-    bigraded_ok: bool
-    ok: bool
-    torsion_primes: tuple
-
-
 def verify_loop_homology(space, cutoff, max_cells=None):
-    """Compare cobar homology with the closed-form loop-homology prediction.
+    """Compare cobar homology with the closed-form loop-homology prediction;
+    returns the JSON payload of `verify cobar`, in its printed key order.
 
     Ranks are checked at every degree <= cutoff against the inverse of the
     family's denominator, and at every spot (word length, degree) against
     the family's bigraded series.  Torsion must be supported on the
     family's torsion primes: none for unimodular inputs (manifolds,
     connected sums, Betti-1 models), the bad primes of the form for
-    two-cell complexes.  Discrepancies populate the report; nothing raises.
+    two-cell complexes.  A discrepancy clears an `ok` flag; nothing raises.
     The ranks are expanded after the build, so the cell cap refuses first.
     """
     allowed_torsion = space.torsion_primes()
@@ -717,21 +697,21 @@ def verify_loop_homology(space, cutoff, max_cells=None):
     expected = space.denominator(cutoff).inverse().coefficients
 
     rows = []
-    ok = True
     for d in range(cutoff + 1):
         rank, torsion = homology(cx, d)
-        rank_ok = rank == expected[d]
-        torsion_ok = all(_strip_primes(t, allowed_torsion) == 1 for t in torsion)
-        ok = ok and rank_ok and torsion_ok
-        rows.append(
-            VerificationRow(d, cx.dim(d), rank, expected[d], tuple(torsion), rank_ok, torsion_ok)
-        )
-
+        ok = rank == expected[d] and all(_strip_primes(t, allowed_torsion) == 1 for t in torsion)
+        rows.append({
+            "degree": d, "chain_dim": cx.dim(d), "rank": rank, "expected_rank": expected[d],
+            "torsion": torsion, "ok": ok,
+        })
     bigraded_ok = _euler_audit(cx, space.bigraded_series(cutoff))
-    ok = ok and bigraded_ok
-    return VerificationReport(
-        space.label, cutoff, tuple(rows), bigraded_ok, ok, tuple(sorted(allowed_torsion))
-    )
+    return {
+        "max_degree": cutoff,
+        "torsion_primes": sorted(allowed_torsion),
+        "rows": rows,
+        "bigraded_ok": bigraded_ok,
+        "ok": bigraded_ok and all(row["ok"] for row in rows),
+    }
 
 
 def _strip_primes(value, primes):

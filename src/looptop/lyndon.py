@@ -203,11 +203,15 @@ def _necklace_count(alphabet, walks, degree):
     """Aperiodic necklaces of the given degree, from a closed-walk table that
     reaches at least that degree (see _closed_walk_counts).  The Moebius
     sum over the common divisors e of the length and the degree runs over
-    the squarefree divisors of the degree, found once per call."""
+    the squarefree divisors of the degree, found once per call.  A length w
+    with no closed walk at (w, degree) is skipped: a closed walk at (w/e,
+    degree/e) repeated e times is one there, so each of its terms is zero."""
     terms = [(e, mu) for e in divisors(degree) if (mu := moebius_mu(e))]
     total = 0
     min_deg = min(alphabet.degrees)
     for w in range(1, degree // min_deg + 1):
+        if not walks.get((w, degree)):
+            continue
         acc = 0
         for e, mu in terms:
             if w % e == 0:

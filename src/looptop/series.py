@@ -200,13 +200,18 @@ def _graded_factor(d, m, N):
     return _polynomial_factor(d, m, N)
 
 
-def _lucas_numbers(r, k):
-    """V_0..V_k with V_0 = 2, V_1 = r and V_j = r V_(j-1) - V_(j-2), so that
-    V_j = alpha^j + beta^j for the roots alpha, beta of x^2 - r x + 1."""
-    lucas = [2, r]
-    for _ in range(k - 1):
-        lucas.append(r * lucas[-1] - lucas[-2])
-    return lucas
+def _lucas(r, k):
+    """V_k = alpha^k + beta^k for the roots alpha, beta of x^2 - r x + 1
+    (V_0 = 2, V_1 = r).  It doubles along the bits of k, holding the pair
+    (V_j, V_(j+1)): since alpha beta = 1, V_2j = V_j^2 - 2 and
+    V_2j+1 = V_j V_(j+1) - r, so it takes O(log k) products."""
+    v, w = 2, r
+    for bit in bin(k)[2:]:
+        if bit == "1":
+            v, w = v * w - r, w * w - 2
+        else:
+            v, w = v * v - 2, v * w - r
+    return v
 
 
 def closed_form_lie_rank(n, r, degree):
@@ -226,8 +231,7 @@ def closed_form_lie_rank(n, r, degree):
     if degree % (n - 1) != 0:
         return 0
     d = degree // (n - 1)
-    lucas = _lucas_numbers(r, d)
-    total = sum(moebius_mu(c) * lucas[d // c] for c in divisors(d))
+    total = sum(moebius_mu(c) * _lucas(r, d // c) for c in divisors(d))
     if total < 0 or total % d:
         raise IntegrityError(f"closed-form rank at degree {degree} is not a nonnegative integer: {total}/{d}")
     return total // d

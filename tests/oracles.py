@@ -3,12 +3,14 @@
 The rewriting reducer (normal forms modulo one quadratic relation, with
 strongly connected clusters of reducible words solved exactly), explicit
 irreducible-word enumeration, the closed walks avoiding the factor counted
-once per start letter (the reference for the necklace walk), matrix
+once per start letter (the reference for the necklace walk), the necklace
+sum over every word length (the reference for the necklace count), matrix
 evaluation of tensor elements, the rational plane split of a quadratic
 relation (the congruence whose plane fixes the engine's letter order, with
 its rewrite rule and Lie tail), the Betti number of a finite cover, the
 rational Witt double sum of the one-relator Lie ranks (the reference for
-the engine's integer Lucas sum), the closed-form rational ranks, the
+the engine's integer Lucas sum), the Lucas numbers by their recurrence
+(the reference for the engine's doubling), the closed-form rational ranks, the
 closed-form loop-homology denominators of a manifold, a connected sum and
 a Betti-one manifold (the references for each family's series fraction),
 the tuple-word build of the cobar complex, the unit-pivot rows of a
@@ -296,6 +298,22 @@ def closed_walks_by_start(alphabet, forbidden, max_degree):
     return out
 
 
+def necklace_count_every_length(alphabet, walks, degree):
+    """Aperiodic necklaces of `degree` from a closed-walk table, by the
+    Moebius sum over every word length up to degree // (least letter
+    degree), empty or not (the reference for the engine's necklace count)."""
+    total = 0
+    for w in range(1, degree // min(alphabet.degrees) + 1):
+        acc = 0
+        for e in divisors(degree):
+            if w % e == 0:
+                acc += moebius_mu(e) * walks.get((w // e, degree // e), 0)
+        if acc % w:
+            raise IntegrityError("necklace count is not divisible by the word length")
+        total += acc // w
+    return total
+
+
 def evaluate(element, matrices):
     """Substitute a square matrix per letter of `element`; returns the matrix."""
     size = len(matrices[0])
@@ -325,6 +343,16 @@ def _require_nonneg_int(value, what):
     if value < 0:
         raise IntegrityError(f"{what} is negative: {value}")
     return int(value)
+
+
+def lucas_numbers(r, k):
+    """V_0..V_k with V_0 = 2, V_1 = r and V_j = r V_(j-1) - V_(j-2), so that
+    V_j = alpha^j + beta^j for the roots alpha, beta of x^2 - r x + 1 (the
+    reference for the engine's doubling)."""
+    lucas = [2, r]
+    for _ in range(k - 1):
+        lucas.append(r * lucas[-1] - lucas[-2])
+    return lucas[: k + 1]
 
 
 @lru_cache(maxsize=None)

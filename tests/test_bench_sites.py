@@ -4,8 +4,9 @@ The traced pass wraps looptop functions by (module, attribute) name, so a
 refactor that deletes or renames one of them breaks the per-layer trace
 without failing any other test.  perfbench/spans.py is loaded by path and
 its SPAN_SITES are only resolved here; a caller that binds a site's name
-at import time also escapes the trace, so one test installs the recorder,
-in a process of its own because `install` rebinds module attributes.
+at import time also escapes the trace, so one test installs the recorder
+and runs two reports, a Lie basis and two cobar audits through it, in a
+process of its own because `install` rebinds module attributes.
 """
 
 import importlib.util
@@ -52,6 +53,8 @@ requests = (
     ["manifold", "--n", "2", "--betti", "3", "--max-dim", "6"],
     ["connected-sum", "--factors", "2x3,2x3", "--max-dim", "6"],
     ["lie-basis", "--space", "manifold:2:3", "--max-degree", "5"],
+    ["verify", "cobar", "--space", "manifold:2:2", "--max-degree", "6"],
+    ["verify", "cobar", "--space", "cw:2:0,3;3,0", "--max-degree", "5"],
 )
 for i, argv in enumerate(requests):
     recorder.request = i
@@ -70,8 +73,14 @@ def test_reports_record_the_series_spans():
         timeout=120,
     )
     assert (done.returncode, done.stderr) == (0, "")
-    manifold, connected_sum, lie_basis = map(set, json.loads(done.stdout))
+    manifold, connected_sum, lie_basis, unimodular, torsion = map(set, json.loads(done.stdout))
     assert {"series.log_moebius", "series.closed_form"} <= manifold
     assert "series.log_moebius" in connected_sum
     # the Lie basis is checked against the same series as the reports
     assert {"series.log_moebius", "lyndon.basis", "lyndon.bracket_expand"} <= lie_basis
+    # the cobar audit, whose build hook reads the spots and the differentials
+    cobar = {
+        "cobar.verify", "cobar.build", "cobar.dd_check", "cobar.rank", "cobar.homology", "cobar.euler",
+    }
+    assert cobar <= unimodular
+    assert cobar | {"spaces.bad_primes"} <= torsion

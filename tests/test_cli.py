@@ -79,16 +79,8 @@ class TestExitCodes:
         assert code == 2 and "LOOPTOP_MAX_CELLS" in err
 
     def test_verification_failure_is_one(self, monkeypatch):
-        from looptop.cobar import VerificationReport, VerificationRow
-
-        failing = VerificationReport(
-            "stub",
-            2,
-            (VerificationRow(0, 1, 1, 2, (), False, True),),
-            True,
-            False,
-            (),
-        )
+        row = {"degree": 0, "chain_dim": 1, "rank": 1, "expected_rank": 2, "torsion": [], "ok": False}
+        failing = {"max_degree": 2, "torsion_primes": [], "rows": [row], "bigraded_ok": True, "ok": False}
         monkeypatch.setattr(cli, "verify_loop_homology", lambda *a, **k: failing)
         code, out, _ = invoke(["verify", "cobar", "--space", "manifold:2:2"])
         assert code == 1 and "FAIL" in out
@@ -368,6 +360,17 @@ class TestSpecExamples:
         )
         assert code == 0
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("text, D", [("manifold:2:2", 6), ("cw:2:0,3;3,0", 5)])
+    def test_verify_cobar_prints_the_verifier_payload(self, text, D):
+        # the verifier's dict under the space, every key as the verifier wrote it
+        from looptop.cobar import verify_loop_homology
+        from looptop.spaces import space_to_json
+
+        space = parse_space(text)
+        want = cli.canonical_json({"space": space_to_json(space), **verify_loop_homology(space, D)})
+        code, out, _ = invoke(["verify", "cobar", "--space", text, "--max-degree", str(D), "--format", "json"])
+        assert (code, out) == (0, want + "\n")
 
     def test_betti_one_flags_pi10(self):
         code, out, _ = invoke(["betti-one", "--n", "4", "--m", "4"])

@@ -11,6 +11,7 @@ from looptop.lyndon import (
     _WALK_LIMIT,
     _closed_walk_counts,
     _estimated_words_log10,
+    _necklace_count,
     _scientific,
     basis_walk_fits,
     bracket_expand,
@@ -29,6 +30,7 @@ from oracles import (
     closed_walks_by_start,
     irreducible_words,
     is_zero,
+    necklace_count_every_length,
     rank_sparse_rational,
     rational_plane_split,
     reduce,
@@ -233,7 +235,8 @@ def weighted_alphabets(draw):
 
 
 class TestStepRule:
-    """The one-step-rule word counts against the per-start walk and the enumerated words."""
+    """The one-step-rule word counts against the per-start walk and the enumerated
+    words, and the necklace count against its sum over every word length."""
 
     @settings(max_examples=200, deadline=None)
     @given(weighted_alphabets())
@@ -242,6 +245,14 @@ class TestStepRule:
         want = {k: v for k, v in closed_walks_by_start(alphabet, pair, D).items() if k[1] <= D}
         have = {k: v for k, v in _closed_walk_counts(alphabet, pair, D).items() if v}
         assert have == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_alphabets())
+    def test_necklace_count_skips_only_zero_terms(self, case):
+        alphabet, pair, D = case
+        walks = _closed_walk_counts(alphabet, pair, D)
+        for d in range(1, D + 1):
+            assert _necklace_count(alphabet, walks, d) == necklace_count_every_length(alphabet, walks, d)
 
     @settings(max_examples=200, deadline=None)
     @given(weighted_alphabets())

@@ -9,7 +9,7 @@ from looptop.errors import IntegrityError, ValidationError, WindowError
 from looptop.series import (
     DimensionTable,
     PowerSeries,
-    _lucas_numbers,
+    _lucas,
     _power_sums,
     closed_form_lie_rank,
     divisors,
@@ -27,6 +27,7 @@ from oracles import (
     closed_form_witt_rank,
     connected_sum_denominator,
     log_moebius_ranks,
+    lucas_numbers,
     manifold_denominator,
     rational_ranks_closed_form,
     series_exp,
@@ -253,8 +254,11 @@ class TestLucasClosedForm:
     def test_lucas_numbers_are_the_witt_sums(self):
         # W(r, k) = V_k / k term by term
         for r in range(2, 30):
-            lucas = _lucas_numbers(r, 79)
-            assert all(_witt_inner_sum(r, k) == Fraction(lucas[k], k) for k in range(1, 80)), r
+            assert all(_witt_inner_sum(r, k) == Fraction(_lucas(r, k), k) for k in range(1, 80)), r
+
+    def test_doubling_matches_the_recurrence(self):
+        for r in range(2, 41):
+            assert [_lucas(r, k) for k in range(201)] == lucas_numbers(r, 200), r
 
     def test_matches_the_rational_double_sum(self):
         for n in range(2, 7):
@@ -271,16 +275,13 @@ class TestLucasClosedForm:
         import looptop.series as engine_series
         from looptop.cli import run
 
-        original = engine_series._lucas_numbers
+        original = engine_series._lucas
 
         def shifted(r, k):
             # V_2 one too large: at degree 2 the Moebius sum V_2 - V_1 is odd
-            lucas = original(r, k)
-            if k >= 2:
-                lucas[2] += 1
-            return lucas
+            return original(r, k) + (k == 2)
 
-        monkeypatch.setattr(engine_series, "_lucas_numbers", shifted)
+        monkeypatch.setattr(engine_series, "_lucas", shifted)
         with pytest.raises(IntegrityError, match="closed-form rank at degree 2"):
             closed_form_lie_rank(2, 3, 2)
         out, err = io.StringIO(), io.StringIO()
