@@ -25,11 +25,12 @@ entries after it (see `_profiles`).
 """
 
 import os
+import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, compress, count, islice, repeat
-from operator import ne
+from operator import gt, ne
 
 from ._linalg import smith_invariants
 from ._linalg import smith_normal_form as _dense_snf  # kept only as a benchmark span site
@@ -58,8 +59,10 @@ class FiniteCoalgebra:
 
     generators: tuple of (name, degree); reduced_diagonal maps a generator
     index to a tuple of (left index, right index, integer coefficient).
-    Degrees must add up and the reduced diagonal must be coassociative;
-    both are checked by direct expansion at construction.
+    Each left letter is listed before its generator, degrees must add up
+    and the reduced diagonal must be coassociative; all are checked at
+    construction, the last by direct expansion.  The build relies on the
+    order to store each column's smallest row first (see `build_cobar`).
     """
 
     generators: tuple
@@ -69,6 +72,10 @@ class FiniteCoalgebra:
         for gi, terms in self.reduced_diagonal.items():
             gname, gdeg = self.generators[gi]
             for left, right, coeff in terms:
+                if left >= gi:
+                    raise ValidationError(
+                        f"diagonal term of {gname} has left letter {left}, not listed before it"
+                    )
                 if self.generators[left][1] + self.generators[right][1] != gdeg:
                     raise IntegrityError(
                         f"diagonal term of {gname} has degrees "
@@ -113,9 +120,11 @@ class PackedColumns:
     `ptr` is an int64 array and `rows` an int32 array (the build refuses a
     window of 2^31 cells or more).  A narrow store keeps `vals` in an int8
     array, a wide one in a list, so a coefficient of any size fits; the
-    choice is made once per complex, by `fits_a_byte`.  The store starts
-    with no column.  Iterating gives each column as a fresh {row: value}
-    dict.
+    choice is made once per complex, by `fits_a_byte`.  Each column stores
+    its smallest row first, and its other entries in any order, so its
+    leading row and value are rows[ptr[j]] and vals[ptr[j]].  The store
+    starts with no column.  Iterating gives each column as a fresh
+    {row: value} dict.
     """
 
     __slots__ = ("nrows", "ptr", "rows", "vals")
@@ -139,6 +148,24 @@ class PackedColumns:
         rows, vals = self.rows, self.vals
         for a, b in zip(self.ptr, self.ptr[1:]):
             yield dict(zip(rows[a:b], vals[a:b]))
+
+
+def _shifted(lanes, shift):
+    """`lanes`, an int32 or int64 array, with `shift` added to every lane.
+
+    The array is read as one integer in native byte order, and so is an
+    array of the same kind that holds `shift` in every lane; one integer
+    addition adds them lane by lane.  No carry crosses a lane, because
+    every lane is non-negative and every sum fits its lane: a row stays
+    below its spot's size, under 2^31 (see `_window_sizes`), and an offset
+    counts the entries of one store."""
+    code, size = lanes.typecode, len(lanes) * lanes.itemsize
+    total = int.from_bytes(lanes, sys.byteorder) + int.from_bytes(
+        array(code, [shift]) * len(lanes), sys.byteorder
+    )
+    out = array(code)
+    out.frombytes(total.to_bytes(size, sys.byteorder))
+    return out
 
 
 def _negated(vals):
@@ -248,7 +275,7 @@ def _window_sizes(degs, cutoff, max_cells):
     word of its weight and degree.  The cap is checked row by row, so a
     refusal costs the same at any cutoff.  So is `ROW_LIMIT`, whatever the
     cap: the store keeps each row index, which is below its spot's size, in
-    an int32.
+    an int32, where `_shifted` moves it with no carry into the next lane.
     """
     top = cutoff + 1
     slice_cap = cutoff + cutoff // min(degs)
@@ -291,11 +318,16 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
     of u shifted to the start of g's block in the target spot, times
     (-1)^|g|, plus one entry per term (l, r, c) of the desuspended diagonal
     of g, at the offset of l's block, plus the offset of r's block inside
-    it, plus the index of u.  A block whose generator has no diagonal terms
-    is the sub-spot's packed columns with every row shifted at once.  No
-    word is hashed or searched for.  The values are int8 when every merged
-    coefficient of the desuspended diagonal fits `PackedColumns.fits_a_byte`,
-    and a list otherwise.
+    it, plus the index of u.  `_shifted` shifts a block's rows at once; a
+    block whose generator has no diagonal terms is the sub-spot's store so
+    shifted, offsets too.  A column of any other block writes its smallest
+    diagonal term, its slice of the shifted rows, then its other terms.
+    Every left letter l precedes g, so l's block lies before g's, and the
+    smallest row comes first, as `PackedColumns` requires (for the order
+    after it, see `_sparse_rank_and_torsion`).  No word is hashed or
+    searched for.  The values are int8 when every merged coefficient of
+    the desuspended diagonal fits `PackedColumns.fits_a_byte`, and a list
+    otherwise.
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
@@ -332,21 +364,24 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
                     continue
                 du = diffs[d - gdeg + w - 1, d - gdeg]
                 sub_ptr, sub_rows, sub_vals = du.ptr, du.rows, du.vals
-                shift = target[g]
+                moved = _shifted(sub_rows, target[g])
                 signed = _negated(sub_vals) if gdeg % 2 else sub_vals
-                terms = [
+                terms = sorted(
                     (target[l] + cx.block_starts(w - 1, d - 1 - degs[l])[r], c)
                     for (l, r), c in diag[g]
-                ]
+                )
                 if not terms:  # the whole block at once: rows shifted, values signed
-                    ptr.extend(map(len(rows).__add__, sub_ptr[1:]))
-                    rows.extend(map(shift.__add__, sub_rows))
+                    ptr.extend(_shifted(sub_ptr[1:], len(rows)))
+                    rows.extend(moved)
                     vals.extend(signed)
                     continue
+                (first, c0), rest = terms[0], terms[1:]
                 for j, (a, b) in enumerate(zip(sub_ptr, sub_ptr[1:])):
-                    rows.extend(map(shift.__add__, sub_rows[a:b]))
+                    rows.append(first + j)
+                    vals.append(c0)
+                    rows.extend(moved[a:b])
                     vals.extend(signed[a:b])
-                    for at, c in terms:
+                    for at, c in rest:
                         rows.append(at + j)
                         vals.append(c)
                     ptr.append(len(rows))
@@ -417,16 +452,20 @@ def _sparse_rank_and_torsion(columns, skip=None):
     `smith_invariants` certifies independently, finish the computation
     exactly.  With no survivor (the unimodular case) nothing more runs.
 
-    `columns` is a `PackedColumns`, and the store is never changed.  A
-    column's leading row and its value are read from the packed arrays
-    first.  When that row holds no pivot yet and the value is +-1, the
+    `columns` is a `PackedColumns`, and the store is never changed.  The
+    loop visits only the live columns, nonempty and not skipped, and reads
+    each one's leading row and value where the store keeps them, first in
+    the column.  When that row holds no pivot yet and the value is +-1, the
     column is its own reduced form (an emergent pivot, as in Ripser:
     Bauer, J. Appl. Comput. Topol. 5, 2021), so it is kept as its index
     and unpacked into a dict only once, the first time another column
     eliminates against it.  Every other column is unpacked into a fresh
-    dict and reduced.  `skip` is a byte mask over the columns: a column
-    whose byte is nonzero is left out without being read (None leaves out
-    none).  The third value is the pivot owner of each row, an int64 array
+    dict and reduced, its leading entry last and the rest in store order.
+    The order leaves the answer alone, but the Smith form breaks pivot ties
+    by it: with the leading entry first, `verify cobar --space
+    cw:2:2,1;1,5 --max-degree 11` took 7.9-9.9 s instead of 2.1-2.5.
+    `skip` is a byte mask over the columns: a column whose byte is nonzero
+    is left out without being read (None leaves out none).  The third value is the pivot owner of each row, an int64 array
     over the rows: -1 where the row holds no unit pivot, the index of a
     packed column where it holds an emergent pivot never unpacked, and -2
     where it holds a reduced column, which a side dict keeps by row while
@@ -438,8 +477,8 @@ def _sparse_rank_and_torsion(columns, skip=None):
     owner = array("q", [-1]) * columns.nrows
     reduced = {}  # row -> reduced column as a dict, for the rows whose owner is -2
     aside = []
-    if skip is None:
-        skip = bytes(len(columns))
+    # live: nonempty (ptr steps up) and not skipped; True > byte only for a zero byte
+    live = compress(count(), map(gt, map(ne, ptr, islice(ptr, 1, None)), skip or repeat(0)))
 
     def eliminate(vec, j, last):
         """Eliminate vec on row j, the row after `last`; returns j."""
@@ -468,15 +507,16 @@ def _sparse_rank_and_torsion(columns, skip=None):
             last = eliminate(vec, j, last)
         return vec, None
 
-    for i, (a, b) in enumerate(zip(ptr, ptr[1:])):
-        if a == b or skip[i]:
-            continue
-        col_rows = rows[a:b]
-        j = min(col_rows)
-        if owner[j] == -1 and vals[a + col_rows.index(j)] in (1, -1):
+    for i in live:
+        a = ptr[i]
+        j = rows[a]
+        if owner[j] == -1 and vals[a] in (1, -1):
             owner[j] = i
             continue
-        vec, j = reduce_col(dict(zip(col_rows, vals[a:b])))
+        b = ptr[i + 1]
+        vec = dict(zip(rows[a + 1:b], vals[a + 1:b]))
+        vec[j] = vals[a]  # the leading entry last, for the Smith form's pivot ties
+        vec, j = reduce_col(vec)
         if j is None:
             continue
         if vec[j] in (1, -1):

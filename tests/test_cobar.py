@@ -19,6 +19,7 @@ from looptop.cobar import (
     FiniteCoalgebra,
     PackedColumns,
     _euler_audit,
+    _shifted,
     _sparse_rank_and_torsion,
     _transpose,
     build_cobar,
@@ -54,6 +55,21 @@ class TestCoalgebraOf:
         gens = (("a", 2), ("b", 4), ("c", 6))
         with pytest.raises(IntegrityError):
             FiniteCoalgebra(gens, {1: ((0, 0, 1),), 2: ((0, 1, 1),)})
+
+    def test_left_letter_must_precede_its_generator(self):
+        # the build stores a column's smallest diagonal term first, as its smallest row
+        FiniteCoalgebra((("a", 2), ("b", 2), ("c", 4)), {2: ((0, 1, 1), (1, 0, 1))})
+        with pytest.raises(ValidationError, match="left letter 1, not listed before it"):
+            FiniteCoalgebra((("c", 4), ("a", 2), ("b", 2)), {0: ((1, 2, 1), (2, 1, 1))})
+
+    @pytest.mark.parametrize(
+        "text",
+        ["manifold:2:3", "manifold:4:3", "csum:2x3,2x3:signs=+,-", "csum:3x4,3x4,2x5",
+         "cw:2:2,1;1,5", "cw:3:0,5;-5,0", "betti1:4:7", "cubic", "wedge"],
+    )
+    def test_stock_coalgebras_list_left_letters_first(self, text):
+        coalgebra = _coalgebra(text)
+        assert all(left < g for g, terms in coalgebra.reduced_diagonal.items() for left, _, _ in terms)
 
 
 class TestSmithNormalForm:
@@ -96,15 +112,19 @@ def columns_of(matrix):
 def packed(columns, nrows=None, narrow=None):
     """`columns` ({row: value} dicts) in the build's packed layout, with
     `nrows` rows or else one past the last row that holds an entry, and
-    int8 values when `narrow` (by default, when every value fits a byte)."""
+    int8 values when `narrow` (by default, when every value fits a byte).
+    Each column's smallest row comes first and its other entries follow in
+    dict order."""
     if nrows is None:
         nrows = max((max(col) + 1 for col in columns if col), default=0)
     if narrow is None:
         narrow = PackedColumns.fits_a_byte(v for col in columns for v in col.values())
     out = PackedColumns(nrows, narrow)
     for col in columns:
-        out.rows.extend(col)
-        out.vals.extend(col.values())
+        lead = min(col, default=None)
+        order = sorted(col, key=lead.__ne__)  # stable: the smallest row, then dict order
+        out.rows.extend(order)
+        out.vals.extend(col[row] for row in order)
         out.ptr.append(len(out.rows))
     return out
 
@@ -368,6 +388,31 @@ class TestBuildCobar:
             key: sum(len(col) for col in cols) for key, cols in diffs.items()
         }
 
+    @pytest.mark.parametrize(
+        "text, cutoff",
+        [
+            ("manifold:2:3", 7),
+            ("manifold:2:2", 9),
+            *[(f"csum:2x3,2x3:signs={signs}", 8) for signs in ("+,+", "+,-", "-,+", "-,-")],
+            *[(f"cw:2:0,{p};{p},0", 6) for p in (3, 5, 7)],
+            *[(f"cw:2:0,{p * p};{p * p},0", 6) for p in (3, 5, 7)],
+            *[(f"cw:2:2,1;1,{q}", 6) for q in (2, 3, 4)],
+            ("cubic", 24),
+            ("wedge", 7),
+        ],
+    )
+    def test_every_column_stores_its_smallest_row_first(self, text, cutoff):
+        # the rank reads each column's leading row and value at ptr[j];
+        # a transposed torsion spot keeps the same layout
+        cx = build_cobar(_coalgebra(text), cutoff)
+        stores = list(cx.diffs.values())
+        stores += [_transpose(cx.diffs[key]) for key, (_, torsion) in cx.profiles.items() if torsion]
+        if text.startswith("cw"):
+            assert len(stores) > len(cx.diffs)
+        for cols in stores:
+            for a, b in zip(cols.ptr, cols.ptr[1:]):
+                assert a == b or cols.rows[a] == min(cols.rows[a:b])
+
     def test_packed_build_retains_little_per_cell(self):
         # one {row: value} dict per column retained about 230 B per cell, and
         # an integer code per word about 73 B per cell at D=9 with the
@@ -461,7 +506,25 @@ class TestBuildCobar:
             build_cobar(space.coalgebra(), cutoff)
 
 
+LANE_TOP = {"i": 2**31 - 1, "q": 2**63 - 1}
+
+
 class TestPackedColumns:
+    @given(st.sampled_from("iq"), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_shifted_adds_to_every_lane(self, code, data):
+        top = LANE_TOP[code]
+        lanes = array(code, data.draw(st.lists(st.integers(0, top), max_size=20)))
+        shift = data.draw(st.integers(0, top - max(lanes, default=0)))
+        out = _shifted(lanes, shift)
+        assert out.typecode == code and out == array(code, map(shift.__add__, lanes))
+
+    @pytest.mark.parametrize("code", "iq")
+    def test_shifted_reaches_the_top_of_a_lane(self, code):
+        top = LANE_TOP[code]
+        assert _shifted(array(code), 7) == array(code)
+        assert _shifted(array(code, [top - 7, 0, top - 7]), 7) == array(code, [top, 7, top])
+        assert _shifted(array(code, [top, 0]), 0) == array(code, [top, 0])
     @given(small_integer_matrices(), st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_transpose_twice_is_the_identity(self, matrix, narrow):
