@@ -9,12 +9,17 @@ memory of the process so far.  The peak is VmHWM from /proc/self/status,
 which counts this process alone; where that file is absent it is
 ru_maxrss, which on Linux also carries over the peak of the process that
 launched this one.  Either never goes down, so each line shows the peak
-over its own space and every space before it.
+over its own space and every space before it.  A reader that closes the
+output early ends it quietly: the rest goes to the null device, and the
+audit runs on and keeps the exit code it has for a reader that reads
+everything.
 Useful for timing and sizing the oracle at different cutoffs.
 """
 
 import argparse
+import os
 import resource
+import sys
 import time
 
 from looptop.cli import parse_space
@@ -31,6 +36,17 @@ def peak_rss_mb():
     except OSError:
         pass
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+
+
+def emit(lines):
+    """Print `lines` and flush them; after the reader has gone, send them
+    and all later output to the null device."""
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def main():
@@ -55,17 +71,18 @@ def main():
         bigraded = "ok" if report["bigraded_ok"] else "FAIL"
         primes = ",".join(str(p) for p in report["torsion_primes"]) or "none"
         peak_mb = peak_rss_mb()
-        print(
+        lines = [
             f"{space.label:28s} D={args.max_degree:<3d} {status}  bigraded={bigraded}  "
             f"torsion-primes={primes}  ({elapsed:.2f}s, peak RSS {peak_mb:.1f} MB)"
-        )
+        ]
         for row in report["rows"]:
             torsion = ",".join(str(t) for t in row["torsion"]) or "-"
             mark = "" if row["ok"] else "   <-- mismatch"
-            print(
+            lines.append(
                 f"   d={row['degree']:<3d} chain={row['chain_dim']:<8d} rank={row['rank']:<8d} "
                 f"expected={row['expected_rank']:<8d} torsion={torsion}{mark}"
             )
+        emit(lines)
         bad += 0 if report["ok"] else 1
     raise SystemExit(1 if bad else 0)
 

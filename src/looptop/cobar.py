@@ -30,7 +30,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, compress, count, islice, repeat
-from operator import gt, ne
+from operator import ne
 
 from ._linalg import smith_invariants
 from ._linalg import smith_normal_form as _dense_snf  # kept only as a benchmark span site
@@ -122,18 +122,28 @@ class PackedColumns:
     array, a wide one in a list, so a coefficient of any size fits; the
     choice is made once per complex, by `fits_a_byte`.  Each column stores
     its smallest row first, and its other entries in any order, so its
-    leading row and value are rows[ptr[j]] and vals[ptr[j]].  The store
-    starts with no column.  Iterating gives each column as a fresh
+    leading row and value are rows[ptr[j]] and vals[ptr[j]].  `nonempty`
+    holds one byte per column, 1 where the column has an entry: the build
+    writes it block by block, and any other store derives it from `ptr`
+    on its first read, so it is read only once the store is complete.  The
+    store starts with no column.  Iterating gives each column as a fresh
     {row: value} dict.
     """
 
-    __slots__ = ("nrows", "ptr", "rows", "vals")
+    __slots__ = ("nrows", "ptr", "rows", "vals", "_nonempty")
 
     def __init__(self, nrows, narrow):
         self.nrows = nrows
         self.ptr = array("q", [0])
         self.rows = array("i")
         self.vals = array("b") if narrow else []
+        self._nonempty = None
+
+    @property
+    def nonempty(self):
+        if self._nonempty is None:  # a column is nonempty where ptr steps up
+            self._nonempty = bytes(map(ne, self.ptr, islice(self.ptr, 1, None)))
+        return self._nonempty
 
     @staticmethod
     def fits_a_byte(coefficients):
@@ -320,14 +330,19 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
     of g, at the offset of l's block, plus the offset of r's block inside
     it, plus the index of u.  `_shifted` shifts a block's rows at once; a
     block whose generator has no diagonal terms is the sub-spot's store so
-    shifted, offsets too.  A column of any other block writes its smallest
-    diagonal term, its slice of the shifted rows, then its other terms.
-    Every left letter l precedes g, so l's block lies before g's, and the
-    smallest row comes first, as `PackedColumns` requires (for the order
-    after it, see `_sparse_rank_and_torsion`).  No word is hashed or
-    searched for.  The values are int8 when every merged coefficient of
-    the desuspended diagonal fits `PackedColumns.fits_a_byte`, and a list
-    otherwise.
+    shifted, offsets too, and copies its nonempty bytes.  A column of any
+    other block writes its smallest diagonal term, its slice of the
+    shifted rows, then its other terms, and is nonempty.  Every left
+    letter l precedes g, so l's block lies before g's, and the smallest row
+    comes first, as `PackedColumns` requires (for the order after it, see
+    `_sparse_rank_and_torsion`).  When every column of the sub-spot holds
+    the same number m of entries, as in every mixed block of a manifold,
+    each place of the block's columns is one strided slice: the block is
+    written by one slice assignment per term and per entry of u, with no
+    Python step per column.  Otherwise it is written column by column.  No
+    word is hashed or searched for.  The values are int8 when every merged
+    coefficient of the desuspended diagonal fits
+    `PackedColumns.fits_a_byte`, and a list otherwise.
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
@@ -359,6 +374,7 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
             target = cx.block_starts(w, d - 1)
             cols = PackedColumns(target[-1], narrow)
             ptr, rows, vals = cols.ptr, cols.rows, cols.vals
+            nonempty = []  # one byte string per block
             for g, gdeg in enumerate(degs):
                 if not cx.count(w - 1, d - gdeg):
                     continue
@@ -374,8 +390,25 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
                     ptr.extend(_shifted(sub_ptr[1:], len(rows)))
                     rows.extend(moved)
                     vals.extend(signed)
+                    nonempty.append(du.nonempty)
                     continue
+                nonempty.append(b"\1" * len(du))  # each column holds its diagonal terms
                 (first, c0), rest = terms[0], terms[1:]
+                n, m = len(du), len(sub_rows) // len(du)
+                if sub_ptr[1:] == _shifted(sub_ptr[:-1], m):
+                    # each column of u holds m entries, so each column of the block
+                    # holds `width`, and each of its places is one strided slice
+                    base, width, index = len(rows), len(terms) + m, array("i", range(n))
+                    pattern = [c0] + [0] * m + [c for _, c in rest]
+                    ptr.extend(range(base + width, base + width * n + 1, width))
+                    rows.extend(array("i", [0]) * (width * n))
+                    vals.extend((array("b", pattern) if narrow else pattern) * n)
+                    for t, (at, _) in zip((0, *range(1 + m, width)), terms):
+                        rows[base + t::width] = _shifted(index, at)
+                    for t in range(m):
+                        rows[base + 1 + t::width] = moved[t::m]
+                        vals[base + 1 + t::width] = signed[t::m]
+                    continue
                 for j, (a, b) in enumerate(zip(sub_ptr, sub_ptr[1:])):
                     rows.append(first + j)
                     vals.append(c0)
@@ -385,6 +418,7 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
                         rows.append(at + j)
                         vals.append(c)
                     ptr.append(len(rows))
+            cols._nonempty = b"".join(nonempty)
             cx.spots[d + w, d] = range(size)
             diffs[d + w, d] = cols
     del diffs[0, 0]
@@ -453,20 +487,24 @@ def _sparse_rank_and_torsion(columns, skip=None):
     exactly.  With no survivor (the unimodular case) nothing more runs.
 
     `columns` is a `PackedColumns`, and the store is never changed.  The
-    loop visits only the live columns, nonempty and not skipped, and reads
-    each one's leading row and value where the store keeps them, first in
-    the column.  When that row holds no pivot yet and the value is +-1, the
-    column is its own reduced form (an emergent pivot, as in Ripser:
-    Bauer, J. Appl. Comput. Topol. 5, 2021), so it is kept as its index
-    and unpacked into a dict only once, the first time another column
-    eliminates against it.  Every other column is unpacked into a fresh
-    dict and reduced, its leading entry last and the rest in store order.
-    The order leaves the answer alone, but the Smith form breaks pivot ties
-    by it: with the leading entry first, `verify cobar --space
-    cw:2:2,1;1,5 --max-degree 11` took 7.9-9.9 s instead of 2.1-2.5.
-    `skip` is a byte mask over the columns: a column whose byte is nonzero
-    is left out without being read (None leaves out none).  The third value is the pivot owner of each row, an int64 array
-    over the rows: -1 where the row holds no unit pivot, the index of a
+    loop visits only the live columns, nonempty and not skipped, which
+    `itertools.compress` picks from the byte mask of `_live`, so a column
+    that needs no work costs no Python step.  It reads each live column's
+    leading row and value where the store keeps them, first in the column.
+    When that row holds no pivot yet and the value is +-1, the column is
+    its own reduced form (an emergent pivot, as in Ripser: Bauer, J. Appl.
+    Comput. Topol. 5, 2021), so it is kept as its index and unpacked into
+    a dict only once, the first time another column eliminates against
+    it.  Every other column is unpacked into a fresh dict and reduced, its
+    leading entry last and the rest in store order.  The order leaves the
+    answer alone, but the Smith form breaks pivot ties by it: with the
+    leading entry first, `verify cobar --space cw:2:2,1;1,5 --max-degree
+    11` took 7.9-9.9 s instead of 2.1-2.5.  `skip` is a byte mask over the
+    columns: a column whose byte is 1 is left out without being read, and
+    None leaves out none.
+
+    The third value is the pivot owner of each row, an int64 array over
+    the rows: -1 where the row holds no unit pivot, the index of a
     packed column where it holds an emergent pivot never unpacked, and -2
     where it holds a reduced column, which a side dict keeps by row while
     the reduction runs.  A reduced unit pivot clears its row and adds
@@ -477,8 +515,6 @@ def _sparse_rank_and_torsion(columns, skip=None):
     owner = array("q", [-1]) * columns.nrows
     reduced = {}  # row -> reduced column as a dict, for the rows whose owner is -2
     aside = []
-    # live: nonempty (ptr steps up) and not skipped; True > byte only for a zero byte
-    live = compress(count(), map(gt, map(ne, ptr, islice(ptr, 1, None)), skip or repeat(0)))
 
     def eliminate(vec, j, last):
         """Eliminate vec on row j, the row after `last`; returns j."""
@@ -507,7 +543,7 @@ def _sparse_rank_and_torsion(columns, skip=None):
             last = eliminate(vec, j, last)
         return vec, None
 
-    for i in live:
+    for i in compress(count(), _live(columns, skip)):
         a = ptr[i]
         j = rows[a]
         if owner[j] == -1 and vals[a] in (1, -1):
@@ -549,6 +585,36 @@ def _sparse_rank_and_torsion(columns, skip=None):
     invariants = smith_invariants(aside)
     torsion = [x for x in invariants if x > 1]
     return pivots + len(invariants), torsion, owner
+
+
+def _live(columns, skip):
+    """The byte mask of the columns the rank reads: 1 where a column is
+    nonempty and its byte in `skip` (0 or 1, or no mask at all) is 0, both
+    masks read as integers and combined by one AND NOT."""
+    live = columns.nonempty
+    if not skip:
+        return live
+    both = ~int.from_bytes(skip, "little")
+    both &= int.from_bytes(live, "little")
+    return both.to_bytes(len(live), "little")
+
+
+# 0 for the byte 0xFF, 1 for any other: see `_owned`
+_NOT_FF = bytes(255 * [1] + [0])
+
+
+def _owned(owner):
+    """The byte mask of the rows that hold a pivot: 1 where `owner` is not -1.
+
+    An owner is -1, -2 or a column index below 2^31, so it is -1 exactly
+    when both its lowest and its highest byte are 0xFF.  The two bytes of
+    every lane are read through a memoryview, ANDed as two integers and
+    mapped to 0 or 1 by a byte table, with no call per row."""
+    lanes = memoryview(owner).cast("B")
+    low, high = (0, 7) if sys.byteorder == "little" else (7, 0)
+    both = int.from_bytes(lanes[low::8], "little")
+    both &= int.from_bytes(lanes[high::8], "little")
+    return both.to_bytes(len(owner), "little").translate(_NOT_FF)
 
 
 def _transpose(columns):
@@ -596,7 +662,7 @@ def _suffix_positions(cx, w, d, e, memo):
             for h, hd in enumerate(cx.degs):
                 if cx.count(w - 2, d - e - hd):
                     inner = _suffix_positions(cx, w - 1, d - hd, e, memo)
-                    out.extend(map(starts[h].__add__, inner))
+                    out.extend(_shifted(inner, starts[h]))
             memo[key] = out
     return memo[key]
 
@@ -616,7 +682,7 @@ def _profiles(cx):
     and the Smith invariants, unchanged (the twist, or clearing, of
     persistent homology: Chen and Kerber 2011; Bauer, Kerber and
     Reininghaus 2014).  The cleared columns pass to the next rank as a byte
-    mask, read off the pivot owners of the rank above.
+    mask, which `_owned` reads off the pivot owners of the rank above.
 
     The top spot (s, t) has no spot above it, so it inherits its cleared
     set from smaller slices.  Let g be a generator with no diagonal terms
@@ -636,9 +702,9 @@ def _profiles(cx):
     slice, |g|) in a dict local to this pass, and the top spot pops them
     when it reads them.  A spot with nothing to clear it (the top spot with
     no inherited rows, or a spot below a transposed one) reduces its
-    transpose when it has fewer rows than nonzero columns: the rank and the
-    invariants are the same, but its pivots then index its columns, so it
-    passes no cleared set on.
+    transpose when it has fewer rows than nonzero columns, counted on its
+    nonempty bytes: the rank and the invariants are the same, but its
+    pivots then index its columns, so it passes no cleared set on.
     """
     degs = cx.degs
     plain = [g for g in range(len(degs)) if not cx.coalgebra.diagonal(g)]
@@ -668,13 +734,12 @@ def _profiles(cx):
             cols = cx.diffs[(s, d)]
             if d != below:  # no spot (s, d + 1) to clear this one
                 cleared = bytearray(len(cols))
-            # ptr never decreases, so a column is nonzero where it steps up
-            if 1 not in cleared and cols.nrows < sum(map(ne, cols.ptr, islice(cols.ptr, 1, None))):
+            if 1 not in cleared and cols.nrows < cols.nonempty.count(1):
                 rank, torsion, _ = _sparse_rank_and_torsion(_transpose(cols))
                 cleared = bytearray(cols.nrows)
             else:
                 rank, torsion, owner = _sparse_rank_and_torsion(cols, cleared)
-                cleared = bytearray(map((-1).__ne__, owner))
+                cleared = _owned(owner)
                 heirs = [gd for gd in plain_degs if tops.get(s + gd + 1) == d + gd - 1]
                 if heirs and 1 in cleared:
                     rows = array("q", compress(count(), cleared))

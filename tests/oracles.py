@@ -13,15 +13,18 @@ the engine's integer Lucas sum), the Lucas numbers by their recurrence
 (the reference for the engine's doubling), the closed-form rational ranks, the
 closed-form loop-homology denominators of a manifold, a connected sum and
 a Betti-one manifold (the references for each family's series fraction),
-the tuple-word build of the cobar complex, the unit-pivot rows of a
-left-looking reduction that unpacks every column, dense and sparse rank
-over Q, the dense Smith normal form with transforms (the reference for the
-sparse Smith invariants), and the `Fraction` series logarithm and
-exponential with the log + Moebius Lie ranks, and the small helpers only
-tests read: tensor elements as text, the relation as a tensor, a dimension
-table as a list, the smoothability table of the Betti-one manifolds.  The
-engine never calls them; the tests use them to check its answers by an
-independent route.
+the tuple-word build of the cobar complex, its packed stores written one
+column at a time (the reference for the build's block writes), the
+columns the rank reads found one call per column (the reference for its
+byte masks), the unit-pivot rows of a left-looking reduction that
+unpacks every column, dense and sparse rank over Q, the dense Smith
+normal form with transforms (the reference for the sparse Smith
+invariants), and the `Fraction` series logarithm and exponential with the
+log + Moebius Lie ranks, and the small helpers only tests read: tensor
+elements as text, the relation as a tensor, a dimension table as a list,
+the smoothability table of the Betti-one manifolds.  The engine never
+calls them; the tests use them to check its answers by an independent
+route.
 
 The rewrite rule eliminates the single forbidden factor x0 x1.  For skew
 relations repeated substitution terminates on its own, but a symmetric
@@ -38,10 +41,12 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice, repeat
 from math import comb
+from operator import gt, ne
 
 from looptop.algebra import Alphabet, TensorElement
-from looptop.cobar import _desusp, _diagonal_desuspended
+from looptop.cobar import PackedColumns, _desusp, _diagonal_desuspended
 from looptop.errors import IntegrityError, UnsupportedSpaceError, ValidationError
 from looptop.series import (
     DimensionTable,
@@ -517,6 +522,64 @@ def reference_cobar(coalgebra, cutoff):
             cols.append(col)
         diffs[(s, d)] = cols
     return spots, diffs
+
+
+def per_column_stores(cx):
+    """The packed differentials of `cx`, written one column at a time.
+
+    The reference for the block writes of `cobar.build_cobar`, from the
+    same word counts: the column of g u is the column of u in the spot one
+    letter shorter, with its rows moved to the start of g's block and its
+    values times (-1)^|g|, and one entry per term (l, r, c) of g's merged
+    desuspended diagonal, at the start of l's block plus the start of r's
+    block inside it plus the index of u.  The smallest term comes first,
+    then the column of u in its store order, then the other terms in
+    ascending row.  Returns {spot: PackedColumns}, int8 values when every
+    merged coefficient fits a byte.
+    """
+    degs = cx.degs
+    diag = {}
+    for g, terms in _diagonal_desuspended(cx.coalgebra).items():
+        merged = {}
+        for left, right, coeff in terms:
+            merged[left, right] = merged.get((left, right), 0) + coeff
+        diag[g] = [(lr, c) for lr, c in merged.items() if c]
+    narrow = PackedColumns.fits_a_byte(c for terms in diag.values() for _, c in terms)
+    stores = {(0, 0): PackedColumns(0, narrow)}
+    stores[0, 0].ptr.append(0)
+    for s, d in sorted(cx.spots, key=lambda key: key[0] - key[1]):  # by weight
+        w = s - d
+        target = cx.block_starts(w, d - 1)
+        cols = PackedColumns(target[-1], narrow)
+        for g, gdeg in enumerate(degs):
+            if not cx.count(w - 1, d - gdeg):
+                continue
+            du = stores[d - gdeg + w - 1, d - gdeg]
+            sign = -1 if gdeg % 2 else 1
+            terms = sorted(
+                (target[l] + cx.block_starts(w - 1, d - 1 - degs[l])[r], c) for (l, r), c in diag[g]
+            )
+            for j, (a, b) in enumerate(zip(du.ptr, du.ptr[1:])):
+                entries = [(at + j, c) for at, c in terms[:1]]
+                entries += [(target[g] + r, sign * v) for r, v in zip(du.rows[a:b], du.vals[a:b])]
+                entries += [(at + j, c) for at, c in terms[1:]]
+                for row, v in entries:
+                    cols.rows.append(row)
+                    cols.vals.append(v)
+                cols.ptr.append(len(cols.rows))
+        stores[s, d] = cols
+    del stores[0, 0]
+    return stores
+
+
+def live_by_steps(columns, skip=None):
+    """The columns the rank reads, one boolean per column for
+    `itertools.compress`: True where `ptr` steps up and the column's byte in
+    `skip` is 0 (True > byte only for a zero byte).  The reference for the
+    byte mask of `cobar._live`; one call per column, and it stops at the
+    end of the shorter of the store and the mask."""
+    ptr = columns.ptr
+    return map(gt, map(ne, ptr, islice(ptr, 1, None)), skip or repeat(0))
 
 
 def unit_pivot_rows(columns, skip=frozenset()):

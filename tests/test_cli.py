@@ -316,6 +316,36 @@ def test_scripts_run_end_to_end(script, args, last_line):
         assert done.stdout.splitlines()[-1] == last_line
 
 
+def test_cobar_audit_ends_quietly_on_a_closed_pipe():
+    # 300 audits of about 1 kB each overfill the pipe, so the script still
+    # writes after the reader has gone
+    argv = [sys.executable, str(SCRIPTS / "cobar_audit.py"), *["manifold:2:2"] * 300, "--max-degree", "8"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert proc.stdout.readline().startswith(b"M(2,2) ")
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read()
+    assert (code, err) == (0, b"")
+
+
+def test_cobar_audit_keeps_a_mismatch_on_a_closed_pipe(monkeypatch):
+    import looptop.cobar
+
+    verify = looptop.cobar.verify_loop_homology
+    monkeypatch.setattr(
+        looptop.cobar, "verify_loop_homology", lambda *args, **kw: {**verify(*args, **kw), "ok": False}
+    )
+    monkeypatch.setattr(sys, "argv", ["cobar_audit.py", "manifold:2:2", "--max-degree", "3"])
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        with pytest.raises(SystemExit) as done:
+            runpy.run_path(str(SCRIPTS / "cobar_audit.py"), run_name="__main__")
+    assert done.value.code == 1
+
+
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs VmHWM")
 def test_cobar_audit_peak_leaves_out_the_launching_process():
     # ru_maxrss carries over the peak of the process that starts the script;

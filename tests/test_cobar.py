@@ -5,10 +5,12 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from itertools import compress, count
+from operator import ne
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import looptop._linalg as _linalg
@@ -19,6 +21,8 @@ from looptop.cobar import (
     FiniteCoalgebra,
     PackedColumns,
     _euler_audit,
+    _live,
+    _owned,
     _shifted,
     _sparse_rank_and_torsion,
     _transpose,
@@ -29,7 +33,14 @@ from looptop.cobar import (
 from looptop.errors import IntegrityError, ValidationError, WindowError
 from looptop.spaces import BettiOne, ConnectedSum, Manifold, TwoCellComplex
 
-from oracles import mat_mul, reference_cobar, smith_form_with_transforms, unit_pivot_rows
+from oracles import (
+    live_by_steps,
+    mat_mul,
+    per_column_stores,
+    reference_cobar,
+    smith_form_with_transforms,
+    unit_pivot_rows,
+)
 
 
 class TestCoalgebraOf:
@@ -254,6 +265,30 @@ def test_linalg_imports_only_the_errors():
     assert done.stdout.strip() == "['looptop', 'looptop._linalg', 'looptop.errors']"
 
 
+STORE_CASES = [
+    ("manifold:2:3", 7),
+    ("manifold:2:2", 9),
+    *[(f"csum:2x3,2x3:signs={signs}", 8) for signs in ("+,+", "+,-", "-,+", "-,-")],
+    *[(f"cw:2:0,{p};{p},0", 6) for p in (3, 5, 7)],
+    *[(f"cw:2:0,{p * p};{p * p},0", 6) for p in (3, 5, 7)],
+    *[(f"cw:2:2,1;1,{q}", 6) for q in (2, 3, 4)],
+    ("cubic", 24),
+    ("wedge", 7),
+]
+
+
+def _mixed_block_lengths(cx):
+    """For each block of a generator with diagonal terms, the set of column
+    lengths of the shorter spot it is built from."""
+    out = []
+    for s, d in cx.diffs:
+        for g, gd in enumerate(cx.degs):
+            shorter = cx.diffs.get((s - gd - 1, d - gd))
+            if cx.coalgebra.diagonal(g) and shorter is not None:
+                out.append({b - a for a, b in zip(shorter.ptr, shorter.ptr[1:])})
+    return out
+
+
 def _words_through(degs, top):
     """The number of words over letters of degrees `degs` with degree <= top."""
     counts = [1]
@@ -388,19 +423,7 @@ class TestBuildCobar:
             key: sum(len(col) for col in cols) for key, cols in diffs.items()
         }
 
-    @pytest.mark.parametrize(
-        "text, cutoff",
-        [
-            ("manifold:2:3", 7),
-            ("manifold:2:2", 9),
-            *[(f"csum:2x3,2x3:signs={signs}", 8) for signs in ("+,+", "+,-", "-,+", "-,-")],
-            *[(f"cw:2:0,{p};{p},0", 6) for p in (3, 5, 7)],
-            *[(f"cw:2:0,{p * p};{p * p},0", 6) for p in (3, 5, 7)],
-            *[(f"cw:2:2,1;1,{q}", 6) for q in (2, 3, 4)],
-            ("cubic", 24),
-            ("wedge", 7),
-        ],
-    )
+    @pytest.mark.parametrize("text, cutoff", STORE_CASES)
     def test_every_column_stores_its_smallest_row_first(self, text, cutoff):
         # the rank reads each column's leading row and value at ptr[j];
         # a transposed torsion spot keeps the same layout
@@ -412,6 +435,39 @@ class TestBuildCobar:
         for cols in stores:
             for a, b in zip(cols.ptr, cols.ptr[1:]):
                 assert a == b or cols.rows[a] == min(cols.rows[a:b])
+
+    @pytest.mark.parametrize("text, cutoff", STORE_CASES)
+    def test_nonempty_bytes_are_the_steps_of_ptr(self, text, cutoff):
+        # the build writes the bytes block by block; a transposed store
+        # derives them from its offsets
+        cx = build_cobar(_coalgebra(text), cutoff)
+        for cols in [*cx.diffs.values(), *map(_transpose, cx.diffs.values())]:
+            assert cols.nonempty == bytearray(map(ne, cols.ptr, cols.ptr[1:]))
+
+    @pytest.mark.parametrize(
+        "text, cutoff",
+        [
+            ("manifold:2:3", 9),
+            ("csum:2x3,2x3:signs=+,-", 10),
+            ("betti1:4:7", 20),  # one diagonal term: nothing after the smallest
+            ("cw:2:0,-128;-128,0", 7),
+            (f"cw:2:0,{2**70};{2**70},0", 7),  # values in a list
+        ],
+    )
+    def test_stores_match_the_per_column_build(self, text, cutoff):
+        # a mixed block is written by strided slices when every column of the
+        # shorter spot has one length, and column by column otherwise
+        cx = build_cobar(parse_space(text).coalgebra(), cutoff)
+        reference = per_column_stores(cx)
+        assert reference.keys() == cx.diffs.keys()
+        for key, cols in cx.diffs.items():
+            ref = reference[key]
+            assert type(cols.vals) is type(ref.vals), key
+            assert (cols.nrows, cols.ptr, cols.rows, cols.vals) == (
+                ref.nrows, ref.ptr, ref.rows, ref.vals
+            ), key
+        uniform = {len(lengths) == 1 for lengths in _mixed_block_lengths(cx)}
+        assert uniform == ({True, False} if text.startswith("csum") else {True})
 
     def test_packed_build_retains_little_per_cell(self):
         # one {row: value} dict per column retained about 230 B per cell, and
@@ -507,6 +563,7 @@ class TestBuildCobar:
 
 
 LANE_TOP = {"i": 2**31 - 1, "q": 2**63 - 1}
+OWNER_LANES = [-1, -2, 0, 255, 256, 65535, 2**31 - 1]  # no pivot, reduced, packed columns
 
 
 class TestPackedColumns:
@@ -525,6 +582,25 @@ class TestPackedColumns:
         assert _shifted(array(code), 7) == array(code)
         assert _shifted(array(code, [top - 7, 0, top - 7]), 7) == array(code, [top, 7, top])
         assert _shifted(array(code, [top, 0]), 0) == array(code, [top, 0])
+
+    @given(st.lists(st.one_of(st.sampled_from(OWNER_LANES), st.integers(0, 2**31 - 1)), max_size=40))
+    @example(OWNER_LANES)
+    @example([])
+    @settings(max_examples=200, deadline=None)
+    def test_owned_rows_match_the_per_row_mask(self, lanes):
+        owner = array("q", lanes)
+        assert _owned(owner) == bytearray(map((-1).__ne__, owner))
+
+    @given(st.lists(st.integers(0, 3), max_size=30), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_live_mask_matches_the_per_column_walk(self, lengths, data):
+        cols = packed([{row: 1 for row in range(n)} for n in lengths], nrows=3)
+        skip = data.draw(st.none() | st.lists(st.integers(0, 1), min_size=len(lengths), max_size=len(lengths)))
+        skip = None if skip is None else bytearray(skip)
+        assert list(compress(count(), _live(cols, skip))) == list(
+            compress(count(), live_by_steps(cols, skip))
+        )
+
     @given(small_integer_matrices(), st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_transpose_twice_is_the_identity(self, matrix, narrow):
@@ -764,6 +840,30 @@ class TestHomology:
         cx = cobar.build_cobar(space.coalgebra(), 8)
         assert any(cx.profiles[key] != rank(cols)[:2] for key, cols in cx.diffs.items())
         assert not verify_loop_homology(space, 8)["ok"]
+
+    @pytest.mark.parametrize("text, cutoff", STORE_CASES)
+    def test_pivot_owners_match_the_old_live_walk(self, monkeypatch, text, cutoff):
+        # every rank of the pass, with its store and mask, ranked again over
+        # the columns the per-column walk of the oracles selects
+        cx = build_cobar(_coalgebra(text), cutoff)
+        rank, calls = cobar._sparse_rank_and_torsion, []
+
+        def recording(columns, skip=None):
+            out = rank(columns, skip)
+            calls.append((columns, skip, out))
+            return out
+
+        monkeypatch.setattr(cobar, "_sparse_rank_and_torsion", recording)
+        cx.profiles
+        # at these cutoffs no rank of a two-cell complex clears a column
+        assert any(skip and 1 in skip for _, skip, _ in calls) != text.startswith("cw")
+        for columns, skip, _ in calls:
+            assert list(compress(count(), _live(columns, skip))) == list(
+                compress(count(), live_by_steps(columns, skip))
+            )
+        monkeypatch.setattr(cobar, "_live", live_by_steps)
+        for columns, skip, out in calls:
+            assert rank(columns, skip) == out
 
     def test_m22_is_polynomial_on_two_letters(self):
         cx = build_cobar(Manifold(2, 2).coalgebra(), 7)
