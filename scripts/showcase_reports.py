@@ -9,7 +9,6 @@ from looptop.spaces import (
     Manifold,
     TwoCellComplex,
     decomposition_report,
-    report_to_json,
 )
 
 GALLERY = (
@@ -24,8 +23,7 @@ GALLERY = (
 
 def main():
     for space, max_dim in GALLERY:
-        report = decomposition_report(space, max_dim)
-        print(json.dumps(report_to_json(report), ensure_ascii=False, indent=2))
+        print(json.dumps(decomposition_report(space, max_dim), ensure_ascii=False, indent=2))
         print()
 
 

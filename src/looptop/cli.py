@@ -148,20 +148,23 @@ def _emit_check(args, out, payload, header, lines=()):
     return 0 if payload["ok"] else 1
 
 
-def _emit_report(args, out, report):
+def _emit_report(args, out, payload):
+    """A report's payload.  Its table and lines are read off the payload, so
+    the two formats cannot drift apart."""
     table = [("sphere", "count", "witnesses")] + [
-        (f"S^{s.sphere_dim}", s.multiplicity, _shown(s.witnesses, 6)) for s in report.summands
+        (f"S^{s['sphere_dim']}", s["multiplicity"], _shown(s["witnesses"], 6)) for s in payload["summands"]
     ]
-    lines = [("classification", report.classification)]
-    if report.growth is not None:
-        a, b, c = report.growth.surd
-        lines.append(("growth rate", f"({a} + {b}*sqrt({c}))/2 = {report.growth.decimal()}"))
+    lines = [("classification", payload["classification"])]
+    growth = payload["growth_rate"]
+    if growth is not None:
+        a, b, c = growth["surd"]
+        lines.append(("growth rate", f"({a} + {b}*sqrt({c}))/2 = {growth['decimal']}"))
     lines += [
-        ("inverted primes", ", ".join(str(p) for p in report.inverted_primes) or "none"),
-        ("loop space", report.loop_decomposition_text),
-        ("moore", report.moore.verdict),
+        ("inverted primes", ", ".join(str(p) for p in payload["inverted_primes"]) or "none"),
+        ("loop space", payload["loop_decomposition"]),
+        ("moore", payload["moore"]["verdict"]),
     ]
-    _emit(args, out, spaces.report_to_json(report), table, lines)
+    _emit(args, out, payload, table, lines)
     return 0
 
 
@@ -270,13 +273,10 @@ def _cmd_lie_basis(args, out):
 
 def _cmd_moore(args, out):
     space = parse_space(args.space)
-    report = spaces.moore_report(space)
-    payload = {
-        "space": spaces.space_to_json(space),
-        "verdict": report.verdict,
-        "justification": report.justification,
-    }
-    lines = [("space", space.label), ("verdict", report.verdict), ("justification", report.justification)]
+    payload = {"space": spaces.space_to_json(space), **spaces.moore_report(space)}
+    lines = [
+        ("space", space.label), ("verdict", payload["verdict"]), ("justification", payload["justification"]),
+    ]
     _emit(args, out, payload, lines=lines)
     return 0
 

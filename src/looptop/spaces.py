@@ -8,7 +8,8 @@ Betti-number-one manifolds parametrized by the attaching data m.
 Each family's class makes every per-family decision itself: `label`,
 `to_json()`, `series_fraction()` (the loop-homology Hilbert series as a
 bigraded fraction), `coalgebra()` (the integral homology coalgebra),
-`classify()`, `moore()` and `report(max_dim)`.  A shared base reads the
+`classify()`, `moore()` and `report(max_dim)`, which returns the report's
+JSON payload, as built by `report_to_json`.  A shared base reads the
 fraction: `bigraded_series(order)` by (word length, degree) and
 `denominator(order)`, its inverse at x = 1.  The base has no torsion
 primes; only a two-cell complex overrides `torsion_primes()`.  The first
@@ -28,7 +29,7 @@ from fractions import Fraction
 from ._linalg import det_int, factorize, minor_gcd, smith_normal_form
 from .cobar import FiniteCoalgebra
 from .errors import IntegrityError, UnsupportedSpaceError, ValidationError
-from .series import GrowthRate, PowerSeries, growth_rate
+from .series import PowerSeries, growth_rate
 from .series import pbw_match_graded  # kept only as a benchmark span site
 
 
@@ -489,61 +490,38 @@ def bad_primes(form):
 
 # ------------------------------------------------------------------- reports
 
-@dataclass(frozen=True)
-class MooreReport:
-    verdict: str
-    justification: str
-
-
-_MOORE_PRODUCT = MooreReport(
-    "elliptic-with-finite-exponents",
-    "rationally elliptic; the homotopy groups agree with those of a product "
+# Each Moore verdict is a {"verdict", "justification"} dict; `moore_report`
+# hands out copies, so no caller can change a constant.
+_MOORE_PRODUCT = {
+    "verdict": "elliptic-with-finite-exponents",
+    "justification": "rationally elliptic; the homotopy groups agree with those of a product "
     "of two spheres, which has a finite p-exponent at every prime",
-)
-_MOORE_BETTI_ONE = MooreReport(
-    "elliptic-with-finite-exponents",
-    "rationally elliptic; away from the inverted primes the loop space "
+}
+_MOORE_BETTI_ONE = {
+    "verdict": "elliptic-with-finite-exponents",
+    "justification": "rationally elliptic; away from the inverted primes the loop space "
     "splits through spheres and loop spaces of spheres, whose p-torsion has "
     "a finite exponent, and at the remaining primes the verdict follows the "
     "elliptic side of the exponent conjecture",
-)
-_MOORE_WINDOW = MooreReport(
-    "elliptic-with-finite-exponents",
-    "window-limited: the graded ranks have finite support, and granting the "
+}
+_MOORE_WINDOW = {
+    "verdict": "elliptic-with-finite-exponents",
+    "justification": "window-limited: the graded ranks have finite support, and granting the "
     "exponent conjecture for such elliptic complexes every prime has a finite "
     "exponent; the rank-2 two-cell case is not settled by a theorem here",
-)
-_MOORE_UNBOUNDED = MooreReport(
-    "hyperbolic-unbounded-cofinite-primes",
-    "rationally hyperbolic; away from finitely many primes a wedge of two middle "
+}
+_MOORE_UNBOUNDED = {
+    "verdict": "hyperbolic-unbounded-cofinite-primes",
+    "justification": "rationally hyperbolic; away from finitely many primes a wedge of two middle "
     "spheres retracts off the localized complex, so the p-primary torsion of the "
     "homotopy groups is unbounded for all but finitely many primes",
-)
-_MOORE_NO_EXPONENT = MooreReport(
-    "hyperbolic-no-exponent-all-primes",
-    "the sphere dimensions occurring in the decomposition are unbounded, and spheres "
+}
+_MOORE_NO_EXPONENT = {
+    "verdict": "hyperbolic-no-exponent-all-primes",
+    "justification": "the sphere dimensions occurring in the decomposition are unbounded, and spheres "
     "of growing dimension carry p-power torsion of arbitrarily large exponent for "
     "every prime, so no prime admits a finite exponent",
-)
-
-
-@dataclass(frozen=True)
-class Summand:
-    sphere_dim: int
-    multiplicity: int
-    witnesses: tuple
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    space: object
-    max_dimension: int
-    summands: tuple
-    inverted_primes: tuple
-    classification: str
-    growth: GrowthRate
-    loop_decomposition_text: str
-    moore: MooreReport
+}
 
 
 def pi10_v8(m):
@@ -577,8 +555,9 @@ def classify_rational(space):
 
 
 def moore_report(space):
-    """Finite-p-exponent verdict matching the rational classification."""
-    return space.moore()
+    """Finite-p-exponent verdict matching the rational classification, as
+    a fresh {"verdict", "justification"} dict."""
+    return dict(space.moore())
 
 
 _WITNESS_LIMIT = 2000
@@ -607,27 +586,15 @@ def _quadratic_report(space, max_dim, growth):
     witnesses = {}
     if sum(counts.values()) <= _WITNESS_LIMIT and basis_walk_fits(nr.alphabet, max_dim - 1):
         for d, words in lie_basis(nr, max_dim - 1, degree_counts).items():
-            witnesses[d + 1] = tuple(bracket_string(w, nr.alphabet) for w in words)
+            witnesses[d + 1] = [bracket_string(w, nr.alphabet) for w in words]
     else:
         lyndon_counts = standard_lyndon_counts(nr.alphabet, nr.forbidden_pair, max_dim - 1)
         if {d: c for d, c in lyndon_counts.items() if c} != degree_counts:
             raise IntegrityError(
                 f"Lyndon pipeline disagrees with the series pipelines for {space.label}"
             )
-
-    summands = tuple(
-        Summand(l, counts[l], witnesses.get(l, ())) for l in sorted(counts)
-    )
-    return DecompositionReport(
-        space=space,
-        max_dimension=max_dim,
-        summands=summands,
-        inverted_primes=tuple(sorted(inverted)),
-        classification=classify_rational(space),
-        growth=growth,
-        loop_decomposition_text=_loop_text(space.label, counts, max_dim, inverted),
-        moore=moore_report(space),
-    )
+    text = _loop_text(space.label, counts, max_dim, inverted)
+    return report_to_json(space, max_dim, counts, witnesses, inverted, growth, text)
 
 
 def _loop_text(label, counts, max_dim, inverted):
@@ -644,7 +611,8 @@ def _loop_text(label, counts, max_dim, inverted):
 
 
 def decomposition_report(space, max_dim):
-    """Sphere-summand decomposition of the homotopy groups, through max_dim."""
+    """Sphere-summand decomposition of the homotopy groups, through max_dim,
+    as the report's JSON payload."""
     if max_dim < 2:
         raise ValidationError("max_dim must be >= 2")
     return space.report(max_dim)
@@ -658,7 +626,6 @@ def betti_one_report(n, m):
         text = (
             f"Omega {label} ~ S^1 x Omega S^5: pi_2 = Z and pi_k = pi_k(S^5) for k >= 3"
         )
-        summands = (Summand(5, 1, ()),)
         inverted = ()
     elif n == 4:
         if space.m % 3 in (0, 2):
@@ -674,24 +641,14 @@ def betti_one_report(n, m):
                 f"while pi_9(S^3) + pi_10(S^11) = Z/3"
             )
             inverted = (3,)
-        summands = (Summand(11, 1, ()),)
     else:
         text = (
             f"Omega {label} ~ S^7 x Omega S^23 after inverting 2 and 3: "
             f"pi_k (x) Z[1/6] = (pi_(k-1)(S^7) + pi_k(S^23)) (x) Z[1/6]"
         )
-        summands = (Summand(23, 1, ()),)
         inverted = (2, 3)
-    return DecompositionReport(
-        space=space,
-        max_dimension=3 * n - 1,
-        summands=summands,
-        inverted_primes=inverted,
-        classification="elliptic",
-        growth=None,
-        loop_decomposition_text=text,
-        moore=moore_report(space),
-    )
+    # one summand, S^(3n-1), which is also the window
+    return report_to_json(space, 3 * n - 1, {3 * n - 1: 1}, {}, inverted, None, text)
 
 
 # ----------------------------------------------------------------- JSON view
@@ -700,25 +657,24 @@ def space_to_json(space):
     return space.to_json()
 
 
-def report_to_json(report):
-    """Stable-schema JSON view of a decomposition report."""
-    growth = None
-    if report.growth is not None:
-        growth = {"surd": list(report.growth.surd), "decimal": report.growth.decimal()}
+def report_to_json(space, max_dim, counts, witnesses, inverted, growth, text):
+    """The decomposition report, the one place its stable JSON schema is written.
+
+    `counts` is {sphere dimension: multiplicity} and `witnesses` {sphere
+    dimension: Lie brackets}, empty where none are listed; `growth` is a
+    `GrowthRate` or None and `text` the loop-space decomposition.  The
+    classification and the Moore verdict are read off the space.
+    """
     return {
-        "space": space_to_json(report.space),
-        "max_dimension": report.max_dimension,
-        "inverted_primes": list(report.inverted_primes),
+        "space": space_to_json(space),
+        "max_dimension": max_dim,
+        "inverted_primes": sorted(inverted),
         "summands": [
-            {
-                "sphere_dim": s.sphere_dim,
-                "multiplicity": s.multiplicity,
-                "witnesses": list(s.witnesses),
-            }
-            for s in report.summands
+            {"sphere_dim": l, "multiplicity": counts[l], "witnesses": witnesses.get(l, [])}
+            for l in sorted(counts)
         ],
-        "classification": report.classification,
-        "growth_rate": growth,
-        "loop_decomposition": report.loop_decomposition_text,
-        "moore": {"verdict": report.moore.verdict, "justification": report.moore.justification},
+        "classification": classify_rational(space),
+        "growth_rate": None if growth is None else {"surd": list(growth.surd), "decimal": growth.decimal()},
+        "loop_decomposition": text,
+        "moore": moore_report(space),
     }

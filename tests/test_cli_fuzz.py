@@ -6,7 +6,9 @@ mixed in: bad integers, unknown families, ragged or asymmetric matrices,
 mismatched factors, stray flags and left-out values.  Whatever comes in,
 `run` returns instead of raising, the exit code is 0 (success) or 2 (usage
 error), and no traceback reaches stderr.  Exit 1 means two pipelines
-disagree, which no input may cause.
+disagree, which no input may cause.  When a report or `moore` succeeds,
+it is run again in the other format, and its table must read the same
+fields as its JSON payload.
 
 Sizes are bounded so that the test stays fast: `LOOPTOP_MAX_CELLS=20000`,
 Betti numbers and matrix sizes up to 6, windows up to 8 for the reports,
@@ -18,6 +20,7 @@ them.
 """
 
 import io
+import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -139,13 +142,46 @@ def argvs():
     return st.tuples(commands, stray, formats).map(lambda t: [a for part in t[0] for a in part] + t[1] + t[2])
 
 
-@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(argv=argvs())
-def test_random_command_lines_exit_cleanly(argv):
+REPORTS = ("manifold", "connected-sum", "cw", "betti-one", "moore")
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp, redirect_stdout(out), redirect_stderr(err):
         mp.setenv("LOOPTOP_MAX_CELLS", "20000")
         code = run(argv, out=out, err=err)  # an exception here fails the test
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_table_reads_payload(command, table, payload):
+    """The `S^l  count` rows and the labelled lines of a report's (or
+    `moore`'s) table against the fields of its JSON payload."""
+    lines = table.splitlines()
+    labelled = {line[:18].rstrip(): line[18:] for line in lines if not line.startswith(("sphere  ", "S^"))}
+    if command == "moore":
+        assert labelled["verdict"] == payload["verdict"]
+        assert labelled["justification"] == payload["justification"]
+        return
+    rows = [line.split()[:2] for line in lines if line.startswith("S^")]
+    assert rows == [[f"S^{s['sphere_dim']}", str(s["multiplicity"])] for s in payload["summands"]]
+    assert labelled["classification"] == payload["classification"]
+    assert labelled["inverted primes"] == (", ".join(map(str, payload["inverted_primes"])) or "none")
+    assert labelled["loop space"] == payload["loop_decomposition"]
+    assert labelled["moore"] == payload["moore"]["verdict"]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(argv=argvs())
+def test_random_command_lines_exit_cleanly(argv):
+    code, out, err = _run(argv)
     event(f"{argv[0]} exit {code}")
-    assert code in (0, 2), (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue(), argv
+    assert code in (0, 2), (argv, code, err)
+    assert "Traceback" not in err, argv
+    if code == 0 and argv[0] in REPORTS:
+        # a success has no stray flag, so any --format is the last pair
+        json_first = argv[-2:] == ["--format", "json"]
+        other = _run(argv + ["--format", "table" if json_first else "json"])
+        assert other[0] == 0, (argv, other)
+        table, payload = (other[1], out) if json_first else (out, other[1])
+        assert_table_reads_payload(argv[0], table, json.loads(payload))

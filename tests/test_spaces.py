@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from functools import partial
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from looptop._linalg import factorize
+from looptop.cli import run
 from looptop.errors import UnsupportedSpaceError, ValidationError
 from looptop.series import PowerSeries, pbw_match_graded
 from looptop.spaces import (
@@ -22,7 +24,6 @@ from looptop.spaces import (
     group_description,
     moore_report,
     pi10_v8,
-    report_to_json,
 )
 from oracles import (
     betti_one_denominator,
@@ -316,39 +317,56 @@ class TestClassification:
 class TestMooreReports:
     def test_elliptic_manifold(self):
         report = moore_report(Manifold(2, 2))
-        assert report.verdict == "elliptic-with-finite-exponents"
+        assert report["verdict"] == "elliptic-with-finite-exponents"
 
     def test_hyperbolic_connected_sum(self):
         report = moore_report(ConnectedSum(((2, 3), (2, 3))))
-        assert report.verdict == "hyperbolic-no-exponent-all-primes"
+        assert report["verdict"] == "hyperbolic-no-exponent-all-primes"
 
     def test_two_cell_rank_three(self):
         report = moore_report(TwoCellComplex(2, ((0, 1, 0), (1, 0, 0), (0, 0, 2))))
-        assert report.verdict == "hyperbolic-unbounded-cofinite-primes"
+        assert report["verdict"] == "hyperbolic-unbounded-cofinite-primes"
+
+    @pytest.mark.parametrize("space, text", [
+        (ConnectedSum(((2, 3), (2, 3))), "csum:2x3,2x3"),
+        (TwoCellComplex(2, ((0, 1, 0), (1, 0, 0), (0, 0, 2))), "cw:2:0,1,0;1,0,0;0,0,2"),
+        (BettiOne(4, 4), "betti1:4:4"),
+    ])
+    def test_a_changed_verdict_leaves_the_next_report_alone(self, space, text):
+        def moore_json():
+            out = io.StringIO()
+            assert run(["moore", "--space", text, "--format", "json"], out=out) == 0
+            return out.getvalue()
+
+        before = decomposition_report(space, 4), moore_json()
+        changed = decomposition_report(space, 4)
+        changed["moore"]["verdict"] = "changed"
+        changed["moore"].pop("justification")
+        moore_report(space)["verdict"] = "changed"
+        assert (decomposition_report(space, 4), moore_json()) == before
 
 
 class TestDecompositionReports:
     def test_four_manifold_baseline(self):
         report = decomposition_report(Manifold(2, 3), 4)
-        counts = {s.sphere_dim: s.multiplicity for s in report.summands}
+        counts = {s["sphere_dim"]: s["multiplicity"] for s in report["summands"]}
         assert counts == {2: 3, 3: 2, 4: 5}
-        assert report.classification == "hyperbolic"
-        assert report.growth.surd == (3, 1, 5)
-        for s in report.summands:
-            assert len(s.witnesses) == s.multiplicity
+        assert report["classification"] == "hyperbolic"
+        assert report["growth_rate"]["surd"] == [3, 1, 5]
+        for s in report["summands"]:
+            assert len(s["witnesses"]) == s["multiplicity"]
 
     def test_elliptic_pair_total_multiplicity_two(self):
         report = decomposition_report(Manifold(4, 2), 20)
-        assert sum(s.multiplicity for s in report.summands) == 2
+        assert sum(s["multiplicity"] for s in report["summands"]) == 2
         report2 = decomposition_report(ConnectedSum(((2, 5),)), 20)
-        assert sum(s.multiplicity for s in report2.summands) == 2
-        assert {s.sphere_dim for s in report2.summands} == {2, 5}
+        assert sum(s["multiplicity"] for s in report2["summands"]) == 2
+        assert {s["sphere_dim"] for s in report2["summands"]} == {2, 5}
 
     def test_orientation_sign_invariance(self):
         def stripped(report):
-            payload = report_to_json(report)
-            payload.pop("space")
-            return json.dumps(payload, sort_keys=True)
+            report.pop("space")
+            return json.dumps(report, sort_keys=True)
 
         for factors in (((2, 3), (2, 3)), ((3, 4), (3, 4), (3, 4))):
             r = len(factors)
@@ -363,9 +381,8 @@ class TestDecompositionReports:
 
     def test_manifold_reports_depend_only_on_n_and_r(self):
         def stripped(report):
-            payload = report_to_json(report)
-            payload.pop("space")
-            return json.dumps(payload, sort_keys=True)
+            report.pop("space")
+            return json.dumps(report, sort_keys=True)
 
         matrices = (
             None,
@@ -379,10 +396,10 @@ class TestDecompositionReports:
     def test_two_cell_matches_manifold_counts_with_inverted_primes(self):
         cw = decomposition_report(TwoCellComplex(2, ((0, 7), (7, 0))), 4)
         manifold = decomposition_report(Manifold(2, 2), 4)
-        assert {s.sphere_dim: s.multiplicity for s in cw.summands} == {
-            s.sphere_dim: s.multiplicity for s in manifold.summands
+        assert {s["sphere_dim"]: s["multiplicity"] for s in cw["summands"]} == {
+            s["sphere_dim"]: s["multiplicity"] for s in manifold["summands"]
         }
-        assert cw.inverted_primes == (7,)
+        assert cw["inverted_primes"] == [7]
 
     def test_two_cell_low_rank_decomposition_unsupported(self):
         with pytest.raises(UnsupportedSpaceError):
@@ -390,7 +407,7 @@ class TestDecompositionReports:
 
     def test_manifold_betti_one_routes(self):
         report = decomposition_report(Manifold(2, 1), 6)
-        assert {s.sphere_dim for s in report.summands} == {5}
+        assert {s["sphere_dim"] for s in report["summands"]} == {5}
         with pytest.raises(ValidationError):
             decomposition_report(Manifold(4, 1), 6)
 
@@ -398,31 +415,30 @@ class TestDecompositionReports:
 class TestBettiOneReports:
     def test_n2(self):
         report = betti_one_report(2, 0)
-        assert report.inverted_primes == ()
-        assert "pi_2 = Z" in report.loop_decomposition_text
-        assert {s.sphere_dim for s in report.summands} == {5}
+        assert report["inverted_primes"] == []
+        assert "pi_2 = Z" in report["loop_decomposition"]
+        assert {s["sphere_dim"] for s in report["summands"]} == {5}
 
     def test_n4_integral_cases(self):
         report = betti_one_report(4, 3)
-        assert report.inverted_primes == ()
-        assert "integrally" in report.loop_decomposition_text
+        assert report["inverted_primes"] == []
+        assert "integrally" in report["loop_decomposition"]
 
     def test_n4_exceptional_cases_flag_pi10(self):
         report = betti_one_report(4, 4)
-        assert report.inverted_primes == (3,)
-        assert "pi_10" in report.loop_decomposition_text
-        assert "= 0" in report.loop_decomposition_text
+        assert report["inverted_primes"] == [3]
+        assert "pi_10" in report["loop_decomposition"]
+        assert "= 0" in report["loop_decomposition"]
 
     def test_n8_inverts_two_and_three(self):
         report = betti_one_report(8, 0)
-        assert report.inverted_primes == (2, 3)
-        assert "S^23" in report.loop_decomposition_text
+        assert report["inverted_primes"] == [2, 3]
+        assert "S^23" in report["loop_decomposition"]
 
 
 class TestJson:
     def test_schema_field_order(self):
-        report = decomposition_report(Manifold(2, 2), 4)
-        payload = report_to_json(report)
+        payload = decomposition_report(Manifold(2, 2), 4)
         assert list(payload) == [
             "space",
             "max_dimension",
@@ -437,7 +453,7 @@ class TestJson:
 
     def test_roundtrip_bytes(self):
         report = decomposition_report(Manifold(2, 3), 5)
-        text = json.dumps(report_to_json(report), ensure_ascii=False, indent=2)
+        text = json.dumps(report, ensure_ascii=False, indent=2)
         assert json.dumps(json.loads(text), ensure_ascii=False, indent=2) == text
 
     def test_space_labels(self):
