@@ -24,12 +24,14 @@ cycles of the top spot, each with a unit at a known column and its other
 entries after it (see `_profiles`).
 """
 
+import heapq
 import os
 import sys
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, compress, count, islice, repeat
+from math import gcd
 from operator import ne
 
 from ._linalg import smith_invariants
@@ -202,7 +204,10 @@ class ChainComplex:
     int32 rows, and int8 values when every diagonal coefficient fits a byte.
     Homology is complete through degree `cutoff`.  `profiles` maps each
     spot to the (rank, torsion) of its differential, all ranked in one pass
-    on first read (see `_profiles`).
+    on first read (see `_profiles`).  The differential is `content` times
+    the stored one: `verify_loop_homology` builds from a coalgebra with its
+    content divided out (see `_content_factored`) and sets it here before
+    the first read.
     """
 
     coalgebra: FiniteCoalgebra
@@ -210,6 +215,7 @@ class ChainComplex:
     sizes: list
     spots: dict = field(default_factory=dict)
     diffs: dict = field(default_factory=dict)
+    content: int = 1
 
     @cached_property
     def profiles(self):
@@ -273,6 +279,27 @@ def _diagonal_desuspended(coalgebra):
             terms.append((left, right, sign * coeff))
         table[gi] = tuple(terms)
     return table
+
+
+def _content_factored(coalgebra):
+    """The coalgebra with its reduced diagonal divided by c, the gcd of its
+    coefficients, and c; c is 1 when no generator has diagonal terms.
+
+    Every entry of the cobar differential is a Z-combination of those
+    coefficients (see `build_cobar`), so the differential is c times that
+    of the divided coalgebra, which is coassociative because the relation
+    is quadratic in the coefficients.  Its d*d vanishes since c^2 times it
+    does, it has the same ranks, and its Smith invariants times c are
+    those of the original (SNF(c A) = c SNF(A)).
+    """
+    c = gcd(*(coeff for terms in coalgebra.reduced_diagonal.values() for _, _, coeff in terms))
+    if c <= 1:
+        return coalgebra, 1
+    divided = {
+        g: tuple((left, right, coeff // c) for left, right, coeff in terms)
+        for g, terms in coalgebra.reduced_diagonal.items()
+    }
+    return FiniteCoalgebra(coalgebra.generators, divided), c
 
 
 def _window_sizes(degs, cutoff, max_cells):
@@ -482,9 +509,11 @@ def _sparse_rank_and_torsion(columns, skip=None):
     the original matrix is free on the non-pivot rows modulo the columns
     that could not find a unit pivot.  Those survivors are cleared on
     every pivot row by the unit pivots (more unimodular column
-    operations), and their sparse Smith invariants, which
-    `smith_invariants` certifies independently, finish the computation
-    exactly.  With no survivor (the unimodular case) nothing more runs.
+    operations).  Then `_unit_pivots` eliminates every +-1 entry left in
+    them, wherever it lies, and counts it in the rank, so only the columns
+    with no unit left reach `smith_invariants`, whose sparse invariants,
+    certified independently, finish the computation exactly.  With no
+    survivor (the unimodular case) nothing more runs.
 
     `columns` is a `PackedColumns`, and the store is never changed.  The
     loop visits only the live columns, nonempty and not skipped, which
@@ -507,7 +536,10 @@ def _sparse_rank_and_torsion(columns, skip=None):
     the rows: -1 where the row holds no unit pivot, the index of a
     packed column where it holds an emergent pivot never unpacked, and -2
     where it holds a reduced column, which a side dict keeps by row while
-    the reduction runs.  A reduced unit pivot clears its row and adds
+    the reduction runs.  Each pivot is counted when it is made, so the
+    owners are never scanned.  A unit that `_unit_pivots` takes owns no
+    row: its column need not have every other entry below it, so it clears
+    no column of the next rank.  A reduced unit pivot clears its row and adds
     entries only below it, so the rows a column is eliminated on strictly
     increase; a pivot that breaks this raises IntegrityError.
     """
@@ -515,6 +547,7 @@ def _sparse_rank_and_torsion(columns, skip=None):
     owner = array("q", [-1]) * columns.nrows
     reduced = {}  # row -> reduced column as a dict, for the rows whose owner is -2
     aside = []
+    pivots = 0
 
     def eliminate(vec, j, last):
         """Eliminate vec on row j, the row after `last`; returns j."""
@@ -548,6 +581,7 @@ def _sparse_rank_and_torsion(columns, skip=None):
         j = rows[a]
         if owner[j] == -1 and vals[a] in (1, -1):
             owner[j] = i
+            pivots += 1
             continue
         b = ptr[i + 1]
         vec = dict(zip(rows[a + 1:b], vals[a + 1:b]))
@@ -557,6 +591,7 @@ def _sparse_rank_and_torsion(columns, skip=None):
             continue
         if vec[j] in (1, -1):
             reduced[j], owner[j] = vec, -2
+            pivots += 1
         else:
             aside.append(vec)
     promoted = True
@@ -569,11 +604,11 @@ def _sparse_rank_and_torsion(columns, skip=None):
                 continue
             if vec[j] in (1, -1):
                 reduced[j], owner[j] = vec, -2
+                pivots += 1
                 promoted = True
             else:
                 still.append(vec)
         aside = still
-    pivots = len(owner) - owner.count(-1)
     if not aside:
         return pivots, [], owner
     for vec in aside:
@@ -582,9 +617,61 @@ def _sparse_rank_and_torsion(columns, skip=None):
         while hits:
             last = eliminate(vec, min(hits), last)
             hits = [k for k in vec if owner[k] != -1]
+    units, aside = _unit_pivots(aside)
     invariants = smith_invariants(aside)
     torsion = [x for x in invariants if x > 1]
-    return pivots + len(invariants), torsion, owner
+    return pivots + units + len(invariants), torsion, owner
+
+
+def _unit_pivots(columns):
+    """Eliminate the +-1 entries of a residual, wherever they lie; returns
+    their count and the columns with no unit left, in their first order.
+
+    `columns` are {row: value} dicts, changed in place.  The shortest column
+    that holds a unit goes first: its first unit (r, u) clears row r from
+    every other column by column operations, and then the column is
+    dropped, since row operations would clear its other entries and touch
+    no other column.  Both are unimodular, so the Smith form of the input
+    is one 1 per dropped column beside that of what is left.  A column that
+    changes is queued again by its new length; an empty one is dropped.
+    """
+    cols = dict(enumerate(columns))
+    on_row = {}  # row -> the columns with an entry there
+    for k, vec in cols.items():
+        for i in vec:
+            on_row.setdefault(i, set()).add(k)
+    queue = [(len(vec), k) for k, vec in cols.items()]
+    heapq.heapify(queue)
+    units = 0
+    while queue:
+        n, k = heapq.heappop(queue)
+        pivot = cols.get(k)
+        if pivot is None or len(pivot) != n:
+            continue  # dropped, or queued again by its new length
+        r = next((i for i, v in pivot.items() if v in (1, -1)), None)
+        if r is None:
+            continue
+        del cols[k]
+        for i in pivot:
+            on_row[i].discard(k)
+        u = pivot.pop(r)
+        for t in on_row.pop(r):
+            col = cols[t]
+            f = col.pop(r) * u
+            for i, v in pivot.items():
+                nv = col.get(i, 0) - f * v
+                if nv:
+                    col[i] = nv
+                    on_row[i].add(t)
+                else:
+                    del col[i]
+                    on_row[i].discard(t)
+            if col:
+                heapq.heappush(queue, (len(col), t))
+            else:
+                del cols[t]
+        units += 1
+    return units, list(cols.values())
 
 
 def _live(columns, skip):
@@ -745,6 +832,8 @@ def _profiles(cx):
                     rows = array("q", compress(count(), cleared))
                     for gd in heirs:
                         inherited[s + gd + 1, gd] = rows
+            if cx.content > 1:  # the invariants of content times this differential
+                torsion = [cx.content] * (rank - len(torsion)) + [cx.content * t for t in torsion]
             profiles[(s, d)] = rank, torsion
             below = d - 1
     return profiles
@@ -796,9 +885,17 @@ def verify_loop_homology(space, cutoff, max_cells=None):
     connected sums, Betti-1 models), the bad primes of the form for
     two-cell complexes.  A discrepancy clears an `ok` flag; nothing raises.
     The ranks are expanded after the build, so the cell cap refuses first.
+
+    The complex is built from the space's coalgebra with its content c
+    divided out (`_content_factored`), and each rank's invariants are
+    multiplied by c.  For a scaled unimodular form such as
+    `cw:2:0,p;p,0` the divided complex is unimodular, so no column
+    reaches the Smith certificate.
     """
     allowed_torsion = space.torsion_primes()
-    cx = build_cobar(space.coalgebra(), cutoff, max_cells=max_cells)
+    coalgebra, content = _content_factored(space.coalgebra())
+    cx = build_cobar(coalgebra, cutoff, max_cells=max_cells)
+    cx.content = content
     expected = space.denominator(cutoff).inverse().coefficients
 
     rows = []

@@ -9,9 +9,13 @@ the `--deep` flag that no longer exists, each refusal of a form of rank
 below 2, two requests at Betti number 100, the loop-homology series of
 every family through the cobar audit or `hilbert`, the cobar torsion
 path (promoted pivots and transposed spots, invariants 2 and 30, Z/9),
-the byte boundary of the cobar store (`cw:2:0,127;127,0` keeps int8 values,
-`cw:2:0,-128;-128,0` fits a byte but its negation does not, and the
-unimodular `cw:2:128,127;127,126` does not fit; each keeps a list), and
+the byte boundary of the cobar store (`cw:2:0,127;127,0` and
+`cw:2:0,-128;-128,0` reach a narrow store through `verify cobar`, because
+their content, 127 and 128, is factored out before the build, which leaves
+the unimodular complex; a wide store, whose values are a list, is still
+reached through the unimodular `cw:2:128,127;127,126`, which does not fit
+a byte, and through the direct builds of `test_cobar.py`, where
+`cw:2:0,-128;-128,0` keeps its content), and
 the sphere counts of each one-relator family at larger windows (n = 4, a
 report past the witness limit, mixed sphere degrees, a skew torsion form),
 and the closed-form Lie rank that every form report checks at large

@@ -10,11 +10,11 @@ from operator import ne
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import looptop._linalg as _linalg
-from looptop._linalg import det_int, smith_invariants, smith_normal_form
+from looptop._linalg import det_int, factorize, minor_gcd, smith_invariants, smith_normal_form
 import looptop.cobar as cobar
 from looptop.cli import parse_space, run
 from looptop.cobar import (
@@ -175,6 +175,22 @@ def small_integer_matrices(draw):
 
 
 @st.composite
+def columns_with_planted_units(draw):
+    """Up to 8 sparse columns over at most 7 rows, each led by an entry
+    that is not a unit and holding +-1 entries planted below its leading
+    row, so that the units are left for the step after the main loop."""
+    n = draw(st.integers(2, 7))
+    lead = st.sampled_from([2, -2, 3, -3, 4, 6, -9])
+    entry = st.sampled_from([1, -1, 1, -1, 2, -3, 5])
+    cols = []
+    for _ in range(draw(st.integers(1, 8))):
+        top = draw(st.integers(0, n - 1))
+        below = sorted(r for r in draw(st.sets(st.integers(0, n - 1), max_size=3)) if r > top)
+        cols.append({top: draw(lead), **{r: draw(entry) for r in below}})
+    return n, cols
+
+
+@st.composite
 def columns_sharing_leads(draw):
     """Up to 12 sparse columns over at most 8 rows, with leading entries
     that are often not units and rows in any order; each column after the
@@ -231,7 +247,9 @@ def _largest_invariant_dropped(diagonalize):
     return lambda columns: sorted(diagonalize(columns))[:-1]
 
 
-_TORSION_COBAR = ["verify", "cobar", "--space", "cw:2:0,9;9,0", "--max-degree", "4"]
+# content 1 and determinant 9: the residual still reaches `_diagonalize`
+# with a 9 on its diagonal after the unit pivots are taken
+_TORSION_COBAR = ["verify", "cobar", "--space", "cw:2:2,1;1,5", "--max-degree", "4"]
 _PI10_V8 = ["betti-one", "--n", "4", "--m", "1"]  # diagonal [1, 1]: no Z/9 to misread
 
 
@@ -656,6 +674,45 @@ class TestPackedColumns:
         invariants = smith_form_with_transforms(matrix)[0]
         assert (rank, torsion) == (len(invariants), [x for x in invariants if x > 1])
 
+    @given(columns_with_planted_units())
+    @settings(max_examples=200, deadline=None)
+    def test_unit_pivots_anywhere_match_the_dense_form(self, drawn):
+        n, columns = drawn
+        matrix = [[col.get(i, 0) for col in columns] for i in range(n)]
+        invariants = smith_form_with_transforms(matrix)[0]
+        rank, torsion, _ = _sparse_rank_and_torsion(packed(columns, n))
+        assert (rank, torsion) == (len(invariants), [x for x in invariants if x > 1])
+
+    def test_a_residual_of_units_leaves_the_certificate_nothing(self, monkeypatch):
+        # both columns lead with a non-unit on row 0 and go aside; the unit on
+        # row 1 of the first clears the second down to {0: 1}, a unit too
+        received, certify = [], cobar.smith_invariants
+
+        def spy(columns):
+            received.extend(columns)
+            return certify(columns)
+
+        monkeypatch.setattr(cobar, "smith_invariants", spy)
+        assert _sparse_rank_and_torsion(packed([{0: 2, 1: 1}, {0: 3, 1: 1}]))[:2] == (2, [])
+        assert received == []
+
+    def test_the_certificate_receives_fewer_columns(self, monkeypatch):
+        # ranked without the unit step, the certificate receives 382 columns
+        # here, in 12 calls, and returns 348 invariants of which 102 are 9
+        calls, certify = [], cobar.smith_invariants
+
+        def spy(columns):
+            out = certify(columns)
+            calls.append((len(columns), out))
+            return out
+
+        monkeypatch.setattr(cobar, "smith_invariants", spy)
+        report = verify_loop_homology(TwoCellComplex(2, ((2, 1), (1, 5))), 8)
+        assert report["ok"]
+        assert sum(n for n, _ in calls) < 382
+        assert sorted(x for _, out in calls for x in out if x > 1) == [9] * 102
+        assert sorted(t for row in report["rows"] for t in row["torsion"]) == [9] * 102
+
     def test_emergent_pivots_are_unpacked_where_they_are_used(self):
         # column 1 (row 0) is first used in the promotion loop, column 3 (row 4)
         # in the main loop, column 5 (row 6) in the clearing of the set-aside
@@ -890,7 +947,55 @@ class TestHomology:
             assert rank == (1 if d in (0, 3, 10, 13) else 0), d
 
 
+def _rows(report):
+    return [(row["rank"], row["torsion"]) for row in report["rows"]]
+
+
+def _direct_rows(space, cutoff):
+    """(rank, torsion) per degree from the complex of the space's own
+    coalgebra, content and all: the reference for the content path."""
+    cx = build_cobar(space.coalgebra(), cutoff)
+    return [homology(cx, d) for d in range(cutoff + 1)]
+
+
+@st.composite
+def scaled_forms(draw):
+    """c g' for c in {2, 3, 4, 9, 25} and a symmetric g' of size 2 or 3,
+    entries in [-3, 3], of rank 2 or more over Q: scaled, p^2-scaled and
+    mixed forms, since g' may have bad primes of its own."""
+    r = draw(st.integers(2, 3))
+    upper = {(i, j): draw(st.integers(-3, 3)) for i in range(r) for j in range(i, r)}
+    form = [[upper[min(i, j), max(i, j)] for j in range(r)] for i in range(r)]
+    assume(minor_gcd(form) != 0)
+    c = draw(st.sampled_from([2, 3, 4, 9, 25]))
+    return TwoCellComplex(2, tuple(tuple(c * v for v in row) for row in form))
+
+
 class TestVerifier:
+    @given(scaled_forms())
+    @example(TwoCellComplex(2, ((0, 9), (9, 0))))
+    @example(TwoCellComplex(2, ((6, 0), (0, 10))))
+    @settings(max_examples=40, deadline=None)
+    def test_content_path_matches_the_direct_pass(self, space):
+        cutoff = 5 if space.r == 2 else 4
+        report = verify_loop_homology(space, cutoff)
+        assert _rows(report) == _direct_rows(space, cutoff)
+
+    @pytest.mark.parametrize("matrix", [((0, 9), (9, 0)), ((0, 4), (4, 0)), ((50, 25), (25, 75))])
+    def test_a_wrong_content_is_told_from_the_direct_pass(self, monkeypatch, matrix):
+        # c read as its largest prime factor: Z/9 as Z/3, Z/4 as Z/2, Z/25 as Z/5
+        factored = cobar._content_factored
+
+        def largest_prime(coalgebra):
+            divided, c = factored(coalgebra)
+            return divided, factorize(c)[-1]
+
+        space = TwoCellComplex(2, matrix)
+        expected = _direct_rows(space, 5)
+        assert _rows(verify_loop_homology(space, 5)) == expected
+        monkeypatch.setattr(cobar, "_content_factored", largest_prime)
+        assert _rows(verify_loop_homology(space, 5)) != expected
+
     def test_manifold_verification(self):
         report = verify_loop_homology(Manifold(2, 3), 8)
         assert report["ok"] and report["bigraded_ok"]
