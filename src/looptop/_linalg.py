@@ -13,6 +13,13 @@ prime by prime.  The cobar torsion path calls it on sparse columns, and
 `smith_normal_form` on the rows of a small presentation.
 The certificate factorizes the diagonal, so it is meant for matrices
 whose invariants stay small, not for determinant-sized ones.
+
+`unit_pivots`, the unit step of the cobar torsion path, and the local
+eliminations of the certificate run on one pivot loop, `_eliminate`.
+`_diagonalize` keeps its own column operation, so the elimination that the
+certificate checks shares no arithmetic with it, and `smith_invariants`
+takes no unit step: it certifies all of its input, a small presentation's
+units included.
 """
 
 import heapq
@@ -257,40 +264,76 @@ def _local_valuations(columns, p, k):
     m = p**k
     cols, rows = _sparse_copy(columns, lambda v: v % m)
 
-    def scale_of(v):
-        return gcd(v, m)
-
     def key(j, col):
         if k == 1:
             return 1, len(col), j, next(iter(col))
-        return _pivot_key(j, col, scale_of)
+        return _pivot_key(j, col, lambda v: gcd(v, m))
 
-    queue = _PivotQueue(key(j, col) for j, col in cols.items())
-    found = []
+    return sorted(_valuation(scale, p) for scale in _eliminate(cols, rows, key, m))
+
+
+def unit_pivots(columns):
+    """Eliminate the +-1 entries of sparse integer columns, wherever they
+    lie; returns their count and the columns with no unit left, in order.
+
+    `columns` are {row: value} dicts, left unchanged.  The shortest column
+    with a unit goes first, pivoting on its first unit.  The steps are
+    unimodular, so the Smith form of the input is one 1 per pivot beside
+    the Smith form of what is left.
+    """
+    cols, rows = _sparse_copy(columns, lambda v: v)
+
+    def key(j, col):
+        r = next((i for i, v in col.items() if v in (1, -1)), None)
+        return None if r is None else (1, len(col), j, r)
+
+    count = len(_eliminate(cols, rows, key, 0))
+    return count, list(cols.values())
+
+
+def _eliminate(cols, rows, key, m):
+    """Elimination of `cols` modulo m, or over Z when m is 0, changed in
+    place with their `rows` (see `_sparse_copy`); returns the pivot scales.
+
+    `key(j, col)` is (scale, column length, j, row) of the entry of column
+    j to pivot on, or None if there is none; the least key goes first.  The
+    scale divides the pivot's row, and the pivot over it is a unit mod m.
+    Column operations clear the pivot's row; the pivot column is dropped,
+    as row operations would clear the rest of it and touch no other column.
+    """
+    queue = _PivotQueue(filter(None, (key(j, col) for j, col in cols.items())))
+    scales = []
     while queue:
         scale, _, j, r = queue.pop()
         pivot = cols.pop(j)
         for i in pivot:
             rows[i].discard(j)
-        inverse = pow(pivot.pop(r) // scale, -1, m)
+        unit = pivot.pop(r) // scale
+        inverse = pow(unit, -1, m) if m else unit
         for t in rows.pop(r):
             col = cols[t]
-            f = col.pop(r) // scale * inverse % m
+            f = col.pop(r) // scale * inverse
+            if m:
+                f %= m
             for i, v in pivot.items():
-                nv = (col.get(i, 0) - f * v) % m
+                nv = col.get(i, 0) - f * v
+                if m:
+                    nv %= m
                 if nv:
                     col[i] = nv
                     rows[i].add(t)
                 elif i in col:
                     del col[i]
                     rows[i].discard(t)
-            if col:
-                queue.push(key(t, col))
-            else:
+            if not col:
                 del cols[t]
                 queue.drop(t)
-        found.append(_valuation(scale, p))
-    return sorted(found)
+            elif new := key(t, col):
+                queue.push(new)
+            else:
+                queue.drop(t)
+        scales.append(scale)
+    return scales
 
 
 # ------------------------------------------------------------- factorization

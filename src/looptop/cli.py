@@ -102,7 +102,11 @@ def _emit(args, out, payload, table=(), lines=()):
 
     A reader that closes the stream early ends the output quietly: the rest
     goes to the null device and the command keeps the exit code it has for
-    a reader that reads everything."""
+    a reader that reads everything.  Integers print in full at any size:
+    the digit limit that guards parsing input is lifted here only."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # int() is 0: no limit to lift
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         if args.format == "json":
             print(canonical_json(payload), file=out)
@@ -119,6 +123,9 @@ def _emit(args, out, payload, table=(), lines=()):
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, out.fileno())
         os.close(devnull)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _flag(ok):

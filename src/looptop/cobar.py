@@ -24,7 +24,6 @@ cycles of the top spot, each with a unit at a known column and its other
 entries after it (see `_profiles`).
 """
 
-import heapq
 import os
 import sys
 from array import array
@@ -34,7 +33,7 @@ from itertools import accumulate, compress, count, islice, repeat
 from math import gcd
 from operator import ne
 
-from ._linalg import smith_invariants
+from ._linalg import smith_invariants, unit_pivots
 from ._linalg import smith_normal_form as _dense_snf  # kept only as a benchmark span site
 from .errors import IntegrityError, ValidationError, WindowError
 
@@ -509,11 +508,11 @@ def _sparse_rank_and_torsion(columns, skip=None):
     the original matrix is free on the non-pivot rows modulo the columns
     that could not find a unit pivot.  Those survivors are cleared on
     every pivot row by the unit pivots (more unimodular column
-    operations).  Then `_unit_pivots` eliminates every +-1 entry left in
-    them, wherever it lies, and counts it in the rank, so only the columns
-    with no unit left reach `smith_invariants`, whose sparse invariants,
-    certified independently, finish the computation exactly.  With no
-    survivor (the unimodular case) nothing more runs.
+    operations).  Then `_linalg.unit_pivots` eliminates every +-1 entry
+    left in them, wherever it lies, and counts it in the rank, so only the
+    columns with no unit left reach `smith_invariants`, whose sparse
+    invariants, certified independently, finish the computation exactly.
+    With no survivor (the unimodular case) nothing more runs.
 
     `columns` is a `PackedColumns`, and the store is never changed.  The
     loop visits only the live columns, nonempty and not skipped, which
@@ -537,7 +536,7 @@ def _sparse_rank_and_torsion(columns, skip=None):
     packed column where it holds an emergent pivot never unpacked, and -2
     where it holds a reduced column, which a side dict keeps by row while
     the reduction runs.  Each pivot is counted when it is made, so the
-    owners are never scanned.  A unit that `_unit_pivots` takes owns no
+    owners are never scanned.  A unit that `unit_pivots` takes owns no
     row: its column need not have every other entry below it, so it clears
     no column of the next rank.  A reduced unit pivot clears its row and adds
     entries only below it, so the rows a column is eliminated on strictly
@@ -617,61 +616,10 @@ def _sparse_rank_and_torsion(columns, skip=None):
         while hits:
             last = eliminate(vec, min(hits), last)
             hits = [k for k in vec if owner[k] != -1]
-    units, aside = _unit_pivots(aside)
+    units, aside = unit_pivots(aside)
     invariants = smith_invariants(aside)
     torsion = [x for x in invariants if x > 1]
     return pivots + units + len(invariants), torsion, owner
-
-
-def _unit_pivots(columns):
-    """Eliminate the +-1 entries of a residual, wherever they lie; returns
-    their count and the columns with no unit left, in their first order.
-
-    `columns` are {row: value} dicts, changed in place.  The shortest column
-    that holds a unit goes first: its first unit (r, u) clears row r from
-    every other column by column operations, and then the column is
-    dropped, since row operations would clear its other entries and touch
-    no other column.  Both are unimodular, so the Smith form of the input
-    is one 1 per dropped column beside that of what is left.  A column that
-    changes is queued again by its new length; an empty one is dropped.
-    """
-    cols = dict(enumerate(columns))
-    on_row = {}  # row -> the columns with an entry there
-    for k, vec in cols.items():
-        for i in vec:
-            on_row.setdefault(i, set()).add(k)
-    queue = [(len(vec), k) for k, vec in cols.items()]
-    heapq.heapify(queue)
-    units = 0
-    while queue:
-        n, k = heapq.heappop(queue)
-        pivot = cols.get(k)
-        if pivot is None or len(pivot) != n:
-            continue  # dropped, or queued again by its new length
-        r = next((i for i, v in pivot.items() if v in (1, -1)), None)
-        if r is None:
-            continue
-        del cols[k]
-        for i in pivot:
-            on_row[i].discard(k)
-        u = pivot.pop(r)
-        for t in on_row.pop(r):
-            col = cols[t]
-            f = col.pop(r) * u
-            for i, v in pivot.items():
-                nv = col.get(i, 0) - f * v
-                if nv:
-                    col[i] = nv
-                    on_row[i].add(t)
-                else:
-                    del col[i]
-                    on_row[i].discard(t)
-            if col:
-                heapq.heappush(queue, (len(col), t))
-            else:
-                del cols[t]
-        units += 1
-    return units, list(cols.values())
 
 
 def _live(columns, skip):

@@ -263,6 +263,29 @@ def test_a_form_beyond_factoring_is_refused_at_once(argv):
     assert done.stderr.startswith(f"error: cannot factor {_SEMIPRIME**2}")
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_integers_past_the_digit_limit_print_in_full(fmt):
+    # the closed form at degree 2160 has 4,320 digits, past the 4,300 that
+    # Python converts by default; about 10 MB of output
+    argv = ["hilbert", "--space", "manifold:2:100", "--max-degree", "2160", "--format", fmt]
+    limit = sys.get_int_max_str_digits()
+    code, out, err = invoke(argv)
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit  # parsing input keeps its guard
+    sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            top = json.loads(out)["rows"][-1]
+            degree, closed_form = top["degree"], top["closed_form"]
+        else:
+            degree, _, closed_form, _ = out.splitlines()[-2].split()
+            degree, closed_form = int(degree), int(closed_form)
+        assert degree == 2160 and len(str(closed_form)) == 4320
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 LONG_OUTPUT = ["hilbert", "--space", "manifold:2:3", "--max-degree", "2000"]  # about 3 MB
 
 

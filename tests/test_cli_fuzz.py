@@ -110,18 +110,20 @@ def option(flag, values):
 
 def argvs():
     window = small_int(-2, 8)
+    # a report refuses --max-dim below 2, so those windows and junk stay rare
+    report_window = mostly(st.integers(2, 8).map(str), st.one_of(st.integers(-2, 1).map(str), JUNK))
     cutoff = st.one_of(window, small_int(9, 10**6))
     cw = cw_parts().map(lambda nm: ["--n", nm[0], "--matrix", nm[1]])
     commands = st.one_of(
         st.tuples(
             st.just(["manifold"]), option("--n", small_int(2, 6)), option("--betti", small_int(1, 6)),
-            mostly(st.just([]), option("--matrix", junk_matrices())), option("--max-dim", window),
+            mostly(st.just([]), option("--matrix", junk_matrices())), option("--max-dim", report_window),
         ),
         st.tuples(
             st.just(["connected-sum"]), option("--factors", factors()),
-            st.one_of(st.just([]), option("--signs", signs())), option("--max-dim", window),
+            st.one_of(st.just([]), option("--signs", signs())), option("--max-dim", report_window),
         ),
-        st.tuples(st.just(["cw"]), mostly(cw, st.just(["--n", "2"])), option("--max-dim", window)),
+        st.tuples(st.just(["cw"]), mostly(cw, st.just(["--n", "2"])), option("--max-dim", report_window)),
         st.tuples(
             st.just(["betti-one"]), option("--n", mostly(st.sampled_from(["2", "4", "8"]), JUNK)),
             option("--m", small_int(-5, 200)),

@@ -1,8 +1,10 @@
+import inspect
 import io
 import os
 import re
 import subprocess
 import sys
+import textwrap
 import tracemalloc
 from array import array
 from itertools import compress, count
@@ -14,7 +16,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import looptop._linalg as _linalg
-from looptop._linalg import det_int, factorize, minor_gcd, smith_invariants, smith_normal_form
+from looptop._linalg import (
+    det_int,
+    factorize,
+    minor_gcd,
+    smith_invariants,
+    smith_normal_form,
+    unit_pivots,
+)
 import looptop.cobar as cobar
 from looptop.cli import parse_space, run
 from looptop.cobar import (
@@ -191,6 +200,20 @@ def columns_with_planted_units(draw):
 
 
 @st.composite
+def columns_with_bystanders(draw):
+    """Columns with planted units over rows 0..n-1, and among them, at drawn
+    places, up to 3 bystanders: columns with no unit, each on rows of its
+    own past n-1, which the unit step must leave as they are.  Returns the
+    row count, the columns and the bystanders' indices."""
+    n, cols = draw(columns_with_planted_units())
+    entry = st.sampled_from([2, -2, 3, 6, -9])
+    for k in range(draw(st.integers(0, 3))):
+        rows = draw(st.sets(st.sampled_from([n + 2 * k, n + 2 * k + 1]), min_size=1))
+        cols.insert(draw(st.integers(0, len(cols))), {r: draw(entry) for r in sorted(rows)})
+    return n + 6, cols, [i for i, col in enumerate(cols) if min(col) >= n]
+
+
+@st.composite
 def columns_sharing_leads(draw):
     """Up to 12 sparse columns over at most 8 rows, with leading entries
     that are often not units and rows in any order; each column after the
@@ -224,6 +247,25 @@ class TestSmithInvariants:
     def test_agrees_with_the_dense_form(self, matrix):
         assert smith_invariants(columns_of(matrix)) == smith_form_with_transforms(matrix)[0]
 
+    @given(columns_with_bystanders())
+    @settings(max_examples=200, deadline=None)
+    def test_unit_pivots_leave_the_smith_form_and_the_order(self, drawn):
+        n, columns, bystanders = drawn
+        before = [dict(col) for col in columns]
+        count, residual = unit_pivots(columns)
+        assert columns == before
+
+        def invariants(cols):
+            return smith_form_with_transforms([[col.get(i, 0) for col in cols] for i in range(n)])[0]
+
+        assert [1] * count + invariants(residual) == invariants(columns)
+        assert all(v not in (1, -1) for col in residual for v in col.values())
+        # a bystander shares no row with a pivot, so it comes out as it went
+        # in, and the columns before it in the residual come from before it
+        at = [residual.index(columns[i]) for i in bystanders]
+        assert at == sorted(at)
+        assert all(a <= i for a, i in zip(at, bystanders))
+
     def test_dense_form_has_no_entry_swell(self):
         # interleaved row and column passes used to grow this 6x5 to 500-digit entries
         matrix = [
@@ -247,29 +289,53 @@ def _largest_invariant_dropped(diagonalize):
     return lambda columns: sorted(diagonalize(columns))[:-1]
 
 
+def _unreduced_update(eliminate):
+    # the shared pivot loop without the reduction mod m of its column update:
+    # an entry that is 0 mod m stays, and counts as a pivot of valuation k
+    source = textwrap.dedent(inspect.getsource(eliminate))
+    assert "nv %= m" in source
+    scope = dict(vars(_linalg))
+    exec(source.replace("nv %= m", "pass"), scope)
+    return scope["_eliminate"]
+
+
 # content 1 and determinant 9: the residual still reaches `_diagonalize`
 # with a 9 on its diagonal after the unit pivots are taken
 _TORSION_COBAR = ["verify", "cobar", "--space", "cw:2:2,1;1,5", "--max-degree", "4"]
 _PI10_V8 = ["betti-one", "--n", "4", "--m", "1"]  # diagonal [1, 1]: no Z/9 to misread
+_Z3_AND_Z9 = [{0: 9}, {1: 3}]
 
 
 @pytest.mark.parametrize(
-    "fault, argvs",
+    "target, fault, columns, argvs",
     [
-        pytest.param(_z9_read_as_z3, [_TORSION_COBAR], id="_z9_read_as_z3"),
         pytest.param(
-            _largest_invariant_dropped, [_TORSION_COBAR, _PI10_V8], id="_largest_invariant_dropped"
+            "_diagonalize", _z9_read_as_z3, _Z3_AND_Z9, [_TORSION_COBAR], id="_z9_read_as_z3"
+        ),
+        pytest.param(
+            "_diagonalize",
+            _largest_invariant_dropped,
+            _Z3_AND_Z9,
+            [_TORSION_COBAR, _PI10_V8],
+            id="_largest_invariant_dropped",
+        ),
+        pytest.param(
+            "_eliminate",
+            _unreduced_update,
+            [{0: -3, 1: 3}, {0: 3, 1: -3}],
+            [_TORSION_COBAR],
+            id="_unreduced_update",
         ),
     ],
 )
-def test_smith_certificate_can_fail(monkeypatch, fault, argvs):
-    monkeypatch.setattr(_linalg, "_diagonalize", fault(_linalg._diagonalize))
+def test_smith_certificate_can_fail(monkeypatch, target, fault, columns, argvs):
+    monkeypatch.setattr(_linalg, target, fault(getattr(_linalg, target)))
     with pytest.raises(IntegrityError, match="certificate"):
-        smith_invariants([{0: 9}, {1: 3}])
+        smith_invariants(columns)
     for argv in argvs:
         out, err = io.StringIO(), io.StringIO()
         assert run(argv, out=out, err=err) == 1, argv
-        assert "integrity error" in err.getvalue()
+        assert "integrity error: Smith form certificate failed" in err.getvalue()
 
 
 def test_linalg_imports_only_the_errors():
