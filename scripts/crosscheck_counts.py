@@ -17,13 +17,15 @@ import argparse
 from looptop.algebra import Alphabet
 from looptop.lyndon import standard_lyndon_counts
 from looptop.series import closed_form_lie_rank, lie_ranks_from_denominator, pbw_match_ungraded
-from looptop.spaces import Manifold, TwoCellComplex, default_manifold_matrix
+from looptop.spaces import Manifold, TwoCellComplex, default_manifold_form
 
 
 def space_of(n, r):
     """A space whose loop homology is that of the (n, r) manifold family."""
     if n % 2 and r % 2:
-        form = [row + [0] for row in default_manifold_matrix(n, r - 1)] + [[0] * r]
+        form = [[0] * r for _ in range(r)]  # the last row and column stay zero
+        for i, j, g in default_manifold_form(n, r - 1):
+            form[i][j] = g
         return TwoCellComplex(n, form)
     return Manifold(n, r)
 

@@ -3,17 +3,18 @@
 Words are plain tuples of letter indices; lexicographic comparison is
 tuple comparison, which matches the alphabet order by construction.  A
 TensorElement is a sparse homogeneous rational combination of words.  The
-quadratic relation of a space arrives as its alphabet and the rows of its
-integer form, both read off the space's homology coalgebra (see
-`spaces`), and leaves as a NormalizedRelation: its letters reordered so
-that two letters spanning a nonsingular plane of the form come first and
-the rest keep their order.  Splitting that plane off over the rationals
-would turn the relation into a rewrite rule x0 x1 -> (words without
-x0 x1); every count reads only the forbidden factor x0 x1, so the letter
-order is found by an integer search and the congruence itself is never
-formed.
+quadratic relation of a space arrives as its alphabet and the nonzero
+entries (i, j, g_ij) of its integer form, both read off the space's
+homology coalgebra (see `spaces`), and leaves as a NormalizedRelation:
+its letters reordered so that two letters spanning a nonsingular plane
+of the form come first and the rest keep their order.  Splitting that
+plane off over the rationals would turn the relation into a rewrite rule
+x0 x1 -> (words without x0 x1); every count reads only the forbidden
+factor x0 x1, so the letter order is found by an integer search and the
+congruence itself is never formed.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -144,15 +145,16 @@ def relation_from_space(space):
     return space.relation()
 
 
-def _plane_letters(g):
-    """The first letters (i0, j0) spanning a nonsingular plane of g, or None.
+def _plane_letters(n, form):
+    """The first letters (i0, j0) spanning a nonsingular plane of the form
+    g on n letters, given by its nonzero entries (i, j, g_ij), or None.
 
     A coordinate plane is nonsingular when g_ii g_jj != g_ij g_ji; on a skew
     form that is g_ij != 0.
     """
-    n = len(g)
+    g = defaultdict(int, {(i, j): v for i, j, v in form})  # reads 0 off the entries
     coordinate = ((i, j) for i in range(n) for j in range(i + 1, n))
-    plane = next(((i, j) for i, j in coordinate if g[i][i] * g[j][j] != g[i][j] * g[j][i]), None)
+    plane = next(((i, j) for i, j in coordinate if g[i, i] * g[j, j] != g[i, j] * g[j, i]), None)
     if plane is not None:
         return plane
     # every coordinate plane is singular, so the form is not skew unless it
@@ -160,12 +162,12 @@ def _plane_letters(g):
     # letter i pairs to zero with itself, and i spans a plane with j1
     # exactly when the projections of j1 and some j2 pair to
     # g_j1j2 - g_ij1 g_ij2 / g_ii != 0
-    i = next((i for i in range(n) if g[i][i]), None)
+    i = next((i for i in range(n) if g[i, i]), None)
     if i is None:
         return None
     others = [j for j in range(n) if j != i]
     for j1 in others:
-        if any(g[i][i] * g[j1][j2] != g[i][j1] * g[i][j2] for j2 in others if j2 != j1):
+        if any(g[i, i] * g[j1, j2] != g[i, j1] * g[i, j2] for j2 in others if j2 != j1):
             return i, j1
     return None
 
@@ -173,19 +175,20 @@ def _plane_letters(g):
 def normalize_relation(alphabet, form):
     """The NormalizedRelation of the relation sum g_ij x_i x_j, g = `form`.
 
-    The form is given by its rows and is symmetric or skew.  Its plane is
+    The form is given by its nonzero entries (i, j, g_ij), as the space's
+    relation states it, and is symmetric or skew.  Its plane is
     found by an integer search; a plane exists exactly when the form has
     rank >= 2, so a form of lower rank is refused.  A relation whose
     nonzero g_ij do not all have the same degree deg_i + deg_j is not
     homogeneous, which no space model produces.
     """
-    if len(form) != alphabet.size:
+    if any(max(i, j) >= alphabet.size for i, j, _ in form):
         raise ValidationError("alphabet and relation size differ")
-    plane = _plane_letters(form)
+    plane = _plane_letters(alphabet.size, form)
     if plane is None:
         raise UnsupportedSpaceError("normalization needs rank >= 2")
     degrees = alphabet.degrees
-    weights = {degrees[i] + degrees[j] for i, row in enumerate(form) for j, v in enumerate(row) if v}
+    weights = {degrees[i] + degrees[j] for i, j, v in form if v}
     if len(weights) > 1:
         raise IntegrityError(f"relation mixes the degrees {sorted(weights)}: it is not homogeneous")
     order = [*plane, *(k for k in range(alphabet.size) if k not in plane)]

@@ -17,10 +17,12 @@ three families share the one-relator quadratic pipeline and count their
 sphere summands in `sphere_counts(max_dim)`, the Moebius inversion of
 that fraction; manifolds and two-cell complexes check the count against
 the closed form for r letters and one relation.  Their integer form is
-stated once, in the top cell's reduced diagonal, and `relation()` and
-`series_fraction()` read it off the coalgebra; a two-cell complex of rank
-below 2 refuses a relation.  Betti-one models, and manifolds of Betti
-number 1, have no quadratic relation and answer from closed forms.
+stated once, as its nonzero entries in the top cell's reduced diagonal,
+and `relation()` and `series_fraction()` read it off the coalgebra; no
+r x r list is built unless the user typed the matrix.  A two-cell
+complex of rank below 2 refuses a relation.  Betti-one models, and
+manifolds of Betti number 1, have no quadratic relation and answer from
+closed forms.
 """
 
 from dataclasses import dataclass
@@ -59,8 +61,9 @@ def _check_parity(matrix, n, what="matrix"):
         raise ValidationError(f"{what} must be {kind}")
 
 
-def default_manifold_matrix(n, r):
-    """A unimodular form of the parity forced by n.
+def default_manifold_form(n, r):
+    """A unimodular form of the parity forced by n, as its nonzero entries
+    (i, j, g_ij) row by row.
 
     n odd needs a skew form, so r must be even: a direct sum of symplectic
     blocks [[0, 1], [-1, 0]].  n even: hyperbolic blocks [[0, 1], [1, 0]],
@@ -72,12 +75,8 @@ def default_manifold_matrix(n, r):
             f"no skew unimodular form of odd rank {r}: an (n-1)-connected 2n-manifold "
             f"with n odd has even middle Betti number"
         )
-    form = [[0] * r for _ in range(r)]
-    for k in range(0, r - 1, 2):
-        form[k][k + 1], form[k + 1][k] = 1, (-1) ** n
-    if r % 2 == 1:
-        form[r - 1][r - 1] = 1
-    return form
+    form = [entry for k in range(0, r - 1, 2) for entry in ((k, k + 1, 1), (k + 1, k, (-1) ** n))]
+    return tuple(form + [(r - 1, r - 1, 1)] * (r % 2))
 
 
 def _bigraded_quotient(numerator, denominator, order):
@@ -137,11 +136,11 @@ class _OneRelator(_Family):
     """
 
     def relation(self):
-        """Alphabet and integer form (its rows) of the quadratic relation.
+        """Alphabet and integer form of the quadratic relation.
 
         The letters are the generators other than the top cell, one degree
-        lower and under the same names; the form is read off the top cell's
-        reduced diagonal.
+        lower and under the same names; the form is the top cell's reduced
+        diagonal as stored, its nonzero entries (i, j, g_ij).
         """
         # algebra is imported on first use, here and below, to keep it out
         # of the start-up of commands that never build a relation
@@ -149,11 +148,8 @@ class _OneRelator(_Family):
 
         coalgebra = self.coalgebra()
         *letters, _top = coalgebra.generators
-        form = [[0] * len(letters) for _ in letters]
-        for i, j, g in coalgebra.diagonal(len(letters)):
-            form[i][j] = g
         names, degrees = zip(*letters)
-        return Alphabet(tuple(d - 1 for d in degrees), names), tuple(map(tuple, form))
+        return Alphabet(tuple(d - 1 for d in degrees), names), coalgebra.diagonal(len(letters))
 
     def series_fraction(self):
         """1 / (1 - sum_g x t^(|g|-1) + x^2 t^(|top|-2)), read off the coalgebra.
@@ -185,12 +181,19 @@ class _FormSpace(_OneRelator):
     """Shared by manifolds and two-cell complexes: r n-spheres with one
     2n-cell attached along the integral form `self.form`."""
 
+    @property
+    def form(self):
+        """The nonzero entries (i, j, g_ij) of the form, row by row: those
+        of the typed matrix, else of `default_manifold_form`."""
+        if self.matrix is None:
+            return default_manifold_form(self.n, self.r)
+        return tuple((i, j, g) for i, row in enumerate(self.matrix) for j, g in enumerate(row) if g)
+
     def coalgebra(self):
         from .algebra import _sub
 
         gens = tuple((_sub("α", i + 1), self.n) for i in range(self.r)) + (("top", 2 * self.n),)
-        terms = tuple((i, j, g) for i, row in enumerate(self.form) for j, g in enumerate(row) if g)
-        return FiniteCoalgebra(gens, {self.r: terms})
+        return FiniteCoalgebra(gens, {self.r: self.form})
 
     def sphere_counts(self, max_dim):
         """The inversion, checked in every degree against the closed form
@@ -247,10 +250,6 @@ class Manifold(_FormSpace):
             if abs(det_int([list(row) for row in m])) != 1:
                 raise ValidationError("a closed-manifold intersection form must be unimodular")
             object.__setattr__(self, "matrix", m)
-
-    @property
-    def form(self):
-        return self.matrix if self.matrix is not None else default_manifold_matrix(self.n, self.r)
 
     @property
     def label(self):
@@ -384,10 +383,6 @@ class TwoCellComplex(_FormSpace):
         return len(self.matrix)
 
     @property
-    def form(self):
-        return self.matrix
-
-    @property
     def label(self):
         rows = ";".join(",".join(str(v) for v in row) for row in self.matrix)
         return f"X(n={self.n},Q=[{rows}])"
@@ -399,7 +394,7 @@ class TwoCellComplex(_FormSpace):
         """Whether the form has rank < 2 over Q: it has no nonsingular plane."""
         from .algebra import _plane_letters
 
-        return _plane_letters(self.matrix) is None
+        return _plane_letters(self.r, self.form) is None
 
     def relation(self):
         if self._rank_below_two():

@@ -21,7 +21,8 @@ unpacks every column, dense and sparse rank over Q, the dense Smith
 normal form with transforms (the reference for the sparse Smith
 invariants), and the `Fraction` series logarithm and exponential with the
 log + Moebius Lie ranks, and the small helpers only tests read: tensor
-elements as text, the relation as a tensor, a dimension table as a list,
+elements as text, a form's rows as its nonzero entries and back, the
+relation as a tensor, a dimension table as a list,
 the smoothability table of the Betti-one manifolds.  The engine never
 calls them; the tests use them to check its answers by an independent
 route.
@@ -1039,6 +1040,21 @@ def render(element):
 
 def single_letter(alphabet, i):
     return TensorElement(alphabet, {(i,): Fraction(1)})
+
+
+def entries(rows):
+    """The nonzero entries (i, j, g_ij) of a form given by its rows, row by
+    row: the form as the engine's relation path carries it."""
+    return tuple((i, j, g) for i, row in enumerate(rows) for j, g in enumerate(row) if g)
+
+
+def dense(form, size):
+    """The rows of a form on `size` letters given by its nonzero entries,
+    as the rational plane split reads it."""
+    rows = [[0] * size for _ in range(size)]
+    for i, j, g in form:
+        rows[i][j] = g
+    return tuple(map(tuple, rows))
 
 
 def relation_tensor(form, alphabet):

@@ -3,16 +3,17 @@
 Argument lists are drawn from the space grammar and the command flags.
 Most pieces are well formed, so that the pipelines run; malformed ones are
 mixed in: bad integers, unknown families, ragged or asymmetric matrices,
-mismatched factors, stray flags and left-out values.  Whatever comes in,
-`run` returns instead of raising, the exit code is 0 (success) or 2 (usage
-error), and no traceback reaches stderr.  Exit 1 means two pipelines
-disagree, which no input may cause.  When a report or `moore` succeeds,
-it is run again in the other format, and its table must read the same
-fields as its JSON payload.
+mismatched factors, sign lists that do not match the factors, stray flags
+and left-out values.  Whatever comes in, `run` returns instead of raising,
+the exit code is 0 (success) or 2 (usage error), and no traceback reaches
+stderr.  Exit 1 means two pipelines disagree, which no input may cause.
+When a report or `moore` succeeds, it is run again in the other format,
+and its table must read the same fields as its JSON payload.
 
 Sizes are bounded so that the test stays fast: `LOOPTOP_MAX_CELLS=20000`,
-Betti numbers and matrix sizes up to 6, windows up to 8 for the reports,
-`verify counts` and `hilbert`.  `verify cobar` cutoffs go up to 10^6,
+Betti numbers and matrix sizes up to 6 (a `manifold` report's `--betti`
+up to 40 one time in ten), windows up to 8 for the reports, `verify
+counts` and `hilbert`.  `verify cobar` cutoffs go up to 10^6,
 because the cell cap alone bounds its work and refuses at once at any
 cutoff.  `lie-basis` builds a bracket for every basis word, so its window
 stops at 5; a report lists witnesses only while there are at most 2000 of
@@ -85,9 +86,27 @@ def factors():
     return mostly(good_factors(), st.lists(pair, min_size=1, max_size=3).map(",".join))
 
 
-def signs():
+def signs(count=None):
+    """`count` signs, or 1-3 when no count is given."""
     sign = mostly(st.sampled_from(["+", "-"]), st.sampled_from(["x", ""]))
-    return st.lists(sign, min_size=1, max_size=3).map(",".join)
+    return st.lists(sign, min_size=count or 1, max_size=count or 3).map(",".join)
+
+
+def factors_with_signs():
+    """(factors, signs), with one sign per factor about nineteen times in
+    twenty; else a list of 1-3 signs, now and then a ragged one."""
+    return factors().flatmap(
+        lambda text: st.tuples(st.just(text), mostly(signs(text.count(",") + 1), signs()))
+    )
+
+
+@st.composite
+def csum_flags(draw):
+    """The factors and signs flags of `connected-sum`, each now and then left
+    out.  The signs go in one `--signs=` token, since argparse would read a
+    list that starts with "-" as a flag."""
+    text, sign_text = draw(factors_with_signs())
+    return draw(option("--factors", st.just(text))) + draw(st.sampled_from([[], [f"--signs={sign_text}"]]))
 
 
 def space_texts():
@@ -95,7 +114,7 @@ def space_texts():
         st.one_of(
             st.builds("manifold:{}:{}".format, small_int(2, 6), small_int(1, 6)),
             st.builds("csum:{}".format, factors()),
-            st.builds("csum:{}:signs={}".format, factors(), signs()),
+            factors_with_signs().map(lambda fs: "csum:{}:signs={}".format(*fs)),
             cw_parts().map(lambda nm: f"cw:{nm[0]}:{nm[1]}"),
             st.builds("betti1:{}:{}".format, st.sampled_from(["2", "4", "8", "3"]), small_int(-5, 200)),
         ),
@@ -113,16 +132,15 @@ def argvs():
     # a report refuses --max-dim below 2, so those windows and junk stay rare
     report_window = mostly(st.integers(2, 8).map(str), st.one_of(st.integers(-2, 1).map(str), JUNK))
     cutoff = st.one_of(window, small_int(9, 10**6))
+    # the relation path is linear in the Betti number, so one time in ten it goes up to 40
+    betti = st.integers(0, 9).flatmap(lambda k: small_int(1, 6) if k else small_int(1, 40))
     cw = cw_parts().map(lambda nm: ["--n", nm[0], "--matrix", nm[1]])
     commands = st.one_of(
         st.tuples(
-            st.just(["manifold"]), option("--n", small_int(2, 6)), option("--betti", small_int(1, 6)),
+            st.just(["manifold"]), option("--n", small_int(2, 6)), option("--betti", betti),
             mostly(st.just([]), option("--matrix", junk_matrices())), option("--max-dim", report_window),
         ),
-        st.tuples(
-            st.just(["connected-sum"]), option("--factors", factors()),
-            st.one_of(st.just([]), option("--signs", signs())), option("--max-dim", report_window),
-        ),
+        st.tuples(st.just(["connected-sum"]), csum_flags(), option("--max-dim", report_window)),
         st.tuples(st.just(["cw"]), mostly(cw, st.just(["--n", "2"])), option("--max-dim", report_window)),
         st.tuples(
             st.just(["betti-one"]), option("--n", mostly(st.sampled_from(["2", "4", "8"]), JUNK)),

@@ -21,8 +21,8 @@ report past the witness limit, mixed sphere degrees, a skew torsion form),
 and the closed-form Lie rank that every form report checks at large
 windows: `manifold --n 2 --betti 3 --max-dim 300` and the odd-n skew form
 `cw --n 3 --matrix "0,1,0,0;-1,0,0,0;0,0,0,1;0,0,-1,0" --max-dim 600`,
-and the necklace counts of `verify counts --space csum:2x3,2x3` at degree 400,
-whose letters have degrees 1 and 2.
+the necklace counts of `verify counts --space csum:2x3,2x3` at degree 400,
+whose letters have degrees 1 and 2, and `hilbert` at Betti number 2000.
 
 A digest changes only with a deliberate change of output.  Run this file as
 a script (`PYTHONPATH=src python tests/test_cli_golden.py`) to print the
@@ -140,6 +140,8 @@ REQUESTS = (
     # necklace counts over letters of degrees 1 and 2 at a large window:
     # the walk table is empty at every length below half the degree
     ("counts-mixed-degrees-400-json", ["verify", "counts", "--space", "csum:2x3,2x3", "--max-degree", "400", "--format", "json"], {}),
+    # a Betti number of 2000, whose form travels as its 2000 nonzero entries
+    ("hilbert-betti-2000-json", ["hilbert", "--space", "manifold:2:2000", "--max-degree", "8", "--format", "json"], {}),
 )
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -220,6 +222,7 @@ GOLDEN = {
     "manifold-max-dim-300-json": (0, "9d5dc679a188fec5a3ba69ff651bde73370d0a2a9e0746df97533e9995c906da", EMPTY),
     "cw-skew-max-dim-600-json": (0, "88e81ab7457a5f455e03124db46faa46ad70b7d7937f4823a9fd93264f7a86ec", EMPTY),
     "counts-mixed-degrees-400-json": (0, "3fcd24828ce9d577aa8c8f42b4135bde763f87468edd70347e25f73f2f4c2dc9", EMPTY),
+    "hilbert-betti-2000-json": (0, "364dd3ccecb5eb792ff47ef9fcb30cc81330169bcc36cf9e13e20378e07d9b27", EMPTY),
 }
 
 

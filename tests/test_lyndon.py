@@ -28,6 +28,7 @@ from looptop.spaces import ConnectedSum, Manifold
 from oracles import (
     RewriteSystem,
     closed_walks_by_start,
+    dense,
     irreducible_words,
     is_zero,
     necklace_count_every_length,
@@ -278,7 +279,7 @@ class TestReducedBracketIndependence:
         for space in (Manifold(2, 3), ConnectedSum(((2, 3), (2, 3)))):
             ab, rel = relation_from_space(space)
             nr = normalize_relation(ab, rel)
-            rs = RewriteSystem.from_normalized(rational_plane_split(ab, rel))
+            rs = RewriteSystem.from_normalized(rational_plane_split(ab, dense(rel, ab.size)))
             for d, words in _basis(space, 6).items():
                 rows = []
                 for w in words:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,8 @@ from looptop.spaces import ConnectedSum, Manifold
 from oracles import (
     RewriteSystem,
     connected_sum_denominator,
+    dense,
+    entries,
     evaluate,
     irreducible_words,
     is_zero,
@@ -141,7 +144,7 @@ class TestConnectedSumOracle:
         # relation [a1,b1] + [a2,b2] = 0: substitute matrix quadruples with
         # [A2, B2] = -[A1, B1] and compare reduce against plain evaluation
         ab, rel = relation_from_space(ConnectedSum(((2, 3), (2, 3))))
-        split = rational_plane_split(ab, rel)
+        split = rational_plane_split(ab, dense(rel, ab.size))
         rs = RewriteSystem.from_normalized(split)
         rng = random.Random(31)
         for _ in range(20):
@@ -161,7 +164,7 @@ class TestFractionalRule:
         # Q = [[2,1],[1,2]] has det 3; normalization stays rational and the
         # reducer must handle fractional rule coefficients exactly
         rel = ((2, 1), (1, 2))
-        nr = normalize_relation(AB2, rel)
+        nr = normalize_relation(AB2, entries(rel))
         split = rational_plane_split(AB2, rel)
         rs = RewriteSystem.from_normalized(split)
         counts = irreducible_counts(nr.alphabet, nr.forbidden_pair, 6)
@@ -225,6 +228,18 @@ class TestIrreducibleWords:
         d = [1, counts[1]] + [counts[w] for w in range(2, 11)]
         for w in range(2, 11):
             assert d[w] == 3 * d[w - 1] - d[w - 2]
+
+    def test_counts_keep_a_few_integers_per_degree(self):
+        # a table by (degree, letter) holds about 100 MiB here, and at
+        # r = 10000, D = 1100 more than the memory of a small host
+        tracemalloc.start()
+        try:
+            counts = irreducible_counts(Alphabet.uniform(3000, 1), (0, 1), 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        assert (1,) + tuple(counts.values()) == manifold_denominator(2, 3000, 200).inverse().coefficients
 
 
 def _enumerated_series(alphabet, forbidden, up_to_degree):

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import tracemalloc
 from functools import partial
 from itertools import product
 
@@ -21,13 +22,16 @@ from looptop.spaces import (
     betti_one_report,
     classify_rational,
     decomposition_report,
+    default_manifold_form,
     group_description,
     moore_report,
+    normalized_relation,
     pi10_v8,
 )
 from oracles import (
     betti_one_denominator,
     connected_sum_denominator,
+    dense,
     finite_pi1_betti,
     manifold_denominator,
     rank_rational,
@@ -98,6 +102,36 @@ class TestModelValidation:
         assert BettiOne(8, 121).m == 1
         with pytest.raises(ValidationError):
             BettiOne(3, 0)
+
+
+class TestForms:
+    """A form travels as its nonzero entries from the space to the normal order."""
+
+    @pytest.mark.parametrize(
+        "n, r",
+        [
+            (n, r)
+            for n in range(2, 6)
+            for r in range(1, 9)
+            if (r > 1 or n in (2, 4)) and not (n % 2 and r % 2)
+        ],
+    )
+    def test_the_default_form_agrees_with_its_typed_matrix(self, n, r):
+        typed = Manifold(n, r, dense(default_manifold_form(n, r), r))
+        assert Manifold(n, r).coalgebra() == typed.coalgebra()
+        if r >= 2:
+            assert normalized_relation(Manifold(n, r)) == normalized_relation(typed)
+
+    def test_a_large_betti_number_builds_no_square_form(self):
+        # an r x r list at r = 3000 alone holds about 70 MiB; the entries of
+        # the default form take O(r)
+        tracemalloc.start()
+        try:
+            normalized_relation(Manifold(2, 3000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20, peak
 
 
 class TestBadPrimes:
