@@ -56,6 +56,8 @@ def parse_space(text):
         for extra in extras:
             if not extra.startswith("signs="):
                 raise ValidationError(f"unknown csum option {extra!r}")
+            if signs_text is not None:
+                raise ValidationError(f"csum option 'signs=' given twice, again as {extra!r}")
             signs_text = extra[len("signs="):]
         return parse_connected_sum(factors_text, signs_text)
     if head == "cw":

@@ -18,17 +18,6 @@ from .series import divisors, moebius_mu
 from .series import pbw_match_ungraded  # kept only as a benchmark span site
 
 
-def is_lyndon(word):
-    """True when the word is strictly smaller than its proper rotations."""
-    n = len(word)
-    if n == 0:
-        return False
-    for k in range(1, n):
-        if word[k:] + word[:k] <= word:
-            return False
-    return True
-
-
 def duval_generate(r, max_length):
     """All Lyndon words over 0..r-1 of length <= max_length, in lex order."""
     if max_length < 1:
@@ -44,31 +33,19 @@ def duval_generate(r, max_length):
             w.pop()
 
 
-def generate_lyndon(alphabet, max_degree):
-    """Lyndon words of total degree <= max_degree, grouped and lex-sorted."""
-    if max_degree < 1:
-        raise ValidationError("max_degree must be >= 1")
-    out = {d: [] for d in range(1, max_degree + 1)}
-    min_deg = min(alphabet.degrees)
-    for word in duval_generate(alphabet.size, max_degree // min_deg):
-        d = alphabet.word_degree(word)
-        if d <= max_degree:
-            out[d].append(word)
-    return out
-
-
 def standard_factorization(word):
-    """Split l = l1 l2 with l2 the longest proper Lyndon suffix.
+    """Split l = l1 l2 at the start of l2, the least proper suffix.
 
-    The last letter is a Lyndon suffix, so one is always found, and the
-    left factor l1 is then Lyndon too (Lothaire, *Combinatorics on Words*,
-    Prop. 5.1.3).
+    A word is Lyndon exactly when it is smaller than every proper suffix,
+    so the one scan also refuses the rest.  For a Lyndon word the least
+    proper suffix is its longest proper Lyndon suffix, and l1 is then
+    Lyndon too (Lothaire, *Combinatorics on Words*, Prop. 5.1.3).
     """
     if len(word) < 2:
         raise ValidationError("standard factorization needs length >= 2")
-    if not is_lyndon(word):
+    i = min(range(1, len(word)), key=lambda i: word[i:])
+    if word[i:] <= word:
         raise ValidationError(f"{word} is not a Lyndon word")
-    i = next(i for i in range(1, len(word)) if is_lyndon(word[i:]))
     return word[:i], word[i:]
 
 
@@ -99,19 +76,17 @@ def bracket_string(word, alphabet):
     return f"[{bracket_string(l1, alphabet)},{bracket_string(l2, alphabet)}]"
 
 
-def _contains_factor(word, pair):
-    a, b = pair
-    return any(word[i] == a and word[i + 1] == b for i in range(len(word) - 1))
-
-
 def standard_lyndon_words(alphabet, forbidden, max_degree):
-    """Lyndon words of degree <= D avoiding the forbidden factor."""
-    out = {}
-    for d, words in generate_lyndon(alphabet, max_degree).items():
-        kept = [w for w in words if not _contains_factor(w, forbidden)]
-        if kept:
-            out[d] = kept
-    return out
+    """Lyndon words of degree <= D avoiding the forbidden factor (a, b), from
+    one Duval walk: {degree: lex-sorted words}, in ascending degree."""
+    if max_degree < 1:
+        raise ValidationError("max_degree must be >= 1")
+    out = defaultdict(list)
+    for word in duval_generate(alphabet.size, max_degree // min(alphabet.degrees)):
+        d = alphabet.word_degree(word)
+        if d <= max_degree and forbidden not in zip(word, word[1:]):
+            out[d].append(word)
+    return dict(sorted(out.items()))
 
 
 def standard_lyndon_counts(alphabet, forbidden, max_degree):

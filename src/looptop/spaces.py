@@ -25,8 +25,8 @@ manifolds of Betti number 1, have no quadratic relation and answer from
 closed forms.
 """
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ._linalg import det_int, factorize, minor_gcd, smith_normal_form
 from .cobar import FiniteCoalgebra
@@ -36,15 +36,11 @@ from .series import pbw_match_graded  # kept only as a benchmark span site
 
 
 def _as_int_matrix(matrix, what="matrix"):
-    rows = []
-    for row in matrix:
-        out = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValidationError(f"{what} entries must be integers")
-            out.append(int(f))
-        rows.append(tuple(out))
+    """The rows as tuples of ints: each entry is checked as an int, not parsed."""
+    try:
+        rows = [tuple(map(operator.index, row)) for row in matrix]
+    except TypeError:
+        raise ValidationError(f"{what} entries must be integers")
     size = len(rows)
     if any(len(row) != size for row in rows):
         raise ValidationError(f"{what} must be square")

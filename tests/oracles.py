@@ -2,7 +2,10 @@
 
 The rewriting reducer (normal forms modulo one quadratic relation, with
 strongly connected clusters of reducible words solved exactly), explicit
-irreducible-word enumeration, the closed walks avoiding the factor counted
+irreducible-word enumeration, the Lyndon predicate by rotations, the free
+Lyndon words of every word enumerated (the reference for the Duval walk),
+the standard factorization by the longest Lyndon suffix (the reference for
+the least-suffix split), the closed walks avoiding the factor counted
 once per start letter (the reference for the necklace walk), the necklace
 sum over every word length (the reference for the necklace count), matrix
 evaluation of tensor elements, the rational plane split of a quadratic
@@ -42,7 +45,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, repeat
+from itertools import islice, product, repeat
 from math import comb
 from operator import gt, ne
 
@@ -265,6 +268,38 @@ def irreducible_words(alphabet, forbidden, up_to_degree, max_words=None):
     for d in out:
         out[d].sort()
     return out
+
+
+def is_lyndon(word):
+    """True when the word is strictly smaller than its proper rotations."""
+    n = len(word)
+    if n == 0:
+        return False
+    for k in range(1, n):
+        if word[k:] + word[:k] <= word:
+            return False
+    return True
+
+
+def generate_lyndon(alphabet, max_degree):
+    """Lyndon words of total degree <= max_degree, {d: lex-sorted words} for
+    every d in 1..max_degree: every word of each length, kept when Lyndon."""
+    out = {d: [] for d in range(1, max_degree + 1)}
+    for length in range(1, max_degree // min(alphabet.degrees) + 1):
+        for word in product(range(alphabet.size), repeat=length):
+            d = alphabet.word_degree(word)
+            if d <= max_degree and is_lyndon(word):
+                out[d].append(word)
+    for words in out.values():
+        words.sort()
+    return out
+
+
+def longest_lyndon_suffix_split(word):
+    """l = l1 l2 with l2 the longest proper Lyndon suffix of a Lyndon word,
+    found by testing each suffix from the longest down."""
+    i = next(i for i in range(1, len(word)) if is_lyndon(word[i:]))
+    return word[:i], word[i:]
 
 
 def closed_walks_by_start(alphabet, forbidden, max_degree):

@@ -39,6 +39,19 @@ class TestParsing:
         with pytest.raises(ValidationError):
             parse_space("manifold:2")
 
+    def test_csum_refuses_a_second_signs_option(self):
+        code, out, err = invoke(
+            ["hilbert", "--space", "csum:2x3,2x3:signs=+,+:signs=-,-", "--max-degree", "2", "--format", "json"]
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: csum option 'signs=' given twice, again as 'signs=-,-'\n"
+
+    def test_typed_matrix_messages(self):
+        assert invoke(["cw", "--n", "2", "--matrix", "0,1.5;1.5,0"])[2] == (
+            "error: matrix entry '1.5' is not an integer\n"
+        )
+        assert invoke(["cw", "--n", "2", "--matrix", "0,1;1"])[2] == "error: cup-product form must be square\n"
+
     def test_connected_sum_flags_share_the_grammar_parser(self):
         code, out, err = invoke(["connected-sum", "--factors", "2x3,2x3", "--signs", "+,x"])
         grammar_code, _, grammar_err = invoke(
@@ -284,6 +297,18 @@ def test_integers_past_the_digit_limit_print_in_full(fmt):
         assert degree == 2160 and len(str(closed_form)) == 4320
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_start_up_imports_only_the_front_end():
+    # algebra, lyndon and rewriting load on first use (`relation()` and the
+    # Lie-basis commands), so start-up reads none of them
+    code = "import sys, looptop.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'looptop'))"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.stdout.strip() == (
+        "['looptop', 'looptop._linalg', 'looptop.cli', 'looptop.cobar', "
+        "'looptop.errors', 'looptop.series', 'looptop.spaces']"
+    )
 
 
 LONG_OUTPUT = ["hilbert", "--space", "manifold:2:3", "--max-degree", "2000"]  # about 3 MB

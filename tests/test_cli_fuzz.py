@@ -34,8 +34,11 @@ JUNK = st.sampled_from(["", "x", "1.5", "-", ":", ";", ",", "--bogus", "2x", "+,
 
 
 def mostly(good, bad):
-    """`good` about nineteen times in twenty, else `bad`."""
-    return st.integers(0, 19).flatmap(lambda k: good if k else bad)
+    """`good` most of the time, else `bad`: one value of twenty, drawn from
+    mid-range.  Hypothesis draws the low end of a range far more often than
+    the rest (with `bad` on 0 it came a quarter of the time), so over 3,000
+    command lines `bad` comes about one time in thirty."""
+    return st.integers(0, 19).flatmap(lambda k: bad if k == 10 else good)
 
 
 def small_int(lo, hi):

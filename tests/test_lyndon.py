@@ -1,5 +1,7 @@
 import math
+import re
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -16,8 +18,6 @@ from looptop.lyndon import (
     basis_walk_fits,
     bracket_expand,
     bracket_string,
-    generate_lyndon,
-    is_lyndon,
     lie_basis,
     standard_factorization,
     standard_lyndon_counts,
@@ -27,10 +27,14 @@ from looptop.rewriting import irreducible_counts
 from looptop.spaces import ConnectedSum, Manifold
 from oracles import (
     RewriteSystem,
+    _find_factor,
     closed_walks_by_start,
     dense,
+    generate_lyndon,
     irreducible_words,
+    is_lyndon,
     is_zero,
+    longest_lyndon_suffix_split,
     necklace_count_every_length,
     rank_sparse_rational,
     rational_plane_split,
@@ -82,6 +86,25 @@ class TestGeneration:
             assert group == sorted(group)
 
 
+class TestStandardWords:
+    @pytest.mark.parametrize(
+        "alphabet", [AB2, AB3, Alphabet.uniform(4, 1), Alphabet((1, 2, 1, 2), ("a", "b", "c", "d"))]
+    )
+    def test_one_walk_equals_enumerate_then_filter(self, alphabet):
+        want = {}
+        for d, words in generate_lyndon(alphabet, 8).items():
+            kept = [w for w in words if _find_factor(w, (0, 1)) is None]
+            if kept:
+                want[d] = kept
+        have = standard_lyndon_words(alphabet, (0, 1), 8)
+        assert have == want
+        assert list(have) == sorted(have)
+
+    def test_refuses_an_empty_window(self):
+        with pytest.raises(ValidationError, match="max_degree must be >= 1"):
+            standard_lyndon_words(AB2, (0, 1), 0)
+
+
 class TestStandardFactorization:
     def test_spec_examples(self):
         assert standard_factorization((0, 1)) == ((0,), (1,))
@@ -89,8 +112,26 @@ class TestStandardFactorization:
         assert standard_factorization((0, 0, 1, 1)) == ((0,), (0, 1, 1))
 
     def test_rejects_single_letters(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="standard factorization needs length >= 2"):
             standard_factorization((0,))
+
+    def test_least_suffix_split_is_the_longest_lyndon_suffix_split(self):
+        # every Lyndon word of length 2-10 over 2 and 3 letters, 2-8 over 4
+        checked = 0
+        for r, longest in ((2, 10), (3, 10), (4, 8)):
+            for length in range(2, longest + 1):
+                for word in product(range(r), repeat=length):
+                    if is_lyndon(word):
+                        assert standard_factorization(word) == longest_lyndon_suffix_split(word), word
+                        checked += 1
+        assert checked == 21_063
+
+    def test_refuses_every_word_that_is_not_lyndon(self):
+        for length in range(2, 9):
+            for word in product(range(2), repeat=length):
+                if not is_lyndon(word):
+                    with pytest.raises(ValidationError, match=rf"^{re.escape(str(word))} is not a Lyndon word$"):
+                        standard_factorization(word)
 
     @given(words_strategy.filter(lambda w: len(w) >= 2 and is_lyndon(w)))
     @settings(max_examples=80)

@@ -2,6 +2,7 @@ import io
 import json
 import random
 import tracemalloc
+from fractions import Fraction
 from functools import partial
 from itertools import product
 
@@ -85,6 +86,14 @@ class TestModelValidation:
     def test_manifold_matrix_unimodular(self):
         with pytest.raises(ValidationError):
             Manifold(2, 2, ((0, 2), (2, 0)))
+
+    @pytest.mark.parametrize("entry", [1.0, Fraction(1), "1"], ids=["float", "Fraction", "str"])
+    def test_typed_forms_take_only_int_entries(self, entry):
+        # an entry is checked as an int, never parsed: even one that reads as 1
+        with pytest.raises(ValidationError, match="^intersection form entries must be integers$"):
+            Manifold(2, 2, ((entry, 0), (0, 1)))
+        with pytest.raises(ValidationError, match="^cup-product form entries must be integers$"):
+            TwoCellComplex(2, ((0, 1), (1, entry)))
 
     def test_connected_sum_dimension_match(self):
         ConnectedSum(((2, 3), (2, 3)))
