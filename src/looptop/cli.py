@@ -2,11 +2,14 @@
 
 Exit codes: 0 success, 1 verification failure or internal inconsistency,
 2 usage error.  Reports go to stdout, diagnostics to stderr.  Each
-subcommand sets its handler, which `run` calls after the window checks all
-commands share.  Every handler prints through one writer, `_emit`: JSON in
-a canonical field order (parse + re-emit is byte-identical), or else an
-aligned table of plain UTF-8 columns, header row first, then lines of
-`label  text` with the label padded to 18 columns.
+subcommand sets its handler and `space_of`, the builder of its space: a
+report command builds from its own flags, and every `--space` command
+parses `--space` with `parse_space`.  `run` makes the window checks all
+commands share, builds the space, and calls `handler(args, space, out)`.
+Every handler prints through one writer, `_emit`: JSON in a canonical
+field order (parse + re-emit is byte-identical), or else an aligned table
+of plain UTF-8 columns, header row first, then lines of `label  text` with
+the label padded to 18 columns.
 """
 
 import argparse
@@ -157,9 +160,18 @@ def _emit_check(args, out, payload, header, lines=()):
     return 0 if payload["ok"] else 1
 
 
-def _emit_report(args, out, payload):
-    """A report's payload.  Its table and lines are read off the payload, so
-    the two formats cannot drift apart."""
+def _emit_rows(args, out, space, rows, header):
+    """A check whose payload is {space, max_degree, rows, ok}."""
+    ok = all(row["ok"] for row in rows)
+    payload = {"space": spaces.space_to_json(space), "max_degree": args.max_degree, "rows": rows, "ok": ok}
+    return _emit_check(args, out, payload, header)
+
+
+def _cmd_report(args, space, out):
+    """A family's decomposition report.  Its table and lines are read off
+    the payload, so the two formats cannot drift apart.  betti-one takes no
+    --max-dim: a Betti-one report's window is always 3n - 1."""
+    payload = spaces.decomposition_report(space, getattr(args, "max_dim", DEFAULT_MAX_DIM))
     table = [("sphere", "count", "witnesses")] + [
         (f"S^{s['sphere_dim']}", s["multiplicity"], _shown(s["witnesses"], 6)) for s in payload["summands"]
     ]
@@ -177,32 +189,11 @@ def _emit_report(args, out, payload):
     return 0
 
 
-def _cmd_manifold(args, out):
-    matrix = parse_matrix(args.matrix) if args.matrix else None
-    space = spaces.Manifold(args.n, args.betti, matrix)
-    return _emit_report(args, out, spaces.decomposition_report(space, args.max_dim))
+def _cmd_verify(args, space, out):
+    return {"cobar": _verify_cobar, "counts": _verify_counts}[args.what](args, space, out)
 
 
-def _cmd_connected_sum(args, out):
-    space = parse_connected_sum(args.factors, args.signs)
-    return _emit_report(args, out, spaces.decomposition_report(space, args.max_dim))
-
-
-def _cmd_cw(args, out):
-    space = spaces.TwoCellComplex(args.n, parse_matrix(args.matrix))
-    return _emit_report(args, out, spaces.decomposition_report(space, args.max_dim))
-
-
-def _cmd_betti_one(args, out):
-    return _emit_report(args, out, spaces.betti_one_report(args.n, args.m))
-
-
-def _cmd_verify(args, out):
-    return {"cobar": _verify_cobar, "counts": _verify_counts}[args.what](args, out)
-
-
-def _verify_cobar(args, out):
-    space = parse_space(args.space)
+def _verify_cobar(args, space, out):
     payload = {"space": spaces.space_to_json(space), **verify_loop_homology(space, args.max_degree)}
     primes = ", ".join(str(p) for p in payload["torsion_primes"]) or "none"
     return _emit_check(
@@ -211,11 +202,10 @@ def _verify_cobar(args, out):
     )
 
 
-def _verify_counts(args, out):
+def _verify_counts(args, space, out):
     from .lyndon import standard_lyndon_counts
     from .series import lie_ranks_from_denominator
 
-    space = parse_space(args.space)
     D = args.max_degree
     nr = spaces.normalized_relation(space)  # refuses models with no quadratic relation
     den = space.denominator(D)
@@ -226,19 +216,12 @@ def _verify_counts(args, out):
     for d in range(1, D + 1):
         a, b, c = inversion[d], matched[d], lyndon.get(d, 0)
         rows.append({"degree": d, "moebius": a, "pbw": b, "lyndon": c, "ok": a == b == c})
-    payload = {
-        "space": spaces.space_to_json(space),
-        "max_degree": D,
-        "rows": rows,
-        "ok": all(row["ok"] for row in rows),
-    }
-    return _emit_check(args, out, payload, ("degree", "moebius", "pbw", "lyndon", "ok"))
+    return _emit_rows(args, out, space, rows, ("degree", "moebius", "pbw", "lyndon", "ok"))
 
 
-def _cmd_hilbert(args, out):
+def _cmd_hilbert(args, space, out):
     from .rewriting import irreducible_counts
 
-    space = parse_space(args.space)
     D = args.max_degree
     nr = spaces.normalized_relation(space)  # refuses models with no quadratic relation
     H = space.denominator(D).inverse()
@@ -247,19 +230,12 @@ def _cmd_hilbert(args, out):
     for d in range(D + 1):
         enum = 1 if d == 0 else counts.get(d, 0)
         rows.append({"degree": d, "enumerated": enum, "closed_form": H[d], "ok": enum == H[d]})
-    payload = {
-        "space": spaces.space_to_json(space),
-        "max_degree": D,
-        "rows": rows,
-        "ok": all(row["ok"] for row in rows),
-    }
-    return _emit_check(args, out, payload, ("degree", "enumerated", "closed-form", "ok"))
+    return _emit_rows(args, out, space, rows, ("degree", "enumerated", "closed-form", "ok"))
 
 
-def _cmd_lie_basis(args, out):
+def _cmd_lie_basis(args, space, out):
     from .lyndon import bracket_string, lie_basis, refuse_long_walk
 
-    space = parse_space(args.space)
     D = args.max_degree
     nr = spaces.normalized_relation(space)  # refuses models with no quadratic relation
     refuse_long_walk(nr.alphabet, D)  # before any series is expanded
@@ -280,8 +256,7 @@ def _cmd_lie_basis(args, out):
     return 0
 
 
-def _cmd_moore(args, out):
-    space = parse_space(args.space)
+def _cmd_moore(args, space, out):
     payload = {"space": spaces.space_to_json(space), **spaces.moore_report(space)}
     lines = [
         ("space", space.label), ("verdict", payload["verdict"]), ("justification", payload["justification"]),
@@ -292,7 +267,7 @@ def _cmd_moore(args, out):
 
 def _add_shared(p, *flags, max_degree=None):
     """Add the shared `flags` to subparser `p` in the order given, which is
-    the order of its usage line."""
+    the order of its usage line.  With `--space` the space is parsed from it."""
     options = {
         "--space": {"type": str, "required": True},
         "--max-degree": {"type": int, "default": max_degree},
@@ -301,6 +276,8 @@ def _add_shared(p, *flags, max_degree=None):
     }
     for flag in flags:
         p.add_argument(flag, **options[flag])
+    if "--space" in flags:
+        p.set_defaults(space_of=lambda args: parse_space(args.space))
 
 
 def build_parser():
@@ -311,26 +288,28 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("manifold", help="(n-1)-connected 2n-manifold report")
-    p.set_defaults(handler=_cmd_manifold)
+    p.set_defaults(handler=_cmd_report, space_of=lambda args: spaces.Manifold(
+        args.n, args.betti, parse_matrix(args.matrix) if args.matrix else None))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--betti", type=int, required=True)
     p.add_argument("--matrix", type=str, default=None, help='intersection form, e.g. "0,1;1,0"')
     _add_shared(p, "--format", "--max-dim")
 
     p = sub.add_parser("connected-sum", help="connected sum of sphere products")
-    p.set_defaults(handler=_cmd_connected_sum)
+    p.set_defaults(handler=_cmd_report, space_of=lambda args: parse_connected_sum(args.factors, args.signs))
     p.add_argument("--factors", type=str, required=True, help='e.g. "2x3,2x3"')
     p.add_argument("--signs", type=str, default=None, help='e.g. "+,-"')
     _add_shared(p, "--format", "--max-dim")
 
     p = sub.add_parser("cw", help="wedge of n-spheres with one 2n-cell")
-    p.set_defaults(handler=_cmd_cw)
+    p.set_defaults(
+        handler=_cmd_report, space_of=lambda args: spaces.TwoCellComplex(args.n, parse_matrix(args.matrix)))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--matrix", type=str, required=True, help='cup form, e.g. "0,7;7,0"')
     _add_shared(p, "--format", "--max-dim")
 
     p = sub.add_parser("betti-one", help="Betti-number-one manifold report")
-    p.set_defaults(handler=_cmd_betti_one)
+    p.set_defaults(handler=_cmd_report, space_of=lambda args: spaces.BettiOne(args.n, args.m))
     p.add_argument("--n", type=int, required=True, choices=(2, 4, 8))
     p.add_argument("--m", type=int, default=0)
     _add_shared(p, "--format")
@@ -370,7 +349,7 @@ def run(argv, out=None, err=None):
             raise ValidationError(f"--max-degree must be >= 1 for {name}, got {args.max_degree}")
         if getattr(args, "max_dim", 2) < 2:
             raise ValidationError(f"--max-dim must be >= 2 for {args.command}, got {args.max_dim}")
-        return args.handler(args, out)
+        return args.handler(args, args.space_of(args), out)
     except IntegrityError as exc:
         print(f"integrity error: {exc}", file=err)
         return 1

@@ -35,7 +35,7 @@ from operator import ne
 
 from ._linalg import smith_invariants, unit_pivots
 from ._linalg import smith_normal_form as _dense_snf  # kept only as a benchmark span site
-from .errors import IntegrityError, ValidationError, WindowError
+from .errors import IntegrityError, ValidationError, WindowError, as_int
 
 DEFAULT_MAX_CELLS = 200_000
 ROW_LIMIT = 2**31  # a row index of the store is an int32
@@ -82,8 +82,7 @@ class FiniteCoalgebra:
                         f"diagonal term of {gname} has degrees "
                         f"{self.generators[left][1]}+{self.generators[right][1]} != {gdeg}"
                     )
-                if coeff != int(coeff):
-                    raise ValidationError("diagonal coefficients must be integers")
+                as_int(coeff, f"diagonal coefficient of {gname}")
         self._check_coassociative()
 
     def diagonal(self, gi):

@@ -1,4 +1,6 @@
-"""Error taxonomy shared across the engine."""
+"""Error taxonomy shared across the engine, and the one integer check."""
+
+import operator
 
 
 class LooptopError(Exception):
@@ -24,3 +26,12 @@ class IntegrityError(LooptopError):
 
 class WindowError(LooptopError):
     """A quantity was requested outside the computed truncation window."""
+
+
+def as_int(value, what):
+    """`value` as an int, checked with `operator.index` and never parsed:
+    2.0 and "2" are refused with a ValidationError that names `what`."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")

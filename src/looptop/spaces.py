@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 from ._linalg import det_int, factorize, minor_gcd, smith_normal_form
 from .cobar import FiniteCoalgebra
-from .errors import IntegrityError, UnsupportedSpaceError, ValidationError
+from .errors import IntegrityError, UnsupportedSpaceError, ValidationError, as_int
 from .series import PowerSeries, growth_rate
 from .series import pbw_match_graded  # kept only as a benchmark span site
 
@@ -225,6 +225,8 @@ class Manifold(_FormSpace):
     matrix: tuple = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_int(self.n, "n"))
+        object.__setattr__(self, "r", as_int(self.r, "Betti number"))
         if self.n < 2:
             raise ValidationError("manifold needs n >= 2")
         if self.r < 1:
@@ -296,7 +298,7 @@ class ConnectedSum(_OneRelator):
     signs: tuple = None
 
     def __post_init__(self):
-        factors = tuple((int(p), int(q)) for p, q in self.factors)
+        factors = tuple(tuple(as_int(d, "sphere dimension") for d in f) for f in self.factors)
         if not factors:
             raise ValidationError("connected sum needs at least one factor")
         total = factors[0][0] + factors[0][1]
@@ -308,7 +310,7 @@ class ConnectedSum(_OneRelator):
         signs = self.signs
         if signs is None:
             signs = tuple(1 for _ in factors)
-        signs = tuple(int(s) for s in signs)
+        signs = tuple(as_int(s, "sign") for s in signs)
         if len(signs) != len(factors) or any(s not in (1, -1) for s in signs):
             raise ValidationError("signs must be a +-1 vector matching the factors")
         object.__setattr__(self, "factors", factors)
@@ -366,6 +368,7 @@ class TwoCellComplex(_FormSpace):
     matrix: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_int(self.n, "n"))
         if self.n < 2:
             raise ValidationError("two-cell complex needs n >= 2")
         m = _as_int_matrix(self.matrix, "cup-product form")
@@ -429,14 +432,11 @@ class BettiOne(_Family):
     m: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_int(self.n, "n"))
         if self.n not in (2, 4, 8):
             raise ValidationError("Betti-1 manifolds exist only for n in {2, 4, 8}")
-        if self.n == 2:
-            object.__setattr__(self, "m", 0)
-        elif self.n == 4:
-            object.__setattr__(self, "m", int(self.m) % 12)
-        else:
-            object.__setattr__(self, "m", int(self.m) % 120)
+        # m matters modulo 12 for n = 4 and 120 for n = 8, and not at all for CP^2
+        object.__setattr__(self, "m", as_int(self.m, "m") % {2: 1, 4: 12, 8: 120}[self.n])
 
     @property
     def label(self):

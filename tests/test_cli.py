@@ -39,6 +39,25 @@ class TestParsing:
         with pytest.raises(ValidationError):
             parse_space("manifold:2")
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["manifold", "--n", "2", "--betti", "3"], "manifold:2:3"),
+            (["connected-sum", "--factors", "2x3,2x3", "--signs=+,-"], "csum:2x3,2x3:signs=+,-"),
+            (["cw", "--n", "2", "--matrix", "0,7;7,0"], "cw:2:0,7;7,0"),
+            (["betti-one", "--n", "4", "--m", "7"], "betti1:4:7"),
+        ],
+        ids=["manifold", "connected-sum", "cw", "betti-one"],
+    )
+    def test_report_flags_build_the_space_of_their_grammar_twin(self, argv, text):
+        args = cli.build_parser().parse_args(argv)
+        assert args.space_of(args) == parse_space(text)
+
+    def test_every_space_command_parses_its_space_flag(self):
+        for argv in (["verify", "cobar"], ["verify", "counts"], ["moore"], ["hilbert"], ["lie-basis"]):
+            args = cli.build_parser().parse_args([*argv, "--space", "csum:2x3,2x3:signs=+,-"])
+            assert args.space_of(args) == ConnectedSum(((2, 3), (2, 3)), (1, -1))
+
     def test_csum_refuses_a_second_signs_option(self):
         code, out, err = invoke(
             ["hilbert", "--space", "csum:2x3,2x3:signs=+,+:signs=-,-", "--max-degree", "2", "--format", "json"]

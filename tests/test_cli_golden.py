@@ -22,7 +22,8 @@ and the closed-form Lie rank that every form report checks at large
 windows: `manifold --n 2 --betti 3 --max-dim 300` and the odd-n skew form
 `cw --n 3 --matrix "0,1,0,0;-1,0,0,0;0,0,0,1;0,0,-1,0" --max-dim 600`,
 the necklace counts of `verify counts --space csum:2x3,2x3` at degree 400,
-whose letters have degrees 1 and 2, and `hilbert` at Betti number 2000.
+whose letters have degrees 1 and 2, `hilbert` at Betti number 2000, and
+the `--help` text of the program and of each subcommand.
 
 A digest changes only with a deliberate change of output.  Run this file as
 a script (`PYTHONPATH=src python tests/test_cli_golden.py`) to print the
@@ -142,6 +143,16 @@ REQUESTS = (
     ("counts-mixed-degrees-400-json", ["verify", "counts", "--space", "csum:2x3,2x3", "--max-degree", "400", "--format", "json"], {}),
     # a Betti number of 2000, whose form travels as its 2000 nonzero entries
     ("hilbert-betti-2000-json", ["hilbert", "--space", "manifold:2:2000", "--max-degree", "8", "--format", "json"], {}),
+    # the help text of the program and of each subcommand, at 80 columns
+    ("help", ["--help"], {}),
+    ("help-manifold", ["manifold", "--help"], {}),
+    ("help-connected-sum", ["connected-sum", "--help"], {}),
+    ("help-cw", ["cw", "--help"], {}),
+    ("help-betti-one", ["betti-one", "--help"], {}),
+    ("help-verify", ["verify", "--help"], {}),
+    ("help-moore", ["moore", "--help"], {}),
+    ("help-hilbert", ["hilbert", "--help"], {}),
+    ("help-lie-basis", ["lie-basis", "--help"], {}),
 )
 
 EMPTY = hashlib.sha256(b"").hexdigest()
@@ -223,6 +234,15 @@ GOLDEN = {
     "cw-skew-max-dim-600-json": (0, "88e81ab7457a5f455e03124db46faa46ad70b7d7937f4823a9fd93264f7a86ec", EMPTY),
     "counts-mixed-degrees-400-json": (0, "3fcd24828ce9d577aa8c8f42b4135bde763f87468edd70347e25f73f2f4c2dc9", EMPTY),
     "hilbert-betti-2000-json": (0, "364dd3ccecb5eb792ff47ef9fcb30cc81330169bcc36cf9e13e20378e07d9b27", EMPTY),
+    "help": (0, "ebcdc326e1c785b14f40cf21e95ccbc480203f3504cc9338186b5187ca61753e", EMPTY),
+    "help-manifold": (0, "b151b3ab8b3583b4a91b9326387f594f347550f1ea5afc41b540d18413c554fb", EMPTY),
+    "help-connected-sum": (0, "aefd20f90db937429e079fbea461ab064fe674259cfc6dfc3a28a186b9a58e01", EMPTY),
+    "help-cw": (0, "e9009463f975a6da65561acc30283510e5878652f0105afe589ea79a2556729e", EMPTY),
+    "help-betti-one": (0, "e58d4e5c1562f385f8589018652f32be116cd4163ac5e9dc15330d58b5f49fe5", EMPTY),
+    "help-verify": (0, "31d9f9b8ad711f0b514f67b55920521d5afab2c4790454ef84b8059dc2edcbc5", EMPTY),
+    "help-moore": (0, "18b9f2dc05c82dfd408ff7b677f8cf0bcfa7bda61e66d94dc8b734d0eb6fa63f", EMPTY),
+    "help-hilbert": (0, "c894ad97c8a013d0e7c1d44a127a93bdfecb43a6ebde7546baf896ee0a2d60b3", EMPTY),
+    "help-lie-basis": (0, "691a7613192aa803c31a89d5c5233e530e63a67f2aa88c7c7d7f7f661c765836", EMPTY),
 }
 
 

@@ -7,6 +7,7 @@ import sys
 import textwrap
 import tracemalloc
 from array import array
+from fractions import Fraction
 from itertools import compress, count
 from operator import ne
 from pathlib import Path
@@ -81,6 +82,12 @@ class TestCoalgebraOf:
         FiniteCoalgebra((("a", 2), ("b", 2), ("c", 4)), {2: ((0, 1, 1), (1, 0, 1))})
         with pytest.raises(ValidationError, match="left letter 1, not listed before it"):
             FiniteCoalgebra((("c", 4), ("a", 2), ("b", 2)), {0: ((1, 2, 1), (2, 1, 1))})
+
+    @pytest.mark.parametrize("coeff", [2.0, Fraction(2), "2"], ids=["float", "Fraction", "str"])
+    def test_diagonal_coefficients_are_checked_not_parsed(self, coeff):
+        # the content step takes the gcd of the coefficients, which needs ints
+        with pytest.raises(ValidationError, match="^diagonal coefficient of c must be an integer, got "):
+            FiniteCoalgebra((("a", 2), ("b", 2), ("c", 4)), {2: ((0, 1, coeff), (1, 0, 2))})
 
     @pytest.mark.parametrize(
         "text",

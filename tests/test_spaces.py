@@ -95,6 +95,36 @@ class TestModelValidation:
         with pytest.raises(ValidationError, match="^cup-product form entries must be integers$"):
             TwoCellComplex(2, ((0, 1), (1, entry)))
 
+    @pytest.mark.parametrize(
+        "build, what",
+        [
+            (lambda: ConnectedSum(((2, 3.5), (2, 3))), "sphere dimension"),
+            (lambda: ConnectedSum((("2", 3),)), "sphere dimension"),
+            (lambda: ConnectedSum(((2, 3), (2, 3)), (1.0, -1.9)), "sign"),
+            (lambda: BettiOne(4, "5"), "m"),
+            (lambda: BettiOne(4.0, 5), "n"),
+            (lambda: Manifold(2.0, 3), "n"),
+            (lambda: Manifold(2, 3.0), "Betti number"),
+            (lambda: TwoCellComplex(2.0, ((0, 1), (1, 0))), "n"),
+        ],
+        ids=["csum-float-dim", "csum-str-dim", "csum-float-signs", "betti-one-str-m",
+             "betti-one-float-n", "manifold-float-n", "manifold-float-r", "cw-float-n"],
+    )
+    def test_integer_fields_are_checked_not_parsed(self, build, what):
+        # a float or str that reads as an integer is refused, never rounded or parsed
+        with pytest.raises(ValidationError, match=f"^{what} must be an integer, got "):
+            build()
+
+    def test_checked_integer_fields_are_stored_as_ints(self):
+        class Two:
+            def __index__(self):
+                return 2
+
+        assert Manifold(Two(), 3) == Manifold(2, 3)
+        assert type(Manifold(Two(), 3).n) is int
+        assert BettiOne(Two(), 5) == BettiOne(2)
+        assert ConnectedSum(((Two(), 3),)).factors == ((2, 3),)
+
     def test_connected_sum_dimension_match(self):
         ConnectedSum(((2, 3), (2, 3)))
         with pytest.raises(ValidationError):
