@@ -36,6 +36,9 @@ class Alphabet:
 
     @classmethod
     def uniform(cls, r, degree):
+        """r letters of one degree, named as a manifold's: α₁, ..., α_r."""
+        from .spaces import _sub
+
         return cls(tuple([degree] * r), tuple(_sub("α", i + 1) for i in range(r)))
 
     @property
@@ -44,13 +47,6 @@ class Alphabet:
 
     def word_degree(self, word):
         return sum(self.degrees[i] for i in word)
-
-
-_SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
-
-
-def _sub(prefix, i):
-    return prefix + str(i).translate(_SUBSCRIPTS)
 
 
 @dataclass(frozen=True)

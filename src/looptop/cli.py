@@ -13,12 +13,13 @@ the label padded to 18 columns.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from . import spaces
-from .errors import IntegrityError, LooptopError, ValidationError
+from .errors import IntegrityError, LooptopError, ValidationError, read_int
 from .series import pbw_match_ungraded
 from .cobar import verify_loop_homology
 
@@ -34,7 +35,7 @@ def parse_matrix(text):
         for entry in chunk.split(","):
             entry = entry.strip()
             try:
-                row.append(int(entry))
+                row.append(read_int(entry))
             except ValueError:
                 raise ValidationError(f"matrix entry {entry!r} is not an integer")
         rows.append(tuple(row))
@@ -49,7 +50,7 @@ def parse_space(text):
     head, _, rest = text.partition(":")
     if head == "manifold":
         try:
-            n, r = (int(x) for x in rest.split(":"))
+            n, r = (read_int(x) for x in rest.split(":"))
         except ValueError:
             raise ValidationError(f"expected manifold:n:r, got {text!r}")
         return spaces.Manifold(n, r)
@@ -66,13 +67,13 @@ def parse_space(text):
     if head == "cw":
         n_text, _, matrix_text = rest.partition(":")
         try:
-            n = int(n_text)
+            n = read_int(n_text)
         except ValueError:
             raise ValidationError(f"expected cw:n:matrix, got {text!r}")
         return spaces.TwoCellComplex(n, parse_matrix(matrix_text.strip('"')))
     if head == "betti1":
         try:
-            n, m = (int(x) for x in rest.split(":"))
+            n, m = (read_int(x) for x in rest.split(":"))
         except ValueError:
             raise ValidationError(f"expected betti1:n:m, got {text!r}")
         return spaces.BettiOne(n, m)
@@ -85,7 +86,7 @@ def parse_connected_sum(factors_text, signs_text=None):
     for item in factors_text.split(","):
         p, _, q = item.partition("x")
         try:
-            factors.append((int(p), int(q)))
+            factors.append((read_int(p), read_int(q)))
         except ValueError:
             raise ValidationError(f"expected pxq factors, got {item!r}")
     signs = None
@@ -270,8 +271,8 @@ def _add_shared(p, *flags, max_degree=None):
     the order of its usage line.  With `--space` the space is parsed from it."""
     options = {
         "--space": {"type": str, "required": True},
-        "--max-degree": {"type": int, "default": max_degree},
-        "--max-dim": {"type": int, "default": DEFAULT_MAX_DIM},
+        "--max-degree": {"type": read_int, "default": max_degree},
+        "--max-dim": {"type": read_int, "default": DEFAULT_MAX_DIM},
         "--format": {"choices": ("table", "json"), "default": "table"},
     }
     for flag in flags:
@@ -290,8 +291,8 @@ def build_parser():
     p = sub.add_parser("manifold", help="(n-1)-connected 2n-manifold report")
     p.set_defaults(handler=_cmd_report, space_of=lambda args: spaces.Manifold(
         args.n, args.betti, parse_matrix(args.matrix) if args.matrix else None))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--betti", type=int, required=True)
+    p.add_argument("--n", type=read_int, required=True)
+    p.add_argument("--betti", type=read_int, required=True)
     p.add_argument("--matrix", type=str, default=None, help='intersection form, e.g. "0,1;1,0"')
     _add_shared(p, "--format", "--max-dim")
 
@@ -304,14 +305,14 @@ def build_parser():
     p = sub.add_parser("cw", help="wedge of n-spheres with one 2n-cell")
     p.set_defaults(
         handler=_cmd_report, space_of=lambda args: spaces.TwoCellComplex(args.n, parse_matrix(args.matrix)))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=read_int, required=True)
     p.add_argument("--matrix", type=str, required=True, help='cup form, e.g. "0,7;7,0"')
     _add_shared(p, "--format", "--max-dim")
 
     p = sub.add_parser("betti-one", help="Betti-number-one manifold report")
     p.set_defaults(handler=_cmd_report, space_of=lambda args: spaces.BettiOne(args.n, args.m))
-    p.add_argument("--n", type=int, required=True, choices=(2, 4, 8))
-    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--n", type=read_int, required=True, choices=(2, 4, 8))
+    p.add_argument("--m", type=read_int, default=0)
     _add_shared(p, "--format")
 
     p = sub.add_parser("verify", help="run a verification pipeline")
@@ -334,11 +335,17 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser of this process: parsing leaves it as it was."""
+    return build_parser()
+
+
 def run(argv, out=None, err=None):
     out = out or sys.stdout
     err = err or sys.stderr
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

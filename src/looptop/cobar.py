@@ -35,7 +35,7 @@ from operator import ne
 
 from ._linalg import smith_invariants, unit_pivots
 from ._linalg import smith_normal_form as _dense_snf  # kept only as a benchmark span site
-from .errors import IntegrityError, ValidationError, WindowError, as_int
+from .errors import IntegrityError, ValidationError, WindowError, as_int, read_int
 
 DEFAULT_MAX_CELLS = 200_000
 ROW_LIMIT = 2**31  # a row index of the store is an int32
@@ -46,7 +46,7 @@ def _max_cells_default():
     if raw is None:
         return DEFAULT_MAX_CELLS
     try:
-        value = int(raw)
+        value = read_int(raw)
     except ValueError:
         raise ValidationError(f"LOOPTOP_MAX_CELLS must be an integer, got {raw!r}")
     if value < 1:
@@ -163,12 +163,17 @@ class PackedColumns:
 def _shifted(lanes, shift):
     """`lanes`, an int32 or int64 array, with `shift` added to every lane.
 
-    The array is read as one integer in native byte order, and so is an
-    array of the same kind that holds `shift` in every lane; one integer
-    addition adds them lane by lane.  No carry crosses a lane, because
-    every lane is non-negative and every sum fits its lane: a row stays
-    below its spot's size, under 2^31 (see `_window_sizes`), and an offset
-    counts the entries of one store."""
+    A shift of 0 returns `lanes` itself, not a copy, as for the first
+    block of a spot and the offsets of a block written onto a store with
+    no rows yet: every caller only reads the result, and copies it into a
+    store of its own.  Otherwise the array is read as one integer in
+    native byte order, and so is an array of the same kind that holds
+    `shift` in every lane; one integer addition adds them lane by lane.
+    No carry crosses a lane, because every lane is non-negative and every
+    sum fits its lane: a row stays below its spot's size, under 2^31 (see
+    `_window_sizes`), and an offset counts the entries of one store."""
+    if not shift:
+        return lanes
     code, size = lanes.typecode, len(lanes) * lanes.itemsize
     total = int.from_bytes(lanes, sys.byteorder) + int.from_bytes(
         array(code, [shift]) * len(lanes), sys.byteorder
@@ -468,9 +473,13 @@ def _assert_d_squared_zero(cx):
     every word.  The argument takes the block copy itself on trust; a fault
     there can still show in the check of the spot above, whose image this
     block's columns map on, or in the ranks and the bigraded audit.
+
+    Each visited column is walked by offsets, its entries and then each
+    matching column of the lower spot, into one {row: sum} dict whose
+    values are tested once, when the column is done; a row whose sum
+    cancels stays in the dict at 0.  No entry costs a slice or a `zip`.
     """
-    k = len(cx.coalgebra.generators)
-    mixed = [g for g in range(k) if cx.coalgebra.diagonal(g)]
+    mixed = [g for g in range(len(cx.coalgebra.generators)) if cx.coalgebra.diagonal(g)]
     for (s, d), cols in cx.diffs.items():
         lower = cx.diffs.get((s, d - 1))
         if lower is None:
@@ -483,18 +492,15 @@ def _assert_d_squared_zero(cx):
         lptr, lrows, lvals = lower.ptr, lower.rows, lower.vals
         starts = cx.block_starts(s - d - 1, d)
         for g in mixed:  # g's block of the spot
-            first, last = starts[g], starts[g + 1]
-            for j, a, b in zip(range(first, last), ptr[first:last], ptr[first + 1:last + 1]):
+            for j in range(starts[g], starts[g + 1]):
                 acc = {}
-                for row, v in zip(rows[a:b], vals[a:b]):
-                    a2, b2 = lptr[row], lptr[row + 1]
-                    for row2, v2 in zip(lrows[a2:b2], lvals[a2:b2]):
-                        nv = acc.get(row2, 0) + v * v2
-                        if nv:
-                            acc[row2] = nv
-                        else:
-                            acc.pop(row2, None)
-                if acc:
+                get = acc.get
+                for i in range(ptr[j], ptr[j + 1]):
+                    row, v = rows[i], vals[i]
+                    for k in range(lptr[row], lptr[row + 1]):
+                        row2 = lrows[k]
+                        acc[row2] = get(row2, 0) + v * lvals[k]
+                if any(acc.values()):
                     word = cx.words((s, d))[j]
                     raise IntegrityError(f"d*d != 0 on word {word}: sign convention broken")
 
@@ -738,7 +744,11 @@ def _profiles(cx):
     no inherited rows, or a spot below a transposed one) reduces its
     transpose when it has fewer rows than nonzero columns, counted on its
     nonempty bytes: the rank and the invariants are the same, but its
-    pivots then index its columns, so it passes no cleared set on.
+    pivots then index its columns, so it passes no cleared set on.  A
+    differential whose store has no entry is never ranked: its profile is
+    (0, []), and the spot below it, having no pivot to read, starts with
+    nothing cleared and inherits nothing from it, just as ranking the empty
+    store would leave it.
     """
     degs = cx.degs
     plain = [g for g in range(len(degs)) if not cx.coalgebra.diagonal(g)]
@@ -768,12 +778,15 @@ def _profiles(cx):
             cols = cx.diffs[(s, d)]
             if d != below:  # no spot (s, d + 1) to clear this one
                 cleared = bytearray(len(cols))
-            if 1 not in cleared and cols.nrows < cols.nonempty.count(1):
+            if not cols.rows:  # a zero differential: nothing to rank, nothing cleared below
+                rank, torsion, cleared = 0, [], bytearray(cols.nrows)
+            elif 1 not in cleared and cols.nrows < cols.nonempty.count(1):
                 rank, torsion, _ = _sparse_rank_and_torsion(_transpose(cols))
                 cleared = bytearray(cols.nrows)
             else:
                 rank, torsion, owner = _sparse_rank_and_torsion(cols, cleared)
                 cleared = _owned(owner)
+                del owner  # 8 bytes a row: not held through the next rank
                 heirs = [gd for gd in plain_degs if tops.get(s + gd + 1) == d + gd - 1]
                 if heirs and 1 in cleared:
                     rows = array("q", compress(count(), cleared))

@@ -1,4 +1,5 @@
-"""Error taxonomy shared across the engine, and the one integer check."""
+"""Error taxonomy shared across the engine, the one integer check and the
+one reader of integer text."""
 
 import operator
 
@@ -35,3 +36,18 @@ def as_int(value, what):
         return operator.index(value)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def read_int(text):
+    """The integer that `text` spells: an optional sign and ASCII digits,
+    with whitespace around them.  Anything else raises ValueError, as do
+    the underscores and non-ASCII digits that `int()` would take."""
+    digits = text.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+read_int.__name__ = "int"  # argparse names a flag's type in its message: "invalid int value"

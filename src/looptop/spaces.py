@@ -35,6 +35,14 @@ from .series import PowerSeries, growth_rate
 from .series import pbw_match_graded  # kept only as a benchmark span site
 
 
+_SUBSCRIPTS = str.maketrans("0123456789", "₀₁₂₃₄₅₆₇₈₉")
+
+
+def _sub(prefix, i):
+    """A generator name: `prefix` with i as a subscript, as in α₁."""
+    return prefix + str(i).translate(_SUBSCRIPTS)
+
+
 def _as_int_matrix(matrix, what="matrix"):
     """The rows as tuples of ints: each entry is checked as an int, not parsed."""
     try:
@@ -186,8 +194,6 @@ class _FormSpace(_OneRelator):
         return tuple((i, j, g) for i, row in enumerate(self.matrix) for j, g in enumerate(row) if g)
 
     def coalgebra(self):
-        from .algebra import _sub
-
         gens = tuple((_sub("α", i + 1), self.n) for i in range(self.r)) + (("top", 2 * self.n),)
         return FiniteCoalgebra(gens, {self.r: self.form})
 
@@ -336,8 +342,6 @@ class ConnectedSum(_OneRelator):
         }
 
     def coalgebra(self):
-        from .algebra import _sub
-
         gens = []
         for k, (p, q) in enumerate(self.factors, start=1):
             gens.append((_sub("α", k), p))

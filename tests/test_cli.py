@@ -5,6 +5,7 @@ import re
 import runpy
 import subprocess
 import sys
+import textwrap
 import time
 from pathlib import Path
 
@@ -71,6 +72,43 @@ class TestParsing:
         )
         assert invoke(["cw", "--n", "2", "--matrix", "0,1;1"])[2] == "error: cup-product form must be square\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["hilbert", "--space", "manifold:2_0:3"], "expected manifold:n:r, got 'manifold:2_0:3'"),
+            (["moore", "--space", "manifold:٢:3"], "expected manifold:n:r, got 'manifold:٢:3'"),
+            (["moore", "--space", "cw:²:0,1;1,0"], "expected cw:n:matrix, got 'cw:²:0,1;1,0'"),
+            (["moore", "--space", "betti1:4:1_0"], "expected betti1:n:m, got 'betti1:4:1_0'"),
+            (["moore", "--space", "csum:2x3,2x3_0"], "expected pxq factors, got '2x3_0'"),
+            (["cw", "--n", "2", "--matrix", "0,٧;٧,0"], "matrix entry '٧' is not an integer"),
+            (["cw", "--n", "2", "--matrix", "0,+-7;7,0"], "matrix entry '+-7' is not an integer"),
+        ],
+    )
+    def test_integer_text_is_ascii_digits_only(self, argv, message):
+        assert invoke(argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, flag, text",
+        [
+            (["hilbert", "--space", "manifold:2:3", "--max-degree", "1_0"], "--max-degree", "1_0"),
+            (["manifold", "--n", "٢", "--betti", "3"], "--n", "٢"),
+            (["manifold", "--n", "2", "--betti", "3", "--max-dim", "１０"], "--max-dim", "１０"),
+            (["betti-one", "--n", "4", "--m", "+-1"], "--m", "+-1"),
+        ],
+    )
+    def test_integer_flags_are_ascii_digits_only(self, capsys, argv, flag, text):
+        assert invoke(argv) == (2, "", "")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: looptop ") and err.endswith(f"argument {flag}: invalid int value: {text!r}\n")
+
+    def test_integer_text_keeps_its_sign_and_surrounding_space(self):
+        assert parse_space("manifold: 2 :+3") == Manifold(2, 3)
+        assert parse_space("cw:\t2 :+2, -1\u2003;-1 ,5") == TwoCellComplex(2, ((2, -1), (-1, 5)))
+        assert parse_space("csum: 2x+3 ") == ConnectedSum(((2, 3),))
+        assert invoke(["betti-one", "--n", " 4", "--m", "+7 ", "--format", "json"]) == invoke(
+            ["betti-one", "--n", "4", "--m", "7", "--format", "json"]
+        )
+
     def test_connected_sum_flags_share_the_grammar_parser(self):
         code, out, err = invoke(["connected-sum", "--factors", "2x3,2x3", "--signs", "+,x"])
         grammar_code, _, grammar_err = invoke(
@@ -109,6 +147,13 @@ class TestExitCodes:
         monkeypatch.setenv("LOOPTOP_MAX_CELLS", "50")
         code, _, err = invoke(["verify", "cobar", "--space", "manifold:2:3", "--max-degree", "8"])
         assert code == 2 and "LOOPTOP_MAX_CELLS" in err
+
+    @pytest.mark.parametrize("raw", ["1_0", "١٠"])
+    def test_cell_cap_env_is_ascii_digits_only(self, monkeypatch, raw):
+        monkeypatch.setenv("LOOPTOP_MAX_CELLS", raw)
+        assert invoke(["verify", "cobar", "--space", "manifold:2:2", "--max-degree", "4"]) == (
+            2, "", f"error: LOOPTOP_MAX_CELLS must be an integer, got {raw!r}\n"
+        )
 
     def test_verification_failure_is_one(self, monkeypatch):
         row = {"degree": 0, "chain_dim": 1, "rank": 1, "expected_rank": 2, "torsion": [], "ok": False}
@@ -328,6 +373,41 @@ def test_start_up_imports_only_the_front_end():
         "['looptop', 'looptop._linalg', 'looptop.cli', 'looptop.cobar', "
         "'looptop.errors', 'looptop.series', 'looptop.spaces']"
     )
+
+
+# read in one process by `run` after other requests, and each in a fresh one
+_ONE_PARSER = [
+    ["--help"],
+    ["verify", "--help"],
+    ["hilbert", "--max-degree", "3"],  # no --space: a usage error
+    ["verify", "cobar", "--space", "manifold:2:2", "--max-degree", "4", "--format", "json"],
+    ["betti-one", "--n", "3"],  # not a choice: a usage error
+]
+
+
+def test_one_parser_serves_every_request_of_a_process():
+    code = textwrap.dedent(f"""
+        import contextlib, io, json
+        from looptop.cli import run
+        seen = []
+        for argv in {_ONE_PARSER!r} * 2:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            seen.append([code, out.getvalue(), err.getvalue()])
+        print(json.dumps(seen))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]), COLUMNS="80")
+    env["PYTHONIOENCODING"] = "utf-8"
+    one = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    fresh = [
+        subprocess.run([sys.executable, "-m", "looptop.cli", *argv], capture_output=True, text=True, env=env)
+        for argv in _ONE_PARSER
+    ]
+    fresh = [[done.returncode, done.stdout, done.stderr] for done in fresh]
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 2]
+    assert fresh[2][2].startswith("usage: looptop hilbert ")
+    assert json.loads(one.stdout) == fresh * 2
 
 
 LONG_OUTPUT = ["hilbert", "--space", "manifold:2:3", "--max-degree", "2000"]  # about 3 MB

@@ -615,6 +615,22 @@ class TestBuildCobar:
         with pytest.raises(IntegrityError, match=r"d\*d != 0 on word \(2,\)"):
             build_cobar(cubic, 9)
 
+    def test_d_squared_zero_check_can_fail_on_a_wide_store(self, monkeypatch):
+        # the same fault on x, x^2, x^3 with coefficient 200, which does not
+        # fit a byte, so the store keeps its values in a list
+        cubic = FiniteCoalgebra(
+            (("x", 3), ("x2", 6), ("x3", 9)), {1: ((0, 0, 200),), 2: ((0, 1, 200), (1, 0, 200))}
+        )
+        cx = build_cobar(cubic, 9)
+        assert all(isinstance(cols.vals, list) for cols in cx.diffs.values())
+
+        def unsigned(coalgebra):
+            return {gi: coalgebra.diagonal(gi) for gi in range(len(coalgebra.generators))}
+
+        monkeypatch.setattr(cobar, "_diagonal_desuspended", unsigned)
+        with pytest.raises(IntegrityError, match=r"d\*d != 0 on word \(2,\)"):
+            build_cobar(cubic, 9)
+
     @pytest.mark.parametrize("key", [(10, 7), (12, 8), (16, 9)])
     def test_block_copy_fault_is_caught(self, monkeypatch, key):
         # The d*d check reads no column of a block whose generator has no
@@ -666,6 +682,15 @@ class TestPackedColumns:
         shift = data.draw(st.integers(0, top - max(lanes, default=0)))
         out = _shifted(lanes, shift)
         assert out.typecode == code and out == array(code, map(shift.__add__, lanes))
+
+    @pytest.mark.parametrize("code", "iq")
+    def test_a_zero_shift_returns_the_lanes_themselves(self, code):
+        lanes = array(code, [0, 5, LANE_TOP[code]])
+        assert _shifted(lanes, 0) is lanes and _shifted(lanes, 1) is not lanes
+        # and every caller copies what it reads, so no two stores share an array
+        cx = build_cobar(Manifold(2, 3).coalgebra(), 6)
+        stores = cx.diffs.values()
+        assert len({id(a) for cols in stores for a in (cols.ptr, cols.rows)}) == 2 * len(stores)
 
     @pytest.mark.parametrize("code", "iq")
     def test_shifted_reaches_the_top_of_a_lane(self, code):
@@ -819,10 +844,12 @@ CUBIC = FiniteCoalgebra(
 )
 # (S^2 x S^2) v S^4: c and e share a degree, and only c has diagonal terms
 WEDGE = FiniteCoalgebra((("a", 2), ("b", 2), ("c", 4), ("e", 4)), {2: ((0, 1, 1), (1, 0, 1))})
+# (S^2 x S^2) v S^8: the word e has the degree of c c plus one
+WEDGE8 = FiniteCoalgebra((("a", 2), ("b", 2), ("c", 4), ("e", 8)), {2: ((0, 1, 1), (1, 0, 1))})
 
 
 def _coalgebra(text):
-    return {"cubic": CUBIC, "wedge": WEDGE}.get(text) or parse_space(text).coalgebra()
+    return {"cubic": CUBIC, "wedge": WEDGE, "wedge8": WEDGE8}.get(text) or parse_space(text).coalgebra()
 
 
 def _top_columns(cx):
@@ -851,10 +878,11 @@ class TestHomology:
     )
     def test_cleared_profile_equals_the_plain_one(self, monkeypatch, text, cutoff):
         # clearing, inherited clearing and the transposed spots change the
-        # work, not the answer; one pass ranks each differential once,
-        # however often the table is read.  Slice 16 of csum:2x8,2x8 has
-        # spots at degrees 14 and 12 but none at 13, so nothing clears the
-        # nonzero columns of (16, 12)
+        # work, not the answer; one pass ranks each differential that has an
+        # entry once, however often the table is read, and an empty store
+        # ranks to (0, []).  Slice 16 of csum:2x8,2x8 has spots at degrees 14
+        # and 12 but none at 13, so nothing clears the nonzero columns of
+        # (16, 12)
         cx = build_cobar(_coalgebra(text), cutoff)
         calls = []
 
@@ -866,7 +894,27 @@ class TestHomology:
         for d in range(cutoff + 1):
             homology(cx, d)
         assert cx.profiles is cx.profiles and cx.profiles.keys() == cx.diffs.keys()
-        assert len(calls) == len(cx.diffs)
+        assert len(calls) == sum(1 for cols in cx.diffs.values() if cols.rows)
+        for key, cols in cx.diffs.items():
+            assert cx.profiles[key] == _sparse_rank_and_torsion(cols)[:2], key
+
+    @pytest.mark.parametrize("text", ["manifold:2:3", "csum:2x3,2x3", "wedge8"])
+    def test_a_store_with_no_entry_is_never_ranked(self, monkeypatch, text):
+        # in wedge8 the empty store of e, at (8, 7), sits above the nonzero
+        # column of c c at (8, 6), which nothing may clear
+        cx = build_cobar(_coalgebra(text), 8)
+        empty = {key for key, cols in cx.diffs.items() if not cols.rows}
+        ranked = []
+
+        def recording(columns, skip=None):
+            ranked.append(columns)
+            return _sparse_rank_and_torsion(columns, skip)
+
+        monkeypatch.setattr(cobar, "_sparse_rank_and_torsion", recording)
+        cx.profiles
+        assert empty and all(columns.rows for columns in ranked)
+        assert not {id(cx.diffs[key]) for key in empty} & {id(columns) for columns in ranked}
+        assert all(cx.profiles[key] == (0, []) for key in empty)
         for key, cols in cx.diffs.items():
             assert cx.profiles[key] == _sparse_rank_and_torsion(cols)[:2], key
 
