@@ -39,6 +39,7 @@ from .errors import IntegrityError, ValidationError, WindowError, as_int, read_i
 
 DEFAULT_MAX_CELLS = 200_000
 ROW_LIMIT = 2**31  # a row index of the store is an int32
+ENTRY_LIMIT = 2**31  # an offset of the store is an int32
 
 
 def _max_cells_default():
@@ -117,10 +118,10 @@ class PackedColumns:
 
     The matrix has `nrows` rows.  Column j holds the rows
     rows[ptr[j]:ptr[j+1]] with the nonzero values vals[ptr[j]:ptr[j+1]].
-    `ptr` is an int64 array and `rows` an int32 array (the build refuses a
-    window of 2^31 cells or more).  A narrow store keeps `vals` in an int8
-    array, a wide one in a list, so a coefficient of any size fits; the
-    choice is made once per complex, by `fits_a_byte`.  Each column stores
+    `ptr` and `rows` are int32 arrays (the build refuses 2^31 cells, or
+    entries in a store).  A narrow store keeps `vals` in an int8 array, a
+    wide one in a list, so a coefficient of any size fits; the choice is
+    made once per complex, by `fits_a_byte`.  Each column stores
     its smallest row first, and its other entries in any order, so its
     leading row and value are rows[ptr[j]] and vals[ptr[j]].  `nonempty`
     holds one byte per column, 1 where the column has an entry: the build
@@ -134,7 +135,7 @@ class PackedColumns:
 
     def __init__(self, nrows, narrow):
         self.nrows = nrows
-        self.ptr = array("q", [0])
+        self.ptr = array("i", [0])
         self.rows = array("i")
         self.vals = array("b") if narrow else []
         self._nonempty = None
@@ -161,7 +162,7 @@ class PackedColumns:
 
 
 def _shifted(lanes, shift):
-    """`lanes`, an int32 or int64 array, with `shift` added to every lane.
+    """`lanes`, an int32 array, with `shift` added to every lane.
 
     A shift of 0 returns `lanes` itself, not a copy, as for the first
     block of a spot and the offsets of a block written onto a store with
@@ -171,7 +172,7 @@ def _shifted(lanes, shift):
     `shift` in every lane; one integer addition adds them lane by lane.
     No carry crosses a lane, because every lane is non-negative and every
     sum fits its lane: a row stays below its spot's size, under 2^31 (see
-    `_window_sizes`), and an offset counts the entries of one store."""
+    `_window_sizes`), and an offset below 2^31 too (`ENTRY_LIMIT`)."""
     if not shift:
         return lanes
     code, size = lanes.typecode, len(lanes) * lanes.itemsize
@@ -369,10 +370,11 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
     the same number m of entries, as in every mixed block of a manifold,
     each place of the block's columns is one strided slice: the block is
     written by one slice assignment per term and per entry of u, with no
-    Python step per column.  Otherwise it is written column by column.  No
-    word is hashed or searched for.  The values are int8 when every merged
-    coefficient of the desuspended diagonal fits
-    `PackedColumns.fits_a_byte`, and a list otherwise.
+    Python step per column.  Otherwise it is written column by column.  A
+    block that would take its store to `ENTRY_LIMIT` entries is refused
+    before it is written.  No word is hashed or searched for.  The values
+    are int8 when every merged coefficient of the desuspended diagonal
+    fits `PackedColumns.fits_a_byte`, and a list otherwise.
     """
     if cutoff < 1:
         raise ValidationError("cutoff must be >= 1")
@@ -416,6 +418,13 @@ def build_cobar(coalgebra, cutoff, max_cells=None):
                     (target[l] + cx.block_starts(w - 1, d - 1 - degs[l])[r], c)
                     for (l, r), c in diag[g]
                 )
+                entries = len(rows) + len(sub_rows) + len(terms) * len(du)
+                if entries >= ENTRY_LIMIT:
+                    raise ValidationError(
+                        f"the differential of spot ({d + w}, {d}) needs {entries} entries or "
+                        f"more, over the limit of {ENTRY_LIMIT} that int32 offsets allow; "
+                        f"lower the degree cutoff"
+                    )
                 if not terms:  # the whole block at once: rows shifted, values signed
                     ptr.extend(_shifted(sub_ptr[1:], len(rows)))
                     rows.extend(moved)
@@ -526,29 +535,28 @@ def _sparse_rank_and_torsion(columns, skip=None):
     leading row and value where the store keeps them, first in the column.
     When that row holds no pivot yet and the value is +-1, the column is
     its own reduced form (an emergent pivot, as in Ripser: Bauer, J. Appl.
-    Comput. Topol. 5, 2021), so it is kept as its index and unpacked into
-    a dict only once, the first time another column eliminates against
-    it.  Every other column is unpacked into a fresh dict and reduced, its
-    leading entry last and the rest in store order.  The order leaves the
-    answer alone, but the Smith form breaks pivot ties by it: with the
-    leading entry first, `verify cobar --space cw:2:2,1;1,5 --max-degree
-    11` took 7.9-9.9 s instead of 2.1-2.5.  `skip` is a byte mask over the
-    columns: a column whose byte is 1 is left out without being read, and
-    None leaves out none.
+    Comput. Topol. 5, 2021), so it is kept as its index and read in place,
+    in store order.  Every other column is unpacked into a fresh dict and
+    reduced, its leading entry last and the rest in store order.  The
+    order leaves the answer alone, but the Smith form breaks pivot ties by
+    it: with the leading entry first, `verify cobar --space cw:2:2,1;1,5
+    --max-degree 11` took 7.9-9.9 s instead of 2.1-2.5.  `skip` is a byte
+    mask over the columns: a column whose byte is 1 is left out without
+    being read, and None leaves out none.
 
-    The third value is the pivot owner of each row, an int64 array over
+    The third value is the pivot owner of each row, an int32 array over
     the rows: -1 where the row holds no unit pivot, the index of a
-    packed column where it holds an emergent pivot never unpacked, and -2
-    where it holds a reduced column, which a side dict keeps by row while
-    the reduction runs.  Each pivot is counted when it is made, so the
-    owners are never scanned.  A unit that `unit_pivots` takes owns no
-    row: its column need not have every other entry below it, so it clears
-    no column of the next rank.  A reduced unit pivot clears its row and adds
-    entries only below it, so the rows a column is eliminated on strictly
-    increase; a pivot that breaks this raises IntegrityError.
+    packed column where it holds an emergent pivot, and -2 where it holds
+    a reduced column, which a side dict keeps by row while the reduction
+    runs.  Each pivot is counted when it is made, so the owners are never
+    scanned.  A unit that `unit_pivots` takes owns no row: its column need
+    not have every other entry below it, so it clears no column of the
+    next rank.  A reduced unit pivot clears its row and adds entries only
+    below it, so the rows a column is eliminated on strictly increase; a
+    pivot that breaks this raises IntegrityError.
     """
     ptr, rows, vals = columns.ptr, columns.rows, columns.vals
-    owner = array("q", [-1]) * columns.nrows
+    owner = array("i", [-1]) * columns.nrows
     reduced = {}  # row -> reduced column as a dict, for the rows whose owner is -2
     aside = []
     pivots = 0
@@ -558,12 +566,13 @@ def _sparse_rank_and_torsion(columns, skip=None):
         if j <= last:
             raise IntegrityError(f"reduction on row {j} makes no progress: a pivot is not reduced")
         p = owner[j]
-        if p >= 0:  # an emergent pivot, unpacked on its first use
+        if p >= 0:  # an emergent pivot, read in place
             a, b = ptr[p], ptr[p + 1]
-            reduced[j], owner[j] = dict(zip(rows[a:b], vals[a:b])), -2
-        p = reduced[j]
-        f = vec[j] * p[j]  # p[j] is +-1
-        for k, v in p.items():
+            f, entries = vec[j] * vals[a], zip(rows[a:b], vals[a:b])
+        else:
+            p = reduced[j]
+            f, entries = vec[j] * p[j], p.items()  # the pivot's entry is +-1
+        for k, v in entries:
             nv = vec.get(k, 0) - f * v
             if nv:
                 vec[k] = nv
@@ -648,12 +657,12 @@ def _owned(owner):
 
     An owner is -1, -2 or a column index below 2^31, so it is -1 exactly
     when both its lowest and its highest byte are 0xFF.  The two bytes of
-    every lane are read through a memoryview, ANDed as two integers and
-    mapped to 0 or 1 by a byte table, with no call per row."""
+    every int32 lane are read through a memoryview, ANDed as two integers
+    and mapped to 0 or 1 by a byte table, with no call per row."""
     lanes = memoryview(owner).cast("B")
-    low, high = (0, 7) if sys.byteorder == "little" else (7, 0)
-    both = int.from_bytes(lanes[low::8], "little")
-    both &= int.from_bytes(lanes[high::8], "little")
+    low, high = (0, 3) if sys.byteorder == "little" else (3, 0)
+    both = int.from_bytes(lanes[low::4], "little")
+    both &= int.from_bytes(lanes[high::4], "little")
     return both.to_bytes(len(owner), "little").translate(_NOT_FF)
 
 
@@ -663,14 +672,14 @@ def _transpose(columns):
     A counting sort over the rows: the entry counts per row give the new
     offsets, and one pass over the old columns in order puts each entry at
     the next free place of its row, so each new column lists the old
-    columns in ascending order.  Beside the new store it keeps one int64
+    columns in ascending order.  Beside the new store it keeps one int32
     cursor per row, and no Python object per entry."""
     ptr, rows, vals = columns.ptr, columns.rows, columns.vals
     out = PackedColumns(len(columns), not isinstance(vals, list))
-    counts = array("q", [0]) * (columns.nrows + 1)
+    counts = array("i", [0]) * (columns.nrows + 1)
     for i in rows:
         counts[i + 1] += 1
-    out.ptr = array("q", accumulate(counts))
+    out.ptr = array("i", accumulate(counts))
     out.rows.extend(repeat(0, len(rows)))
     out.vals.extend(repeat(0, len(rows)))
     free, out_rows, out_vals = out.ptr[:-1], out.rows, out.vals
@@ -690,15 +699,15 @@ def _suffix_positions(cx, w, d, e, memo):
     u = h u' lies in h's block of (w - 1, d - e), and u g = h (u' g) lies
     in h's block of (w, d), at that block's start plus the index of u' g
     in spot (w - 1, d - |h|).  A spot of weight 1 holds the letters of its
-    degree, g among them at its letter index.  Each array is an int64
+    degree, g among them at its letter index.  Each array is an int32
     array, kept in `memo` under (w, d, e) with the arrays it is made from.
     """
     key = w, d, e
     if key not in memo:
         if w == 1:
-            memo[key] = array("q", [0] if d == e else [])
+            memo[key] = array("i", [0] if d == e else [])
         else:
-            out, starts = array("q"), cx.block_starts(w - 1, d)
+            out, starts = array("i"), cx.block_starts(w - 1, d)
             for h, hd in enumerate(cx.degs):
                 if cx.count(w - 2, d - e - hd):
                     inner = _suffix_positions(cx, w - 1, d - hd, e, memo)
@@ -738,10 +747,11 @@ def _profiles(cx):
     the index of each (word i) g.  Both have every other entry at a
     larger index, so the same lemma clears both columns.  The source lies
     in a smaller slice, so it is ranked first; it keeps its pivot rows
-    only when some top spot inherits them, as an int64 array under (that
-    slice, |g|) in a dict local to this pass, and the top spot pops them
-    when it reads them.  A spot with nothing to clear it (the top spot with
-    no inherited rows, or a spot below a transposed one) reduces its
+    only when some top spot inherits them, as the byte mask of `_owned`,
+    under (that slice, |g|) in a dict local to this pass, and the top spot
+    pops them when it reads them, ORing the mask into g's block as one
+    integer.  A spot with nothing to clear it (the top spot with no
+    inherited rows, or a spot below a transposed one) reduces its
     transpose when it has fewer rows than nonzero columns, counted on its
     nonempty bytes: the rank and the invariants are the same, but its
     pivots then index its columns, so it passes no cleared set on.  A
@@ -763,16 +773,18 @@ def _profiles(cx):
     profiles, inherited = {}, {}
     for s, degrees in slices.items():
         top = tops[s]
-        heir_rows = {gd: inherited.pop((s, gd), None) for gd in plain_degs}
+        heir_masks = {gd: inherited.pop((s, gd), None) for gd in plain_degs}
         cleared, below = bytearray(len(cx.spots[(s, top)])), top
         starts = cx.block_starts(s - top - 1, top)
         for g in plain:
-            rows = heir_rows[degs[g]]
-            if rows:
-                start = starts[g]
+            mask = heir_masks[degs[g]]
+            if mask:
+                start, end = starts[g], starts[g] + len(mask)
+                both = int.from_bytes(cleared[start:end], "little") | int.from_bytes(mask, "little")
+                cleared[start:end] = both.to_bytes(len(mask), "little")  # the units of g R
                 pos = _suffix_positions(cx, s - top, top, degs[g], positions)
-                for i in rows:  # the unit of g R, and the unit of R g
-                    cleared[start + i] = cleared[pos[i] + letter[g]] = 1
+                for k in compress(pos, mask):  # the units of R g
+                    cleared[k + letter[g]] = 1
 
         for d in degrees:
             cols = cx.diffs[(s, d)]
@@ -786,12 +798,11 @@ def _profiles(cx):
             else:
                 rank, torsion, owner = _sparse_rank_and_torsion(cols, cleared)
                 cleared = _owned(owner)
-                del owner  # 8 bytes a row: not held through the next rank
+                del owner  # 4 bytes a row: not held through the next rank
                 heirs = [gd for gd in plain_degs if tops.get(s + gd + 1) == d + gd - 1]
                 if heirs and 1 in cleared:
-                    rows = array("q", compress(count(), cleared))
                     for gd in heirs:
-                        inherited[s + gd + 1, gd] = rows
+                        inherited[s + gd + 1, gd] = cleared
             if cx.content > 1:  # the invariants of content times this differential
                 torsion = [cx.content] * (rank - len(torsion)) + [cx.content * t for t in torsion]
             profiles[(s, d)] = rank, torsion
